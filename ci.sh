@@ -28,6 +28,28 @@ if [ "$count" -gt "$baseline" ]; then
     exit 1
 fi
 
+echo "==> timing ownership (one production timing model)"
+# Only crates/sched/src/timing.rs books reservation tables or maps a
+# dependence kind to a latency. crates/machine defines the table, and
+# crates/verify is the deliberately independent re-derivation. Comment
+# lines and the trailing #[cfg(test)] module of each file are exempt.
+timing_hits=$(
+    find crates/*/src -name '*.rs' ! -path 'crates/machine/*' \
+        ! -path 'crates/verify/*' ! -path crates/sched/src/timing.rs | sort |
+    while read -r f; do
+        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+            !/^[[:space:]]*\/\// { print f ":" FNR ": " $0 }' "$f"
+    done |
+    grep -E 'reservation_table\(\)|next_free_cycle|can_issue\(|DepKind::[A-Za-z]+.*=>' ||
+    true
+)
+if [ -n "$timing_hits" ]; then
+    echo "$timing_hits" >&2
+    echo "timing ownership FAILED: route issue timing and edge latencies" >&2
+    echo "through parsched_sched::timing instead" >&2
+    exit 1
+fi
+
 echo "==> tier-1: cargo build --release"
 cargo build --release --offline
 

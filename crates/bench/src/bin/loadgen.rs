@@ -17,7 +17,9 @@ use parsched::ir::print_function;
 use parsched::telemetry::escape_json;
 use parsched::telemetry::json::{parse, Value};
 use parsched_pscd::proto::{CODE_OK, CODE_OVERLOADED, CODE_PROTO, MAX_LINE_BYTES};
-use parsched_workload::{random_cfg_function, random_dag_function, CfgParams, DagParams};
+use parsched_workload::{
+    random_cfg_function, random_dag_function, CfgParams, DagParams, SplitMix64,
+};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -85,14 +87,6 @@ fn parse_args() -> Result<Options, String> {
         return Err("--socket is required".to_string());
     }
     Ok(opts)
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// The seeded corpus: a handful of random functions, pre-escaped for
@@ -274,7 +268,7 @@ fn run(opts: &Options) -> Result<Audit, String> {
 
     let mut writer = stream;
     let sources = corpus(opts.seed, opts.branchy);
-    let mut rng = opts.seed.wrapping_add(0x5eed);
+    let mut rng = SplitMix64::seed_from_u64(opts.seed.wrapping_add(0x5eed));
     let mut pending: HashMap<u64, Pending> = HashMap::new();
     let mut audit = Audit::default();
     let mut chaos_lines_sent = 0u64;
@@ -303,7 +297,7 @@ fn run(opts: &Options) -> Result<Audit, String> {
             }
         }
         let id = i + 1;
-        let corpus_idx = (splitmix64(&mut rng) as usize) % sources.len();
+        let corpus_idx = (rng.next_u64() as usize) % sources.len();
         // Deadline storms: with chaos on, every ~97 requests a burst of
         // ten 1ms deadlines forces admission fast-fails and budget trips.
         let deadline_ms = if opts.chaos && i % 97 < 10 { 1 } else { 10_000 };

@@ -14,7 +14,7 @@
 //! spread, so only the configured slack protects it; that is why the CI
 //! gate uses a deliberately loose 2.5× threshold.
 
-use crate::json::Value;
+use parsched::telemetry::json::Value;
 
 /// Schema tag of the machine-readable verdict document.
 pub const COMPARE_SCHEMA: &str = "parsched-bench-compare/1";
@@ -335,7 +335,7 @@ pub fn compare(base: &[PointSample], new: &[PointSample], threshold: f64) -> Com
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use parsched::telemetry::json;
 
     fn sample(workload: &str, threads: u64, median: f64, insts: f64) -> PointSample {
         PointSample {

@@ -12,7 +12,7 @@
 //! serde) so the workspace builds and benches fully offline: timing uses
 //! `std::time::Instant`, randomness comes from `parsched-workload`'s
 //! seeded SplitMix64 generators, and report validation uses the small
-//! JSON reader in [`json`]. This module itself holds the corpus shared by
+//! JSON reader in `parsched::telemetry::json`. This module itself holds the corpus shared by
 //! the `figures`/`experiments` binaries, so every table in EXPERIMENTS.md
 //! is generated from one definition.
 
@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod compare;
-pub mod json;
 pub mod sweep;
 
 use parsched::ir::Function;

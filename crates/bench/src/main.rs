@@ -6,8 +6,9 @@
 
 use std::process::ExitCode;
 
+use parsched::telemetry::json;
+use parsched_bench::compare;
 use parsched_bench::sweep::{self, SweepConfig};
-use parsched_bench::{compare, json};
 
 const USAGE: &str = "\
 parsched-bench: sweep batch compilation over workloads x strategies x threads

@@ -8,9 +8,9 @@
 //! count. The sweep also cross-checks determinism: spill and instruction
 //! totals must match the single-threaded baseline at every thread count.
 
-use crate::json::Value;
 use parsched::ir::Function;
 use parsched::machine::{presets, MachineDesc};
+use parsched::telemetry::json::Value;
 use parsched::telemetry::NullTelemetry;
 use parsched::{BatchDriver, Driver, Pipeline, Strategy};
 use parsched_workload::{random_dag_function, straight_line_kernels, DagParams};
@@ -470,7 +470,7 @@ pub fn validate_report(doc: &Value) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use parsched::telemetry::json;
 
     #[test]
     fn smoke_corpus_is_small_and_stable() {

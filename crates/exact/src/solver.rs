@@ -19,8 +19,9 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use parsched_ir::{BlockId, Function, Inst, Reg};
-use parsched_machine::{MachineDesc, OpClass, ReservationTable};
-use parsched_sched::{op_class, DepGraph};
+use parsched_machine::MachineDesc;
+use parsched_sched::timing::{in_order_completion, BlockTiming, IssueClock};
+use parsched_sched::DepGraph;
 use parsched_telemetry::{NullTelemetry, Telemetry};
 
 use crate::{ExactConfig, ExactError, ExactSolution};
@@ -256,7 +257,7 @@ impl Search<'_> {
             let Some((f_min, _)) = st.def_options(ctx, self.machine, j) else {
                 return;
             };
-            st.apply(ctx, self.machine, j, f_min);
+            st.apply(ctx, j, f_min);
             if st.max_pressure > self.machine.num_regs() {
                 return;
             }
@@ -267,9 +268,9 @@ impl Search<'_> {
     /// Installs a completed state as the incumbent if it beats the
     /// current one. The state's own completion time is exact — the search
     /// carries the physical frontier — and the debug assert pins it to
-    /// the independent replay the schedule checker will run.
+    /// the in-order replay the schedule checker re-derives.
     fn install(&mut self, ctx: &BlockCtx, st: &NodeState, spills: u32, inserted: usize) {
-        let cycles = st.terminator_completion(ctx, self.machine);
+        let cycles = st.clock.finish().1;
         let triple = (spills, st.distinct, cycles);
         if self.best_triple().is_some_and(|b| triple >= b) {
             return;
@@ -277,8 +278,8 @@ impl Search<'_> {
         let function = ctx.build_function(&st.order, &st.assign);
         debug_assert_eq!(
             cycles,
-            replay_block_cycles(&function, self.machine),
-            "search-carried completion must equal the physical replay"
+            in_order_completion(function.block(BlockId(0)), self.machine),
+            "search-carried completion must equal the in-order replay"
         );
         self.best = Some(Incumbent {
             function,
@@ -348,7 +349,7 @@ impl Search<'_> {
             .filter(|&j| st.mask & (1 << j) == 0 && ctx.pred_mask[j] & !st.mask == 0)
             .collect();
         // Tallest first: good incumbents early make the bounds bite.
-        ready.sort_by_key(|&j| (std::cmp::Reverse(ctx.height[j]), j));
+        ready.sort_by_key(|&j| (std::cmp::Reverse(ctx.timing.heights()[j]), j));
         for j in ready {
             // Register choices for this step: maximum reuse always, plus
             // progressively more fresh registers when every free register
@@ -362,7 +363,7 @@ impl Search<'_> {
                 if !self.charge(1) {
                     return;
                 }
-                let frame = st.apply(ctx, self.machine, j, fresh);
+                let frame = st.apply(ctx, j, fresh);
                 let feasible = st.max_pressure <= self.machine.num_regs();
                 let mut cut = !feasible;
                 if !cut && self.prune {
@@ -410,23 +411,24 @@ impl Search<'_> {
         for (v, r) in val_ready.iter_mut().enumerate() {
             if st.alive[v] {
                 if let Some(reg) = st.assign[v] {
-                    *r = st.reg_ready[reg as usize].max(st.floor);
+                    *r = st.reg_ready[reg as usize].max(st.clock.floor());
                 }
             }
         }
         let mut avail: Vec<u32> = (0..num_regs)
             .filter(|&r| !st.reg_live[r as usize])
-            .map(|r| st.reg_ready[r as usize].max(st.floor))
+            .map(|r| st.reg_ready[r as usize].max(st.clock.floor()))
             .collect();
         avail.sort_unstable();
+        let clock = &st.clock;
         let entry = DomEntry {
             max_pressure: st.max_pressure,
             distinct: st.distinct,
-            completion: st.completion,
-            term_release: st.term_release,
-            floor: st.floor,
+            completion: clock.completion(),
+            term_release: clock.term_release(),
+            floor: clock.floor(),
             floor_counts: st.floor_counts,
-            release: st.release.clone().into_boxed_slice(),
+            release: (0..ctx.n).map(|j| clock.release(j)).collect(),
             val_ready: val_ready.into_boxed_slice(),
             avail: avail.into_boxed_slice(),
         };
@@ -512,18 +514,6 @@ impl DomEntry {
     }
 }
 
-fn class_slot(class: OpClass) -> usize {
-    match class {
-        OpClass::IntAlu => 0,
-        OpClass::FloatAlu => 1,
-        OpClass::MemLoad => 2,
-        OpClass::MemStore => 3,
-        OpClass::Branch => 4,
-        OpClass::Call => 5,
-        OpClass::Nop => 6,
-    }
-}
-
 /// A value in the block's single-assignment view: a live-in register
 /// (`def == None`) or the single def of a register.
 struct ValueInfo {
@@ -536,20 +526,24 @@ struct ValueInfo {
     use_mask: u64,
 }
 
+impl ValueInfo {
+    fn new(reg: Reg, def: Option<usize>) -> ValueInfo {
+        ValueInfo {
+            reg,
+            def,
+            uses: 0,
+            term_uses: 0,
+            use_mask: 0,
+        }
+    }
+}
+
 /// Everything precomputed about one (possibly spill-rewritten) block.
-struct BlockCtx {
+struct BlockCtx<'m> {
     func: Function,
     n: usize,
-    body: Vec<Inst>,
-    term: Option<Inst>,
-    term_class: OpClass,
-    classes: Vec<OpClass>,
-    lat: Vec<u32>,
-    succs: Vec<Vec<(usize, u32)>>,
+    timing: BlockTiming<'m>,
     pred_mask: Vec<u64>,
-    height: Vec<u32>,
-    /// Body instructions defining a register the terminator reads.
-    term_dep: Vec<bool>,
     vals: Vec<ValueInfo>,
     val_of: HashMap<Reg, usize>,
     use_vals: Vec<Vec<usize>>,
@@ -561,38 +555,23 @@ struct BlockCtx {
     cycles_lb: u32,
 }
 
-impl BlockCtx {
+impl<'m> BlockCtx<'m> {
     /// Returns `None` when the body exceeds the `u64` mask cap.
-    fn build(func: &Function, machine: &MachineDesc) -> Option<BlockCtx> {
+    fn build(func: &Function, machine: &'m MachineDesc) -> Option<BlockCtx<'m>> {
         let block = func.block(BlockId(0));
-        let body: Vec<Inst> = block.body().to_vec();
+        let body = block.body();
         let n = body.len();
         if n > MASK_CAP {
             return None;
         }
-        let term = block.terminator().cloned();
-        let term_class = term.as_ref().map_or(OpClass::Nop, op_class);
         let deps = DepGraph::build(block, &NullTelemetry);
-        let classes: Vec<OpClass> = deps.classes().to_vec();
-        let lat: Vec<u32> = classes.iter().map(|&c| machine.latency(c)).collect();
-        let mut succs: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-        let mut pred_mask: Vec<u64> = vec![0; n];
-        for e in deps.edges() {
-            let l = deps.edge_latency(machine, &e);
-            succs[e.from].push((e.to, l));
-            pred_mask[e.to] |= 1 << e.from;
-        }
-        let height = match deps.heights(machine) {
-            Ok(h) => h,
-            // Block dependence graphs are DAGs by construction.
-            Err(_) => unreachable!("cyclic dependence graph in a single block"),
-        };
-
-        let term_uses: Vec<Reg> = term.as_ref().map(Inst::uses).unwrap_or_default();
-        let term_dep: Vec<bool> = body
-            .iter()
-            .map(|i| i.defs().iter().any(|d| term_uses.contains(d)))
+        let timing = BlockTiming::new(block, &deps, machine);
+        let graph = deps.graph();
+        let pred_mask: Vec<u64> = (0..n)
+            .map(|i| graph.preds(i).iter().fold(0, |m, &p| m | 1 << p))
             .collect();
+
+        let term_uses: Vec<Reg> = block.terminator().map(Inst::uses).unwrap_or_default();
 
         // Single-assignment value view (preconditions already verified).
         let mut vals: Vec<ValueInfo> = Vec::new();
@@ -602,13 +581,7 @@ impl BlockCtx {
         for (i, inst) in body.iter().enumerate() {
             for u in inst.uses() {
                 let v = *val_of.entry(u).or_insert_with(|| {
-                    vals.push(ValueInfo {
-                        reg: u,
-                        def: None,
-                        uses: 0,
-                        term_uses: 0,
-                        use_mask: 0,
-                    });
+                    vals.push(ValueInfo::new(u, None));
                     vals.len() - 1
                 });
                 vals[v].uses += 1;
@@ -617,26 +590,14 @@ impl BlockCtx {
             }
             for d in inst.defs() {
                 let v = vals.len();
-                vals.push(ValueInfo {
-                    reg: d,
-                    def: Some(i),
-                    uses: 0,
-                    term_uses: 0,
-                    use_mask: 0,
-                });
+                vals.push(ValueInfo::new(d, Some(i)));
                 val_of.insert(d, v);
                 def_vals[i].push(v);
             }
         }
         for &u in &term_uses {
             let v = *val_of.entry(u).or_insert_with(|| {
-                vals.push(ValueInfo {
-                    reg: u,
-                    def: None,
-                    uses: 0,
-                    term_uses: 0,
-                    use_mask: 0,
-                });
+                vals.push(ValueInfo::new(u, None));
                 vals.len() - 1
             });
             vals[v].uses += 1;
@@ -646,14 +607,8 @@ impl BlockCtx {
 
         // Reachability of the (index-increasing) dependence DAG, via the
         // same query engine the heuristic pipeline uses.
-        let mut dep_dag = parsched_graph::DiGraph::new(n);
-        for (i, ss) in succs.iter().enumerate() {
-            for &(s, _) in ss {
-                dep_dag.add_edge(i, s);
-            }
-        }
         let reach = match parsched_graph::Reachability::build(
-            &dep_dag,
+            graph,
             parsched_graph::ClosureMode::Auto,
             None,
         ) {
@@ -680,23 +635,16 @@ impl BlockCtx {
             }
             regs_lb = regs_lb.max(live_here);
         }
-        let mut cycles_lb = height.iter().copied().max().unwrap_or(0);
-        if term.is_some() {
+        let mut cycles_lb = timing.heights().iter().copied().max().unwrap_or(0);
+        if block.terminator().is_some() {
             cycles_lb = cycles_lb.max(1);
         }
 
         Some(BlockCtx {
             func: func.clone(),
             n,
-            body,
-            term,
-            term_class,
-            classes,
-            lat,
-            succs,
+            timing,
             pred_mask,
-            height,
-            term_dep,
             vals,
             val_of,
             use_vals,
@@ -713,14 +661,9 @@ impl BlockCtx {
     /// alloc checker expects).
     fn build_function(&self, order: &[usize], assign: &[Option<u32>]) -> Function {
         let mut out = self.func.clone();
-        {
-            let block = out.block_mut(BlockId(0));
-            let mut insts: Vec<Inst> = order.iter().map(|&j| self.body[j].clone()).collect();
-            if let Some(t) = &self.term {
-                insts.push(t.clone());
-            }
-            *block.insts_mut() = insts;
-        }
+        let block = self.func.block(BlockId(0));
+        let insts = order.iter().map(|&j| &block.body()[j]);
+        *out.block_mut(BlockId(0)).insts_mut() = insts.chain(block.terminator()).cloned().collect();
         out.map_regs(|r| match self.val_of.get(&r).and_then(|&v| assign[v]) {
             Some(p) => Reg::phys(p),
             None => r,
@@ -736,19 +679,16 @@ impl BlockCtx {
 /// after its last in-block write, before which it cannot be redefined —
 /// zero for registers only live-ins have touched, since a live-in has no
 /// defining write inside the block).
-struct NodeState {
+struct NodeState<'c> {
     mask: u64,
     order: Vec<usize>,
     remaining: Vec<u32>,
     alive: Vec<bool>,
     cur_live: u32,
     max_pressure: u32,
-    release: Vec<u32>,
-    term_release: u32,
-    completion: u32,
-    floor: u32,
+    clock: IssueClock<'c>,
+    /// Same-cycle issues per class at the clock's floor.
     floor_counts: [u8; 7],
-    rt: ReservationTable,
     /// Physical register of each value once its def is scheduled (live-ins
     /// at the root); dead parameters stay `None` and keep symbolic names.
     assign: Vec<Option<u32>>,
@@ -762,23 +702,19 @@ struct NodeState {
 }
 
 /// Undo record for one [`NodeState::apply`].
-struct Frame {
+struct Frame<'c> {
     j: usize,
     died: Vec<usize>,
-    releases: Vec<(usize, u32)>,
     /// `(register, previous reg_ready)` per def, in `def_vals[j]` order.
     def_regs: Vec<(u32, u32)>,
     distinct: u32,
-    term_release: u32,
-    completion: u32,
-    floor: u32,
     floor_counts: [u8; 7],
     max_pressure: u32,
-    rt: ReservationTable,
+    clock: IssueClock<'c>,
 }
 
-impl NodeState {
-    fn root(ctx: &BlockCtx, machine: &MachineDesc) -> NodeState {
+impl<'c> NodeState<'c> {
+    fn root(ctx: &'c BlockCtx, machine: &MachineDesc) -> NodeState<'c> {
         let mut alive = vec![false; ctx.vals.len()];
         let mut assign = vec![None; ctx.vals.len()];
         // Live-ins enter in register order for determinism; an entry set
@@ -806,12 +742,8 @@ impl NodeState {
             alive,
             cur_live,
             max_pressure: cur_live,
-            release: vec![0; ctx.n],
-            term_release: 0,
-            completion: 0,
-            floor: 0,
+            clock: ctx.timing.clock(),
             floor_counts: [0; 7],
-            rt: machine.reservation_table(),
             assign,
             reg_ready: vec![0; pool],
             reg_live,
@@ -867,8 +799,7 @@ impl NodeState {
         if f_min == f_max {
             return Some((f_min, f_min));
         }
-        let e_base = self.release[j].max(self.floor);
-        let c_base = self.rt.next_free_cycle(machine, ctx.classes[j], e_base);
+        let c_base = self.clock.next_free(j, 0);
         let reuse = (k - f_min) as usize;
         if free[..reuse].iter().all(|&(ready, _)| ready <= c_base) {
             return Some((f_min, f_min));
@@ -882,20 +813,15 @@ impl NodeState {
     /// checker's replay policy) and updates liveness, releases, the
     /// frontier, and the register state. `fresh` must come from
     /// [`NodeState::def_options`].
-    fn apply(&mut self, ctx: &BlockCtx, machine: &MachineDesc, j: usize, fresh: u32) -> Frame {
-        let frame_rt = self.rt.clone();
+    fn apply(&mut self, ctx: &BlockCtx, j: usize, fresh: u32) -> Frame<'c> {
         let mut frame = Frame {
             j,
             died: Vec::new(),
-            releases: Vec::new(),
             def_regs: Vec::new(),
             distinct: self.distinct,
-            term_release: self.term_release,
-            completion: self.completion,
-            floor: self.floor,
             floor_counts: self.floor_counts,
             max_pressure: self.max_pressure,
-            rt: frame_rt,
+            clock: self.clock.clone(),
         };
 
         // Deaths first: a def may take a register its own operand frees.
@@ -927,32 +853,16 @@ impl NodeState {
         }
 
         // Issue under the chosen registers' pending-write constraints.
-        let mut earliest = self.release[j].max(self.floor);
-        for &r in &chosen {
-            earliest = earliest.max(self.reg_ready[r as usize]);
-        }
-        let class = ctx.classes[j];
-        let c = self.rt.next_free_cycle(machine, class, earliest);
-        self.rt.issue(machine, class, c);
+        let earliest = chosen.iter().map(|&r| self.reg_ready[r as usize]).max();
+        let old_floor = self.clock.floor();
+        let c = self.clock.issue(j, earliest.unwrap_or(0));
 
         self.mask |= 1 << j;
         self.order.push(j);
-        let done = c + ctx.lat[j];
-        self.completion = self.completion.max(done);
-        if ctx.term_dep[j] {
-            self.term_release = self.term_release.max(done);
-        }
-        if c > self.floor {
-            self.floor = c;
+        if c > old_floor {
             self.floor_counts = [0; 7];
         }
-        self.floor_counts[class_slot(class)] += 1;
-        for &(s, l) in &ctx.succs[j] {
-            if self.release[s] < c + l {
-                frame.releases.push((s, self.release[s]));
-                self.release[s] = c + l;
-            }
-        }
+        self.floor_counts[ctx.timing.class(j) as usize] += 1;
 
         self.max_pressure = self.max_pressure.max(self.cur_live + defs.len() as u32);
         for (&v, &r) in defs.iter().zip(chosen.iter()) {
@@ -970,7 +880,7 @@ impl NodeState {
         frame
     }
 
-    fn undo(&mut self, ctx: &BlockCtx, frame: Frame) {
+    fn undo(&mut self, ctx: &BlockCtx, frame: Frame<'c>) {
         let j = frame.j;
         for (&v, &(r, old_ready)) in ctx.def_vals[j].iter().zip(frame.def_regs.iter()) {
             if ctx.vals[v].uses > 0 {
@@ -992,15 +902,9 @@ impl NodeState {
         for &v in &ctx.use_vals[j] {
             self.remaining[v] += 1;
         }
-        for &(s, old) in &frame.releases {
-            self.release[s] = old;
-        }
-        self.term_release = frame.term_release;
-        self.completion = frame.completion;
-        self.floor = frame.floor;
         self.floor_counts = frame.floor_counts;
         self.max_pressure = frame.max_pressure;
-        self.rt = frame.rt;
+        self.clock = frame.clock;
         self.mask &= !(1 << j);
         self.order.pop();
     }
@@ -1009,70 +913,16 @@ impl NodeState {
     /// instruction, its earliest possible issue extended by its critical
     /// path height.
     fn cycle_bound(&self, ctx: &BlockCtx) -> u32 {
-        let mut bound = self.completion.max(self.term_release);
+        // Every result the terminator reads is in `completion` already.
+        let mut bound = self.clock.completion();
         for j in 0..ctx.n {
             if self.mask & (1 << j) == 0 {
-                bound = bound.max(self.release[j].max(self.floor) + ctx.height[j]);
+                bound = bound
+                    .max(self.clock.release(j).max(self.clock.floor()) + ctx.timing.heights()[j]);
             }
         }
         bound
     }
-
-    /// Exact symbolic completion of a full order, terminator included —
-    /// the same formula the schedule checker replays.
-    fn terminator_completion(&self, ctx: &BlockCtx, machine: &MachineDesc) -> u32 {
-        match &ctx.term {
-            None => self.completion,
-            Some(_) => {
-                let earliest = self.floor.max(self.term_release);
-                let tc = self.rt.next_free_cycle(machine, ctx.term_class, earliest);
-                self.completion.max(tc + 1)
-            }
-        }
-    }
-}
-
-/// Greedy in-order replay of a finished single-block function — exactly
-/// the policy `parsched-verify`'s schedule checker uses to re-derive
-/// claimed cycles, so the claim below is what the checker will accept.
-fn replay_block_cycles(func: &Function, machine: &MachineDesc) -> u32 {
-    let block = func.block(BlockId(0));
-    let body = block.body();
-    let n = body.len();
-    let deps = DepGraph::build(block, &NullTelemetry);
-    let mut preds: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-    for e in deps.edges() {
-        let l = deps.edge_latency(machine, &e);
-        preds[e.to].push((e.from, l));
-    }
-    let mut rt = machine.reservation_table();
-    let mut cycles = vec![0u32; n];
-    let mut floor = 0u32;
-    let mut completion = 0u32;
-    for i in 0..n {
-        let mut earliest = floor;
-        for &(p, l) in &preds[i] {
-            earliest = earliest.max(cycles[p] + l);
-        }
-        let class = deps.class(i);
-        let c = rt.next_free_cycle(machine, class, earliest);
-        rt.issue(machine, class, c);
-        cycles[i] = c;
-        floor = c;
-        completion = completion.max(c + machine.latency(class));
-    }
-    if let Some(term) = block.terminator() {
-        let uses = term.uses();
-        let mut earliest = floor;
-        for i in 0..n {
-            if body[i].defs().iter().any(|d| uses.contains(d)) {
-                earliest = earliest.max(cycles[i] + machine.latency(deps.class(i)));
-            }
-        }
-        let tc = rt.next_free_cycle(machine, op_class(term), earliest);
-        completion = completion.max(tc + 1);
-    }
-    completion
 }
 
 /// Lexicographic k-subsets of `0..n` without materializing the whole set.

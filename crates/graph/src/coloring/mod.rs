@@ -4,63 +4,26 @@
 //! parallelizable interference graph, and its optimality theorems are stated
 //! for *optimal* colorings. This module therefore provides:
 //!
-//! * [`greedy_coloring`] — color in a given order, smallest free color first;
 //! * [`dsatur_coloring`] — Brélaz's saturation-degree heuristic;
-//! * [`chaitin_order`] — Chaitin's simplify order (repeatedly remove a
-//!   minimum-degree node), the order used inside the allocators;
-//! * [`exact_coloring`] — a branch-and-bound exact minimum coloring, feasible for the
-//!   small blocks the paper reasons about, used to validate Theorems 1 and 2;
+//! * [`exact_coloring`] / [`exact_chromatic_number`] — a branch-and-bound
+//!   exact minimum coloring, feasible for the small blocks the paper reasons
+//!   about, used to validate Theorems 1 and 2;
 //! * [`max_clique_lower_bound`] — a greedy clique for pruning the search.
+//!
+//! The allocators' own Chaitin-style simplify/select lives in
+//! `parsched-regalloc`.
 
-mod chaitin;
 mod clique;
 mod dsatur;
 mod exact;
-mod greedy;
 
-pub use chaitin::chaitin_order;
 pub use clique::max_clique_lower_bound;
 pub use dsatur::dsatur_coloring;
 pub use exact::{exact_chromatic_number, exact_coloring, ExactError, ExactLimits};
-pub use greedy::greedy_coloring;
 
 use crate::ungraph::UnGraph;
 use std::error::Error;
 use std::fmt;
-
-/// [`dsatur_coloring`] timed via `telemetry` (span `coloring.dsatur`,
-/// counter `coloring.dsatur.colors`).
-pub fn dsatur_coloring_with(
-    g: &UnGraph,
-    telemetry: &dyn parsched_telemetry::Telemetry,
-) -> Coloring {
-    let _span = parsched_telemetry::span(telemetry, "coloring.dsatur");
-    let c = dsatur_coloring(g);
-    if telemetry.enabled() {
-        telemetry.counter("coloring.dsatur.colors", u64::from(c.num_colors()));
-    }
-    c
-}
-
-/// [`exact_coloring`] timed via `telemetry` (span `coloring.exact`,
-/// counter `coloring.exact.colors` on success).
-///
-/// # Errors
-/// Propagates [`ExactError`] from [`exact_coloring`] (limits exceeded).
-pub fn exact_coloring_with(
-    g: &UnGraph,
-    limits: &ExactLimits,
-    telemetry: &dyn parsched_telemetry::Telemetry,
-) -> Result<Coloring, ExactError> {
-    let _span = parsched_telemetry::span(telemetry, "coloring.exact");
-    let out = exact_coloring(g, limits);
-    if telemetry.enabled() {
-        if let Ok(c) = &out {
-            telemetry.counter("coloring.exact.colors", u64::from(c.num_colors()));
-        }
-    }
-    out
-}
 
 /// A proper coloring of an undirected graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,7 +148,6 @@ mod tests {
     #[test]
     fn all_algorithms_agree_on_triangle() {
         let g = triangle();
-        assert_eq!(greedy_coloring(&g, &[0, 1, 2]).num_colors(), 3);
         assert_eq!(dsatur_coloring(&g).num_colors(), 3);
         assert_eq!(
             exact_coloring(&g, &ExactLimits::default())

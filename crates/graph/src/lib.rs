@@ -4,9 +4,8 @@
 //! is built from: directed graphs for schedule/dependence graphs, undirected
 //! graphs for interference and false-dependence graphs, dense bit-matrix
 //! adjacency for transitive closure and complement, and a family of
-//! graph-coloring algorithms (greedy, DSATUR, Chaitin-style simplify, and an
-//! exact branch-and-bound used to validate the paper's optimality theorems on
-//! small blocks).
+//! graph-coloring algorithms (DSATUR and an exact branch-and-bound used to
+//! validate the paper's optimality theorems on small blocks).
 //!
 //! All graphs are over dense node indices `0..n` ([`NodeId`] is a plain
 //! `usize`); callers keep their own side tables mapping ids to instructions

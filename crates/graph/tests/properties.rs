@@ -2,8 +2,7 @@
 //! PRNG so the suite needs no external crates and stays deterministic.
 
 use parsched_graph::coloring::{
-    chaitin_order, dsatur_coloring, exact_coloring, greedy_coloring, max_clique_lower_bound,
-    ExactLimits,
+    dsatur_coloring, exact_coloring, max_clique_lower_bound, ExactLimits,
 };
 use parsched_graph::{
     strongly_connected_components, BitSet, ClosureMode, DiGraph, Reachability, Rebuilt, UnGraph,
@@ -66,17 +65,6 @@ fn dsatur_is_always_proper() {
     for _ in 0..CASES {
         let g = random_ungraph(&mut rng, 24);
         let c = dsatur_coloring(&g);
-        assert!(g.is_proper_coloring(c.as_slice()));
-    }
-}
-
-#[test]
-fn greedy_with_chaitin_order_is_proper() {
-    let mut rng = Rng::new(2);
-    for _ in 0..CASES {
-        let g = random_ungraph(&mut rng, 24);
-        let (order, _) = chaitin_order(&g, usize::MAX);
-        let c = greedy_coloring(&g, &order);
         assert!(g.is_proper_coloring(c.as_slice()));
     }
 }

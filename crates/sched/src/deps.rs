@@ -1,5 +1,6 @@
 //! Dependence-graph construction for one basic block.
 
+use crate::timing::BlockTiming;
 use parsched_graph::DiGraph;
 use parsched_graph::FastMap;
 use parsched_ir::{Block, Inst, InstKind};
@@ -302,72 +303,32 @@ impl DepGraph {
         })
     }
 
-    /// The latency an edge imposes on `machine`: `cycle(to) ≥ cycle(from) +
-    /// edge_latency`.
-    ///
-    /// * flow / memory-flow: the producing class's result latency;
-    /// * output / memory output: 1 (the later write must win);
-    /// * register anti: 0 — a read and the overwriting write may share a
-    ///   cycle (the paper's footnote about reusing a register in the
-    ///   statement that last uses it; register files read before they
-    ///   write within a cycle);
-    /// * memory anti: 1 — memory ports are not assumed to order a load
-    ///   before a same-cycle store to one address (spill-slot reuse
-    ///   depends on this);
-    /// * control: 1 for call barriers (calls are sequenced).
-    pub fn edge_latency(&self, machine: &MachineDesc, edge: &DepEdge) -> u32 {
-        match edge.kind {
-            DepKind::Flow | DepKind::MemFlow => machine.latency(self.class(edge.from)),
-            DepKind::Output | DepKind::MemOutput | DepKind::MemAnti => 1,
-            DepKind::Anti => 0,
-            DepKind::Control => 1,
-        }
-    }
-
     /// Critical-path height of each node on `machine`: the longest
     /// latency-weighted path from the node to any sink, counting the node's
     /// own latency. The classic list-scheduling priority.
     ///
     /// # Errors
-    /// Returns [`parsched_graph::CycleError`] if the graph is not a DAG.
-    /// Graphs built by [`DepGraph::build`] are always acyclic (every edge
-    /// points forward in program order), but hand-assembled graphs need not
-    /// be, and a malformed `Gs` must not abort the process.
+    /// Never in practice: every edge points forward, so the graph is
+    /// acyclic. The `Result` is kept for API compatibility.
     pub fn heights(&self, machine: &MachineDesc) -> Result<Vec<u32>, parsched_graph::CycleError> {
-        let order = self.graph.topological_sort()?;
-        let mut height = vec![0u32; self.len()];
-        for &u in order.iter().rev() {
-            let own = machine.latency(self.class(u)).max(1);
-            let best_succ = self
-                .graph
-                .succs(u)
-                .iter()
-                .filter_map(|&v| {
-                    let e = DepEdge {
-                        from: u,
-                        to: v,
-                        kind: self.kind(u, v)?,
-                    };
-                    Some(self.edge_latency(machine, &e) + height[v])
-                })
-                .max()
-                .unwrap_or(0);
-            height[u] = own.max(best_succ);
-        }
-        Ok(height)
+        Ok(BlockTiming::of_body(self, machine).heights().to_vec())
     }
 }
 
-fn strength(k: DepKind) -> u8 {
-    match k {
-        DepKind::Flow => 6,
-        DepKind::Control => 5,
-        DepKind::MemFlow => 4,
-        DepKind::Output => 3,
-        DepKind::MemOutput => 2,
-        DepKind::Anti => 1,
-        DepKind::MemAnti => 0,
-    }
+/// Dependence kinds from weakest to strongest: when several relate one
+/// pair, the strongest is kept.
+const BY_STRENGTH: [DepKind; 7] = [
+    DepKind::MemAnti,
+    DepKind::Anti,
+    DepKind::MemOutput,
+    DepKind::Output,
+    DepKind::MemFlow,
+    DepKind::Control,
+    DepKind::Flow,
+];
+
+fn strength(k: DepKind) -> usize {
+    BY_STRENGTH.iter().position(|&s| s == k).unwrap_or(0)
 }
 
 #[cfg(test)]

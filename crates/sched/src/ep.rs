@@ -12,6 +12,7 @@
 //! reorder the program segment accordingly."
 
 use crate::deps::DepGraph;
+use crate::timing::BlockTiming;
 use parsched_graph::CycleError;
 use parsched_ir::Block;
 use parsched_machine::MachineDesc;
@@ -20,22 +21,12 @@ use parsched_machine::MachineDesc;
 /// longest dependence path from any root to each node.
 ///
 /// # Errors
-/// Returns [`CycleError`] if the dependence graph is not a DAG.
+/// Never in practice: a [`DepGraph`]'s edges all point forward, so it is
+/// acyclic. The `Result` is kept for API compatibility.
 pub fn ep_numbers(deps: &DepGraph, machine: &MachineDesc) -> Result<Vec<u32>, CycleError> {
-    let order = deps.graph().topological_sort()?;
+    let timing = BlockTiming::of_body(deps, machine);
     let mut ep = vec![0u32; deps.len()];
-    for &u in &order {
-        for &v in deps.graph().succs(u) {
-            if let Some(kind) = deps.kind(u, v) {
-                let edge = crate::deps::DepEdge {
-                    from: u,
-                    to: v,
-                    kind,
-                };
-                ep[v] = ep[v].max(ep[u] + deps.edge_latency(machine, &edge));
-            }
-        }
-    }
+    timing.relax(&mut ep);
     Ok(ep)
 }
 
@@ -45,37 +36,13 @@ pub fn ep_numbers(deps: &DepGraph, machine: &MachineDesc) -> Result<Vec<u32>, Cy
 /// postponed one level and the increase is propagated along outgoing paths.
 ///
 /// # Errors
-/// Returns [`CycleError`] if the dependence graph is not a DAG.
+/// Never in practice: a [`DepGraph`]'s edges all point forward, so it is
+/// acyclic. The `Result` is kept for API compatibility.
 pub fn refined_ep_numbers(deps: &DepGraph, machine: &MachineDesc) -> Result<Vec<u32>, CycleError> {
-    // The dependence graph never changes during refinement, so the
-    // topological order, the edge list, and each edge's latency are loop
-    // invariants; propagation below replays exactly the sequence of `max`
-    // updates the per-round recomputation would.
-    let order = deps.graph().topological_sort()?;
-    let edges: Vec<(usize, usize, u32)> = order
-        .iter()
-        .flat_map(|&u| {
-            deps.graph().succs(u).iter().filter_map(move |&v| {
-                deps.kind(u, v).map(|kind| {
-                    let edge = crate::deps::DepEdge {
-                        from: u,
-                        to: v,
-                        kind,
-                    };
-                    (u, v, deps.edge_latency(machine, &edge))
-                })
-            })
-        })
-        .collect();
-    let propagate = |ep: &mut [u32]| {
-        for &(u, v, lat) in &edges {
-            ep[v] = ep[v].max(ep[u] + lat);
-        }
-    };
-    let mut ep = vec![0u32; deps.len()];
-    propagate(&mut ep);
-    let heights = deps.heights(machine)?;
+    let timing = BlockTiming::of_body(deps, machine);
     let n = deps.len();
+    let mut ep = vec![0u32; n];
+    timing.relax(&mut ep);
     if n == 0 {
         return Ok(ep);
     }
@@ -88,18 +55,9 @@ pub fn refined_ep_numbers(deps: &DepGraph, machine: &MachineDesc) -> Result<Vec<
         guard += 1;
         assert!(guard <= 4 * n * n + 16, "EP refinement failed to converge");
         let mut at_level: Vec<usize> = (0..n).filter(|&i| ep[i] == level).collect();
-        // Can they all issue in one cycle? Greedily book a fresh table.
-        let mut rt = machine.reservation_table();
-        at_level.sort_by_key(|&i| (std::cmp::Reverse(heights[i]), i));
-        let mut postponed = Vec::new();
-        for &i in &at_level {
-            let class = deps.class(i);
-            if rt.can_issue(machine, class, 0) {
-                rt.issue(machine, class, 0);
-            } else {
-                postponed.push(i);
-            }
-        }
+        // Can they all issue in one cycle? Postpone what does not fit.
+        at_level.sort_by_key(|&i| (std::cmp::Reverse(timing.heights()[i]), i));
+        let postponed = timing.overflow(&at_level);
         if postponed.is_empty() {
             level += 1;
             continue;
@@ -108,7 +66,7 @@ pub fn refined_ep_numbers(deps: &DepGraph, machine: &MachineDesc) -> Result<Vec<
             ep[i] += 1;
         }
         // Re-propagate the partial order: EP(v) ≥ EP(u) + latency(u→v).
-        propagate(&mut ep);
+        timing.relax(&mut ep);
         // Stay on the same level: other ops may still exceed capacity.
     }
     Ok(ep)
@@ -123,7 +81,8 @@ pub fn refined_ep_numbers(deps: &DepGraph, machine: &MachineDesc) -> Result<Vec<
 /// interference graph — are measured against.
 ///
 /// # Errors
-/// Returns [`CycleError`] if the dependence graph is not a DAG.
+/// Never in practice: a [`DepGraph`]'s edges all point forward, so it is
+/// acyclic. The `Result` is kept for API compatibility.
 pub fn ep_reorder(
     block: &Block,
     deps: &DepGraph,

@@ -7,6 +7,8 @@
 //!
 //! * [`DepGraph`] — per-block dependence graph over the block body;
 //! * [`op_class`] — mapping from IR instructions to machine `OpClass`es;
+//! * [`timing`] — the one production timing model: edge latencies, heights,
+//!   in-order issue and the terminator rule, shared with the exact solver;
 //! * [`ep`] — earliest-possible-time numbering and the paper's EP-based
 //!   pre-scheduling reordering pass (Section 4);
 //! * [`list_schedule`] — a Gibbons–Muchnick list scheduler with functional
@@ -19,7 +21,9 @@
 //!   closure bit-matrix across spill rounds, with exact incremental closure
 //!   maintenance guided by a [`BlockRemap`];
 //! * [`region`] — dominator/post-dominator *plausible pair* region
-//!   formation for inter-block scheduling.
+//!   formation for inter-block scheduling;
+//! * [`cyclesim`] — a value-level schedule simulator (no latencies) used as
+//!   a test reference, not a second timing model.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,6 +36,7 @@ mod list;
 pub mod region;
 mod schedule;
 mod session;
+pub mod timing;
 
 pub use deps::{op_class, DepEdge, DepGraph, DepKind};
 pub use list::{list_schedule, SchedPriority};

@@ -2,6 +2,7 @@
 
 use crate::deps::DepGraph;
 use crate::schedule::{BlockSchedule, SchedError};
+use crate::timing::BlockTiming;
 use parsched_ir::Block;
 use parsched_machine::MachineDesc;
 
@@ -50,8 +51,9 @@ pub enum SchedPriority {
 /// ready list of instructions whose predecessors have completed; each cycle,
 /// issue ready instructions in priority order (critical-path height, ties
 /// broken by original position) while units and issue slots remain; then
-/// advance the clock. The terminator issues in the first cycle ≥ every body
-/// issue that satisfies its data inputs and resources.
+/// advance the clock. The terminator is placed by the terminator rule of
+/// [`crate::timing`]: the first cycle ≥ every body issue that satisfies its
+/// data inputs and resources.
 ///
 /// Ready-list pressure is reported to `telemetry`: `sched.ready_len`
 /// (gauge, peak ready-list length), `sched.issue_cycles` (scheduler passes
@@ -63,8 +65,9 @@ pub enum SchedPriority {
 /// silently corrupting the evaluation.
 ///
 /// # Errors
-/// Returns [`SchedError::Cycle`] on a cyclic dependence graph and
-/// [`SchedError::Invalid`] if the produced schedule fails validation.
+/// Returns [`SchedError::Invalid`] if the produced schedule fails
+/// validation. [`SchedError::Cycle`] does not occur: a [`DepGraph`]'s
+/// edges all point forward.
 pub fn list_schedule(
     block: &Block,
     deps: &DepGraph,
@@ -83,34 +86,27 @@ fn schedule_impl(
     telemetry: &dyn parsched_telemetry::Telemetry,
 ) -> Result<BlockSchedule, SchedError> {
     let _span = parsched_telemetry::span(telemetry, "sched.list");
+    let timing = BlockTiming::new(block, deps, machine);
     let n = deps.len();
     let heights: Vec<u32> = match priority {
-        SchedPriority::CriticalPath => deps.heights(machine)?,
-        SchedPriority::SourceOrder => {
-            // Any non-DAG input must fail regardless of priority policy, or
-            // the main loop below would spin forever on a dependence cycle.
-            deps.graph().topological_sort()?;
-            (0..n).map(|i| (n - i) as u32).collect()
-        }
-        SchedPriority::FanOut => {
-            deps.graph().topological_sort()?;
-            (0..n).map(|i| deps.graph().out_degree(i) as u32).collect()
-        }
+        SchedPriority::CriticalPath => timing.heights().to_vec(),
+        SchedPriority::SourceOrder => (0..n).map(|i| (n - i) as u32).collect(),
+        SchedPriority::FanOut => (0..n).map(|i| deps.graph().out_degree(i) as u32).collect(),
     };
 
-    // earliest[i]: lower bound on issue cycle from already-scheduled preds.
-    let mut earliest = vec![0u32; n];
     let mut unscheduled_preds: Vec<usize> = (0..n).map(|i| deps.graph().in_degree(i)).collect();
     let mut cycles = vec![u32::MAX; n];
     let mut remaining = n;
-    let mut rt = machine.reservation_table();
+    let mut clock = timing.clock();
     let mut cycle: u32 = 0;
 
     let trace = telemetry.enabled();
     while remaining > 0 {
         // Ready at this cycle: all preds scheduled and latency satisfied.
         let mut ready: Vec<usize> = (0..n)
-            .filter(|&i| cycles[i] == u32::MAX && unscheduled_preds[i] == 0 && earliest[i] <= cycle)
+            .filter(|&i| {
+                cycles[i] == u32::MAX && unscheduled_preds[i] == 0 && clock.release(i) <= cycle
+            })
             .collect();
         ready.sort_by_key(|&i| (std::cmp::Reverse(heights[i]), i));
         if trace {
@@ -119,23 +115,12 @@ fn schedule_impl(
 
         let mut issued_any = false;
         for i in ready {
-            let class = deps.class(i);
-            if rt.can_issue(machine, class, cycle) {
-                rt.issue(machine, class, cycle);
-                cycles[i] = cycle;
+            if clock.fits(timing.class(i), cycle) {
+                cycles[i] = clock.issue(i, cycle);
                 remaining -= 1;
                 issued_any = true;
                 for &s in deps.graph().succs(i) {
                     unscheduled_preds[s] -= 1;
-                    if let Some(kind) = deps.kind(i, s) {
-                        let edge = crate::deps::DepEdge {
-                            from: i,
-                            to: s,
-                            kind,
-                        };
-                        let ready_at = cycle + deps.edge_latency(machine, &edge);
-                        earliest[s] = earliest[s].max(ready_at);
-                    }
                 }
             }
         }
@@ -156,8 +141,8 @@ fn schedule_impl(
             let more_ready = (0..n).any(|i| {
                 cycles[i] == u32::MAX
                     && unscheduled_preds[i] == 0
-                    && earliest[i] <= cycle
-                    && rt.can_issue(machine, deps.class(i), cycle)
+                    && clock.release(i) <= cycle
+                    && clock.fits(timing.class(i), cycle)
             });
             if !more_ready {
                 cycle += 1;
@@ -165,23 +150,8 @@ fn schedule_impl(
         }
     }
 
-    // Terminator placement.
-    let term_cycle = block.terminator().map(|term| {
-        let body = block.body();
-        let mut tc = cycles.iter().copied().max().unwrap_or(0);
-        for (i, inst) in body.iter().enumerate() {
-            let defs = inst.defs();
-            if term.uses().iter().any(|u| defs.contains(u)) {
-                tc = tc.max(cycles[i] + machine.latency(deps.class(i)));
-            }
-        }
-        let tclass = crate::deps::op_class(term);
-        rt.next_free_cycle(machine, tclass, tc)
-    });
-
-    Ok(BlockSchedule::new(
-        block, deps, machine, cycles, term_cycle,
-    )?)
+    let (term_cycle, _) = clock.finish();
+    Ok(BlockSchedule::validated(deps, &timing, cycles, term_cycle)?)
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Block schedules: cycle assignments plus validation and linearization.
 
-use crate::deps::{DepGraph, DepKind};
+use crate::deps::{DepEdge, DepGraph, DepKind};
+use crate::timing::BlockTiming;
 use parsched_ir::Block;
 use parsched_machine::MachineDesc;
 use std::error::Error;
@@ -31,76 +32,66 @@ impl BlockSchedule {
         cycles: Vec<u32>,
         term_cycle: Option<u32>,
     ) -> Result<BlockSchedule, ScheduleError> {
-        let body = block.body();
-        if cycles.len() != body.len() {
+        let timing = BlockTiming::new(block, deps, machine);
+        BlockSchedule::validated(deps, &timing, cycles, term_cycle)
+    }
+
+    /// [`BlockSchedule::new`] against an already-built timing table.
+    pub(crate) fn validated(
+        deps: &DepGraph,
+        timing: &BlockTiming,
+        cycles: Vec<u32>,
+        term_cycle: Option<u32>,
+    ) -> Result<BlockSchedule, ScheduleError> {
+        let n = deps.len();
+        if cycles.len() != n {
             return Err(ScheduleError::WrongLength {
-                expected: body.len(),
+                expected: n,
                 got: cycles.len(),
             });
         }
         // Dependence constraints.
-        for edge in deps.edges() {
-            let lat = deps.edge_latency(machine, &edge);
-            if cycles[edge.to] < cycles[edge.from] + lat {
-                return Err(ScheduleError::DependenceViolated {
-                    from: edge.from,
-                    to: edge.to,
-                    kind: edge.kind,
-                });
-            }
+        let late = |e: &DepEdge| cycles[e.to] < cycles[e.from] + timing.edge_latency(e);
+        if let Some(DepEdge { from, to, kind }) = deps.edges().find(late) {
+            return Err(ScheduleError::DependenceViolated { from, to, kind });
         }
-        // Resource constraints (rebuild a reservation table).
-        let mut rt = machine.reservation_table();
-        let mut order: Vec<usize> = (0..body.len()).collect();
+        // Resource constraints: book every instruction at its claimed cycle.
+        let mut clock = timing.clock();
+        let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|&i| cycles[i]);
         for &i in &order {
-            let class = deps.class(i);
-            if !rt.can_issue(machine, class, cycles[i]) {
+            if !clock.fits(timing.class(i), cycles[i]) {
                 return Err(ScheduleError::ResourceOversubscribed {
                     inst: i,
                     cycle: cycles[i],
                 });
             }
-            rt.issue(machine, class, cycles[i]);
+            clock.issue(i, cycles[i]);
         }
         // Terminator: flows from its inputs and issues no earlier than any
         // body instruction.
         if let Some(tc) = term_cycle {
-            let Some(term) = block.terminator() else {
+            let Some(tclass) = timing.term_class else {
                 return Err(ScheduleError::TerminatorMissing);
             };
-            for (i, inst) in body.iter().enumerate() {
-                if cycles[i] > tc {
+            for (i, &c) in cycles.iter().enumerate() {
+                if c > tc {
                     return Err(ScheduleError::TerminatorNotLast { inst: i });
                 }
-                let defs = inst.defs();
-                if term.uses().iter().any(|u| defs.contains(u)) {
-                    let lat = machine.latency(deps.class(i));
-                    if tc < cycles[i] + lat {
-                        return Err(ScheduleError::DependenceViolated {
-                            from: i,
-                            to: body.len(),
-                            kind: DepKind::Flow,
-                        });
-                    }
+                if timing.feeds_term[i] && tc < c + timing.latency[i] {
+                    return Err(ScheduleError::DependenceViolated {
+                        from: i,
+                        to: n,
+                        kind: DepKind::Flow,
+                    });
                 }
             }
-            let tclass = crate::deps::op_class(term);
-            if !rt.can_issue(machine, tclass, tc) {
-                return Err(ScheduleError::ResourceOversubscribed {
-                    inst: body.len(),
-                    cycle: tc,
-                });
+            if !clock.fits(tclass, tc) {
+                return Err(ScheduleError::ResourceOversubscribed { inst: n, cycle: tc });
             }
         }
 
-        let completion = body
-            .iter()
-            .enumerate()
-            .map(|(i, _)| cycles[i] + machine.latency(deps.class(i)))
-            .chain(term_cycle.map(|tc| tc + 1))
-            .max()
-            .unwrap_or(0);
+        let completion = clock.complete(term_cycle);
         Ok(BlockSchedule {
             cycles,
             term_cycle,

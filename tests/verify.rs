@@ -3,14 +3,15 @@
 //! `psc --verify` surfaces violations with its own exit code (12) while
 //! recording `verify.*` counters in `--stats-json`.
 
-use parsched::ir::{parse_function, Function};
+use parsched::ir::{parse_function, BlockId, Function};
 use parsched::machine::presets;
+use parsched::sched::timing::in_order_completion;
 use parsched::telemetry::NullTelemetry;
 use parsched::{
     AllocScope, CompileResult, CompileStats, DegradationLevel, Driver, ParschedError, Pipeline,
     Strategy,
 };
-use parsched_verify::{Check, OracleConfig, Verifier};
+use parsched_verify::{schedule, Check, OracleConfig, Verifier};
 use parsched_workload::{
     expr_tree_function, random_cfg_function, random_dag_function, CfgParams, DagParams,
 };
@@ -192,6 +193,79 @@ fn schedule_checker_rejects_fabricated_cycle_claims() {
         "{:#?}",
         report.violations
     );
+}
+
+/// The production timing model and the independent schedule checker agree
+/// to the cycle: on every emitted block the checker accepts
+/// `timing::in_order_completion` as the claim and rejects one cycle less.
+/// For the exact solver the claim is also the solver's own block cycles.
+#[test]
+fn schedule_checker_accepts_exactly_the_in_order_completion() {
+    let machines = [
+        presets::single_issue(6),
+        presets::paper_machine(6),
+        presets::mips_r3000(6),
+        presets::rs6000(6),
+        presets::wide(4, 6),
+    ];
+    let strategies: Vec<Strategy> = all_strategies()
+        .into_iter()
+        .chain([Strategy::exact()])
+        .collect();
+    let (mut compiled, mut exact_compiled) = (0, 0);
+    for seed in 0..8u64 {
+        let func = random_dag_function(
+            seed,
+            &DagParams {
+                size: 6 + seed as usize,
+                load_fraction: 0.3,
+                float_fraction: 0.3,
+                window: 3,
+            },
+        );
+        for machine in &machines {
+            for &strategy in &strategies {
+                let driver =
+                    Driver::new(Pipeline::new(machine.clone())).with_ladder(vec![strategy]);
+                let Ok(result) = driver.compile_resilient(&func, &NullTelemetry) else {
+                    continue;
+                };
+                compiled += 1;
+                let label = format!("{} on {} @{}", strategy.label(), machine.name(), seed);
+                let code = &result.function;
+                let claimed: Vec<u32> = (0..code.block_count())
+                    .map(|b| in_order_completion(code.block(BlockId(b)), machine))
+                    .collect();
+                if matches!(strategy, Strategy::Exact(_)) {
+                    exact_compiled += 1;
+                    assert_eq!(result.block_cycles, claimed, "{label}");
+                }
+                let claim = |block_cycles: Vec<u32>| CompileResult {
+                    function: code.clone(),
+                    stats: CompileStats {
+                        cycles: block_cycles.iter().sum(),
+                        ..result.stats
+                    },
+                    block_cycles,
+                    degradation: result.degradation,
+                };
+                let accepted = schedule::check(&func, &claim(claimed.clone()), machine);
+                assert!(accepted.is_empty(), "{label}: {accepted:#?}");
+                for b in 0..claimed.len() {
+                    let mut short = claimed.clone();
+                    short[b] -= 1;
+                    let rejected = schedule::check(&func, &claim(short), machine);
+                    assert!(
+                        rejected.iter().any(|v| v.block == Some(b)),
+                        "{label}: block {b} accepted {} cycles",
+                        claimed[b] - 1
+                    );
+                }
+            }
+        }
+    }
+    assert!(compiled >= 200, "only {compiled} of 240 compiles succeeded");
+    assert!(exact_compiled >= 20, "only {exact_compiled} exact compiles");
 }
 
 /// Symbolic leftovers and out-of-range registers are allocation
