@@ -107,6 +107,17 @@ impl Driver {
         ]
     }
 
+    /// The default ladder with `preferred` moved to the front: the
+    /// requested strategy is tried first and the rest of the default
+    /// ladder follows in order. `psc --resilient` and `pscd` both start
+    /// from this ladder.
+    pub fn preferred_first_ladder(preferred: Strategy) -> Vec<Strategy> {
+        let mut ladder = Driver::default_ladder();
+        ladder.retain(|s| *s != preferred);
+        ladder.insert(0, preferred);
+        ladder
+    }
+
     /// Replaces the budget.
     pub fn with_budget(mut self, budget: Budget) -> Driver {
         self.budget = budget;
@@ -247,17 +258,6 @@ impl Driver {
             actual: 0,
         }))
     }
-
-    /// Compiles every function independently; one poisoned function fails
-    /// its own entry, never its neighbours. One [`AllocSession`] is reused
-    /// across the whole batch.
-    pub fn compile_batch(&self, funcs: &[Function]) -> Vec<Result<CompileResult, ParschedError>> {
-        let mut session = AllocSession::new();
-        funcs
-            .iter()
-            .map(|f| self.compile_resilient_in(&mut session, f, &parsched_telemetry::NullTelemetry))
-            .collect()
-    }
 }
 
 /// The `driver.fallback.<class>` counter key for a rung failure.
@@ -316,6 +316,21 @@ mod tests {
             .unwrap();
         // A one-rung ladder that succeeds on its first rung reports None.
         assert_eq!(r.degradation, DegradationLevel::None);
+    }
+
+    #[test]
+    fn preferred_first_ladder_front_loads_without_duplicates() {
+        assert_eq!(
+            Driver::preferred_first_ladder(Strategy::combined()),
+            Driver::default_ladder()
+        );
+        let ladder = Driver::preferred_first_ladder(Strategy::LinearScanThenSched);
+        assert_eq!(ladder.len(), 5);
+        assert_eq!(ladder[0], Strategy::LinearScanThenSched);
+        assert_eq!(ladder[1], Strategy::combined());
+        let exact = Driver::preferred_first_ladder(Strategy::exact());
+        assert_eq!(exact.len(), 6);
+        assert_eq!(exact[1..], Driver::default_ladder()[..]);
     }
 
     #[test]

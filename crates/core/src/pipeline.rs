@@ -264,7 +264,6 @@ impl From<BudgetExceeded> for PipelineError {
 pub struct Pipeline {
     machine: MachineDesc,
     merge_chains: bool,
-    optimize: bool,
     scope: AllocScope,
     closure: ClosureMode,
 }
@@ -275,7 +274,6 @@ impl Pipeline {
         Pipeline {
             machine,
             merge_chains: false,
-            optimize: false,
             scope: AllocScope::Auto,
             closure: ClosureMode::Auto,
         }
@@ -293,14 +291,6 @@ impl Pipeline {
     /// The configured allocation scope.
     pub fn scope(&self) -> AllocScope {
         self.scope
-    }
-
-    /// Enables the pre-allocation clean-up passes (copy propagation,
-    /// constant folding, dead-code elimination) — the optimizer front end
-    /// the paper assumes its input has already been through.
-    pub fn with_optimizations(mut self, enable: bool) -> Pipeline {
-        self.optimize = enable;
-        self
     }
 
     /// Enables fall-through chain merging before compilation: control-
@@ -339,7 +329,7 @@ impl Pipeline {
     /// functions use the global (web-based) allocators.
     ///
     /// Phases appear as spans on `telemetry` (`pipeline.merge_chains`,
-    /// `pipeline.optimize`, `pipeline.pre_schedule`, `pipeline.allocate`,
+    /// `pipeline.pre_schedule`, `pipeline.allocate`,
     /// `pipeline.false_dep_count`, `pipeline.final_schedule`) nested under
     /// one `pipeline.compile` span. The final [`CompileStats`] fields are
     /// emitted once, authoritatively, as `stats.*` counters
@@ -402,20 +392,14 @@ impl Pipeline {
     ) -> Result<CompileResult, PipelineError> {
         let _compile_span = parsched_telemetry::span(telemetry, "pipeline.compile");
         let limits = budget.alloc_limits();
-        let mut func = if self.merge_chains {
+        let merged;
+        let func = if self.merge_chains {
             let _span = parsched_telemetry::span(telemetry, "pipeline.merge_chains");
-            parsched_ir::simplify::merge_chains(func)
+            merged = parsched_ir::simplify::merge_chains(func);
+            &merged
         } else {
-            func.clone()
+            func
         };
-        if self.optimize {
-            let _span = parsched_telemetry::span(telemetry, "pipeline.optimize");
-            use parsched_ir::opt;
-            opt::propagate_copies(&mut func);
-            opt::fold_constants(&mut func);
-            opt::eliminate_dead_code(&mut func);
-        }
-        let func = &func;
         // The exact strategy replaces the whole allocate/schedule phase
         // pair with one joint search; its emitted order *is* the schedule.
         if let Strategy::Exact(cfg) = strategy {
@@ -777,49 +761,6 @@ mod tests {
             assert_eq!(r.block_cycles.len(), 4);
             interp_equal(&func, &r.function, &[9]);
         }
-    }
-
-    #[test]
-    fn optimizations_shrink_code_and_preserve_semantics() {
-        let func = parse_function(
-            r#"
-            func @opt(s0) {
-            entry:
-                s1 = li 2
-                s2 = li 3
-                s3 = mul s1, s2
-                s4 = mov s3
-                s5 = add s4, s0
-                s6 = add s1, 0
-                ret s5
-            }
-            "#,
-        )
-        .unwrap();
-        let machine = paper::machine(8);
-        let plain = Pipeline::new(machine.clone());
-        let opt = Pipeline::new(machine).with_optimizations(true);
-        let r_plain = plain
-            .compile(
-                &func,
-                &Strategy::combined(),
-                &parsched_telemetry::NullTelemetry,
-            )
-            .unwrap();
-        let r_opt = opt
-            .compile(
-                &func,
-                &Strategy::combined(),
-                &parsched_telemetry::NullTelemetry,
-            )
-            .unwrap();
-        assert!(
-            r_opt.stats.inst_count < r_plain.stats.inst_count,
-            "{} < {}",
-            r_opt.stats.inst_count,
-            r_plain.stats.inst_count
-        );
-        interp_equal(&func, &r_opt.function, &[7]);
     }
 
     #[test]

@@ -62,7 +62,6 @@ mod inst;
 pub mod interp;
 pub mod liveness;
 pub mod loops;
-pub mod opt;
 mod parser;
 mod printer;
 mod reg;

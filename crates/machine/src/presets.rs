@@ -99,6 +99,25 @@ pub fn wide(n: usize, num_regs: u32) -> MachineDesc {
     b.finish()
 }
 
+/// The label of [`paper_machine`], the machine `psc` and `pscd` requests
+/// target unless they name another.
+pub const DEFAULT_NAME: &str = "paper";
+
+/// The preset a command-line or protocol label names — `single`,
+/// `paper`, `mips`, `rs6000` or `wide4` — with `num_regs` registers, or
+/// `None` for any other label. `psc --machine` and `pscd` requests share
+/// this one table.
+pub fn by_name(label: &str, num_regs: u32) -> Option<MachineDesc> {
+    Some(match label {
+        "single" => single_issue(num_regs),
+        "paper" => paper_machine(num_regs),
+        "mips" => mips_r3000(num_regs),
+        "rs6000" => rs6000(num_regs),
+        "wide4" => wide(4, num_regs),
+        _ => return None,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,6 +152,23 @@ mod tests {
                 assert!(!m.pairwise_conflict(a, b), "{a} vs {b}");
             }
         }
+    }
+
+    #[test]
+    fn by_name_resolves_every_label_and_rejects_others() {
+        let named = |m: Option<MachineDesc>| m.map(|m| (m.name().to_string(), m.num_regs()));
+        for (label, preset) in [
+            ("single", single_issue(7)),
+            ("paper", paper_machine(7)),
+            ("mips", mips_r3000(7)),
+            ("rs6000", rs6000(7)),
+            ("wide4", wide(4, 7)),
+            (DEFAULT_NAME, paper_machine(7)),
+        ] {
+            assert_eq!(named(by_name(label, 7)), named(Some(preset)), "{label}");
+        }
+        assert!(by_name("vax", 7).is_none());
+        assert!(by_name("wide-4", 7).is_none());
     }
 
     #[test]

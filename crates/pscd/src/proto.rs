@@ -102,7 +102,8 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "shutdown" => Op::Shutdown,
         "compile" => Op::Compile(CompileReq {
             src: field_str(&doc, "src").ok_or("compile needs `src`")?,
-            machine: field_str(&doc, "machine").unwrap_or_else(|| "paper".to_string()),
+            machine: field_str(&doc, "machine")
+                .unwrap_or_else(|| parsched_machine::presets::DEFAULT_NAME.to_string()),
             regs: field_u64(&doc, "regs").map_or(32, |r| r.min(u32::MAX as u64) as u32),
             strategy: field_str(&doc, "strategy").unwrap_or_else(|| "combined".to_string()),
             deadline_ms: field_u64(&doc, "deadline_ms"),

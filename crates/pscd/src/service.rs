@@ -164,35 +164,18 @@ fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn parse_machine(label: &str, regs: u32) -> Option<MachineDesc> {
-    Some(match label {
-        "single" => presets::single_issue(regs),
-        "paper" => presets::paper_machine(regs),
-        "mips" => presets::mips_r3000(regs),
-        "rs6000" => presets::rs6000(regs),
-        "wide4" => presets::wide(4, regs),
-        _ => return None,
-    })
-}
-
+/// The request's strategy label: any `psc --strategy` name except
+/// `exact`, whose joint search is an offline tool, not a daemon rung.
 fn parse_strategy(label: &str) -> Option<Strategy> {
-    Some(match label {
-        "combined" => Strategy::combined(),
-        "alloc-first" => Strategy::AllocThenSched,
-        "sched-first" => Strategy::SchedThenAlloc,
-        "linear-scan" => Strategy::LinearScanThenSched,
-        "spill-everything" => Strategy::SpillEverything,
-        _ => return None,
-    })
+    Strategy::parse(label)
+        .ok()
+        .filter(|s| !matches!(s, Strategy::Exact(_)))
 }
 
-/// The driver ladder for a request: the preferred strategy front-loaded
-/// onto the default ladder, then the first `shed_rungs` rungs dropped
-/// (always keeping at least the floor).
+/// The driver ladder for a request: the preferred-first ladder, then the
+/// first `shed_rungs` rungs dropped (always keeping at least the floor).
 fn ladder_for(preferred: Strategy, shed_rungs: usize) -> Vec<Strategy> {
-    let mut ladder = Driver::default_ladder();
-    ladder.retain(|s| *s != preferred);
-    ladder.insert(0, preferred);
+    let mut ladder = Driver::preferred_first_ladder(preferred);
     let drop = shed_rungs.min(ladder.len() - 1);
     ladder.drain(..drop);
     ladder
@@ -501,7 +484,7 @@ fn worker_loop(inner: &Inner, rx: &Mutex<Receiver<Job>>) {
 /// returns exactly one response line.
 fn process_job(inner: &Inner, session: &mut parsched::regalloc::AllocSession, job: &Job) -> String {
     let c = &job.req;
-    let Some(machine) = parse_machine(&c.machine, c.regs) else {
+    let Some(machine) = presets::by_name(&c.machine, c.regs) else {
         return error_response(
             Some(job.id),
             CODE_PROTO,
@@ -733,6 +716,13 @@ mod tests {
         );
         let r = recv_one(&rx);
         assert!(r.contains("\"code\":2") && r.contains("vax"), "{r}");
+        // `exact` is a psc strategy but not a daemon rung.
+        svc.handle_line(
+            "{\"id\":4,\"op\":\"compile\",\"src\":\"x\",\"strategy\":\"exact\"}",
+            &tx,
+        );
+        let r = recv_one(&rx);
+        assert!(r.contains("\"code\":2") && r.contains("exact"), "{r}");
         svc.shutdown_and_join();
     }
 

@@ -4,8 +4,9 @@
 //! This deliberately does **not** call into `parsched-sched`: the point of
 //! translation validation is that a bug in the pipeline's `DepGraph` must
 //! not be invisible to the checker that re-derives `Gs`. The rules mirror
-//! the paper's definitions (and the documented latency model of
-//! `parsched_sched::DepGraph::edge_latency`): killing flow dependences,
+//! the paper's definitions (and the production latency model, which
+//! lives in `parsched_sched::timing` as the crate-private
+//! `BlockTiming::edge_latency`): killing flow dependences,
 //! conservative anti/output dependences, `may_alias` memory dependences,
 //! and calls as barriers. When several kinds relate one pair the strongest
 //! is kept, in the same order the scheduler uses.

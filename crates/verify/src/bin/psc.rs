@@ -3,7 +3,8 @@
 //! Compile a textual-IR module (one or more functions) with a chosen
 //! strategy and machine, print the result, the cycle-by-cycle schedule, or
 //! the statistics, and optionally execute it in the reference interpreter.
-//! Multi-function modules compile in parallel under `--jobs N` with
+//! Every module, one function or many, compiles through one
+//! [`BatchDriver`]; its functions compile in parallel under `--jobs N` with
 //! byte-identical output for every `N`.
 //!
 //! ```text
@@ -25,7 +26,7 @@
 //! invariant is violated.
 
 use parsched::ir::interp::{Interpreter, Memory};
-use parsched::ir::{parse_module, print_function, print_inst, BlockId, Function};
+use parsched::ir::{parse_module, print_function, print_inst, print_module, BlockId, Function};
 use parsched::machine::{parse_machine_spec, presets, MachineDesc};
 use parsched::sched::{list_schedule, DepGraph, SchedPriority};
 use parsched::telemetry::{
@@ -33,8 +34,8 @@ use parsched::telemetry::{
     SyncFanout, Telemetry,
 };
 use parsched::{
-    AllocScope, BatchDriver, Budget, ClosureMode, CompileResult, Driver, ParschedError, Pipeline,
-    Strategy,
+    AllocScope, BatchDriver, BatchOutput, Budget, ClosureMode, CompileResult, Driver,
+    ParschedError, Pipeline, Strategy,
 };
 use parsched_verify::Verifier;
 use std::process::ExitCode;
@@ -70,7 +71,7 @@ options:
                          threads (work stealing; 0 = one per core;
                          default 1); output is byte-identical for every N
   --bench-json FILE      write per-function wall times and batch
-                         throughput as JSON (implies the batch driver)
+                         throughput as JSON
   --max-insts N          budget: largest block (in instructions) the
                          super-linear phases will accept
   --deadline-ms N        budget: wall-clock deadline for the compile
@@ -154,10 +155,21 @@ impl Options {
 /// one line on stderr — no panics, no backtraces for user errors.
 struct Failure {
     code: u8,
+    /// Empty when the failure was already reported on stderr.
     msg: String,
 }
 
 impl Failure {
+    /// Exit with `code` (a [`ParschedError::exit_code`]); the diagnostic
+    /// lines are already on stderr.
+    fn reported(code: i32) -> Failure {
+        Failure {
+            // Exit codes fit in a u8 by construction (3..=12).
+            code: code as u8,
+            msg: String::new(),
+        }
+    }
+
     fn io(path: &str, err: &dyn std::fmt::Display) -> Failure {
         Failure {
             code: 10,
@@ -205,7 +217,9 @@ fn main() -> ExitCode {
         Ok(Cmd::Compile(opts)) => match real_main(*opts) {
             Ok(()) => ExitCode::SUCCESS,
             Err(f) => {
-                eprintln!("psc: {}", f.msg);
+                if !f.msg.is_empty() {
+                    eprintln!("psc: {}", f.msg);
+                }
                 ExitCode::from(f.code)
             }
         },
@@ -256,14 +270,8 @@ fn parse_args() -> Result<Cmd, String> {
             }
             "--machine" => {
                 let v = args.next().ok_or("--machine needs a value")?;
-                machine = Some(match v.as_str() {
-                    "single" => presets::single_issue(32),
-                    "paper" => presets::paper_machine(32),
-                    "mips" => presets::mips_r3000(32),
-                    "rs6000" => presets::rs6000(32),
-                    "wide4" => presets::wide(4, 32),
-                    other => return Err(format!("unknown machine `{other}`")),
-                });
+                machine =
+                    Some(presets::by_name(&v, 32).ok_or_else(|| format!("unknown machine `{v}`"))?);
             }
             "--machine-spec" => {
                 let path = args.next().ok_or("--machine-spec needs a path")?;
@@ -375,31 +383,32 @@ fn parse_args() -> Result<Cmd, String> {
     })))
 }
 
+/// Compiles every function of the module through one work-stealing
+/// [`BatchDriver`] and renders per the emit mode. Results are joined in
+/// input order, so the output is byte-identical for every `--jobs` value.
+/// Only the function count decides the output shape: a one-function module
+/// prints the function's own `--emit json|stats` and `--stats-json`
+/// documents, and `--emit schedule|dot`, `--run` and `--dump-dir` need one.
 fn real_main(opts: Options) -> Result<(), Failure> {
     let src = std::fs::read_to_string(&opts.file).map_err(|e| Failure::io(&opts.file, &e))?;
-    let mut funcs = parse_module(&src).map_err(|e| Failure::from(ParschedError::Parse(e)))?;
-    // Multi-function modules (and any explicit batch request) go through
-    // the parallel batch driver; single functions keep the classic path,
-    // whose output and exit codes are unchanged.
-    if funcs.len() > 1 || opts.bench_json.is_some() {
-        return batch_main(opts, funcs);
+    let funcs = parse_module(&src).map_err(|e| Failure::from(ParschedError::Parse(e)))?;
+    let single = funcs.len() == 1;
+    if !single && (opts.run.is_some() || opts.emit == Emit::Schedule || opts.emit == Emit::Dot) {
+        return Err(Failure {
+            code: 2,
+            msg: "--emit schedule, --emit dot, and --run need a single-function module".to_string(),
+        });
     }
-    let func = match funcs.pop() {
-        Some(f) => f,
-        None => unreachable!("parse_module rejects empty modules"),
-    };
-    // Reject ill-formed inputs (e.g. uses of never-defined registers) up
-    // front; the resilient driver re-checks, but the plain path must not
-    // silently compile garbage.
-    parsched::ir::verify::verify_function(&func, false)
-        .map_err(|errs| Failure::from(ParschedError::Verify(errs)))?;
+    if !single && opts.dump_dir.is_some() {
+        return Err(Failure {
+            code: 2,
+            msg: "--dump-dir needs a single-function module".to_string(),
+        });
+    }
     let machine = match opts.regs {
         Some(r) => opts.machine.with_num_regs(r),
         None => opts.machine.clone(),
     };
-    let pipeline = Pipeline::new(machine.clone())
-        .with_scope(opts.scope)
-        .with_closure(opts.closure);
     let mut budget = Budget::unlimited();
     if let Some(n) = opts.max_insts {
         budget = budget.with_max_block_insts(n);
@@ -407,73 +416,57 @@ fn real_main(opts: Options) -> Result<(), Failure> {
     if let Some(ms) = opts.deadline_ms {
         budget = budget.with_deadline_in(Duration::from_millis(ms));
     }
+    // Without --resilient the ladder is the requested strategy alone, so a
+    // failure surfaces instead of silently degrading; with it, the
+    // requested strategy leads the default ladder.
+    let ladder = if opts.resilient {
+        Driver::preferred_first_ladder(opts.strategy)
+    } else {
+        vec![opts.strategy]
+    };
+    let driver = Driver::new(
+        Pipeline::new(machine.clone())
+            .with_scope(opts.scope)
+            .with_closure(opts.closure),
+    )
+    .with_budget(budget)
+    .with_ladder(ladder);
+    let batch = BatchDriver::new(driver)
+        .with_jobs(opts.jobs.unwrap_or(1))
+        .with_recording(opts.recording());
 
-    // Observability sinks: a Recorder backs --stats-json/--profile, a
-    // ChromeTraceSink backs --trace, a FlightRecorder rides along whenever
-    // a post-mortem dump could trigger; any subset can be live at once via
-    // Fanout. With no flags the pipeline runs against NullTelemetry at zero
-    // cost and its output is bit-for-bit the unobserved behavior.
-    let recorder = Recorder::new();
+    // Observability sinks: per-worker Recorders back --stats-json/--profile
+    // (merged into `out.telemetry`), a ChromeTraceSink backs --trace, and a
+    // FlightRecorder rides along whenever a post-mortem dump could trigger.
+    // With no flags the compile runs against NullTelemetry at zero cost.
     let chrome = ChromeTraceSink::new();
     let flight = FlightRecorder::default();
-    let mut sinks: Vec<&dyn Telemetry> = Vec::new();
-    if opts.recording() {
-        sinks.push(&recorder);
-    }
+    let mut shared: Vec<&(dyn Telemetry + Sync)> = Vec::new();
     if opts.trace.is_some() {
-        sinks.push(&chrome);
+        shared.push(&chrome);
     }
     if opts.flight_armed() {
-        sinks.push(&flight);
+        shared.push(&flight);
     }
-    let fanout = Fanout::new(sinks);
-    let telemetry: &dyn Telemetry =
-        if opts.recording() || opts.trace.is_some() || opts.flight_armed() {
-            &fanout
-        } else {
-            &NullTelemetry
-        };
-
-    let compiled = if opts.resilient {
-        // Under --resilient the requested strategy becomes the first rung
-        // and the rest of the default ladder follows it.
-        let mut ladder = Driver::default_ladder();
-        if opts.strategy != Strategy::combined() {
-            ladder.retain(|s| *s != opts.strategy);
-            ladder.insert(0, opts.strategy);
-        }
-        Driver::new(pipeline)
-            .with_budget(budget)
-            .with_ladder(ladder)
-            .compile_resilient(&func, telemetry)
-            .map_err(Failure::from)
-    } else {
-        pipeline
-            .compile_budgeted(&func, &opts.strategy, &budget, telemetry)
-            .map_err(|e| Failure::from(ParschedError::from(e)))
-    };
-    let result = match compiled {
-        Ok(r) => r,
-        Err(f) => {
-            // The compile itself died (budget trip, unrecoverable error):
-            // flush the flight recorder before surfacing the failure.
-            dump_flight(&opts, &flight, &format!("compile failed: {}", f.msg))?;
-            return Err(f);
-        }
-    };
+    let shared_sink = SyncFanout::new(shared);
+    let out = batch.compile_module(&funcs, &shared_sink);
 
     // --verify runs before the artifacts are written, so its verify.*
     // counters land in --stats-json; the failure itself (exit 12) comes
     // after, so a violating compile still leaves a complete record.
-    let verify_report = if opts.verify {
-        Some(
-            Verifier::new(&machine)
-                .strategy(opts.strategy)
-                .verify(&func, &result, telemetry),
-        )
-    } else {
-        None
-    };
+    let mut verify_failures: Vec<(&Function, Vec<parsched_verify::Violation>)> = Vec::new();
+    if opts.verify {
+        let verifier = Verifier::new(&machine).strategy(opts.strategy);
+        let sink = Fanout::new(vec![&out.telemetry, &shared_sink]);
+        for (func, res) in funcs.iter().zip(&out.results) {
+            if let Ok(r) = res {
+                let report = verifier.verify(func, r, &sink);
+                if !report.ok() {
+                    verify_failures.push((func, report.violations));
+                }
+            }
+        }
+    }
 
     if let Some(path) = &opts.trace {
         chrome
@@ -481,54 +474,110 @@ fn real_main(opts: Options) -> Result<(), Failure> {
             .map_err(|e| Failure::io(path, &e))?;
     }
     if let Some(path) = &opts.stats_json {
-        std::fs::write(
-            path,
-            stats_json(&opts.strategy, &machine, &result, &recorder),
-        )
-        .map_err(|e| Failure::io(path, &e))?;
+        std::fs::write(path, stats_json(&opts, &machine, &funcs, &out))
+            .map_err(|e| Failure::io(path, &e))?;
+    }
+    if let Some(path) = &opts.bench_json {
+        std::fs::write(path, bench_json(&opts, &funcs, &out)).map_err(|e| Failure::io(path, &e))?;
     }
     if opts.profile {
-        let mut rungs = std::collections::BTreeMap::new();
-        rungs.insert(func.name().to_string(), result.degradation.label());
-        eprint!("{}", render_profile(&recorder, &rungs));
-    }
-    if let Some(dir) = &opts.dump_dir {
-        dump_graphs(&func, &machine, dir)?;
-    }
-    if result.degradation != parsched::DegradationLevel::None {
-        dump_flight(
-            &opts,
-            &flight,
-            &format!("degraded to {}", result.degradation.label()),
-        )?;
-    }
-    if let Some(report) = &verify_report {
-        if let Some(first) = report.violations.first() {
-            for v in &report.violations {
-                eprintln!("psc: {v}");
-            }
-            dump_flight(&opts, &flight, "output verification failed")?;
-            return Err(Failure::from(ParschedError::OutputVerify {
-                function: func.name().to_string(),
-                count: report.violations.len(),
-                first: first.to_string(),
-            }));
-        }
+        let rungs: std::collections::BTreeMap<String, &str> = funcs
+            .iter()
+            .zip(&out.results)
+            .filter_map(|(f, r)| {
+                r.as_ref()
+                    .ok()
+                    .map(|r| (f.name().to_string(), r.degradation.label()))
+            })
+            .collect();
+        eprint!("{}", render_profile(&out.telemetry, &rungs));
     }
 
+    // Flight-recorder triggers, checked before the failure paths so the
+    // dump lands even when psc is about to exit non-zero.
+    let errored = out.err_count();
+    let degraded = out
+        .results
+        .iter()
+        .filter_map(|r| r.as_ref().ok())
+        .filter(|r| r.degradation != parsched::DegradationLevel::None)
+        .count();
+    if errored > 0 || degraded > 0 || !verify_failures.is_empty() {
+        let reason = format!(
+            "{errored} failed, {degraded} degraded, {} verify failures",
+            verify_failures.len()
+        );
+        dump_flight(&opts, &flight, &reason)?;
+    }
+
+    // Fail only after the measurement artifacts are on disk — a module
+    // with one poisoned function still yields a complete bench/stats
+    // record. Every failing function is reported once; psc exits with the
+    // first one's code. Compile errors take precedence over --verify.
+    let prefix = |func: &Function| {
+        if single {
+            String::new()
+        } else {
+            format!("@{}: ", func.name())
+        }
+    };
+    let mut first_code = None;
+    for (func, res) in funcs.iter().zip(&out.results) {
+        if let Err(e) = res {
+            eprintln!("psc: {}{e}", prefix(func));
+            first_code.get_or_insert(e.exit_code());
+        }
+    }
+    if let Some(code) = first_code {
+        return Err(Failure::reported(code));
+    }
+    if let Some((func, violations)) = verify_failures.first() {
+        for (func, violations) in &verify_failures {
+            for v in violations {
+                eprintln!("psc: {}{v}", prefix(func));
+            }
+        }
+        return Err(Failure::from(ParschedError::OutputVerify {
+            function: func.name().to_string(),
+            count: violations.len(),
+            first: violations
+                .first()
+                .map(|v| v.to_string())
+                .unwrap_or_default(),
+        }));
+    }
+
+    if let ([func], [Ok(result)]) = (&funcs[..], &out.results[..]) {
+        emit_function(&opts, &machine, func, result)
+    } else {
+        emit_module(&opts, &machine, &funcs, &out);
+        Ok(())
+    }
+}
+
+/// Writes `--dump-dir`, renders a one-function module per the emit mode,
+/// then checks `--run`.
+fn emit_function(
+    opts: &Options,
+    machine: &MachineDesc,
+    func: &Function,
+    result: &CompileResult,
+) -> Result<(), Failure> {
+    if let Some(dir) = &opts.dump_dir {
+        dump_graphs(func, machine, dir)?;
+    }
     match opts.emit {
         Emit::Dot => {
             use parsched::graph::dot::{ungraph_to_dot, DotOptions};
             use parsched::ir::liveness::Liveness;
             use parsched::regalloc::{BlockAllocProblem, Pig};
-            let lv = Liveness::compute(&func, &[]);
-            let problem =
-                BlockAllocProblem::build(&func, BlockId(0), &lv).map_err(|e| Failure {
-                    code: 5,
-                    msg: e.to_string(),
-                })?;
-            let deps = DepGraph::build(func.block(BlockId(0)), telemetry);
-            let pig = Pig::build(&problem, &deps, &machine, telemetry);
+            let lv = Liveness::compute(func, &[]);
+            let problem = BlockAllocProblem::build(func, BlockId(0), &lv).map_err(|e| Failure {
+                code: 5,
+                msg: e.to_string(),
+            })?;
+            let deps = DepGraph::build(func.block(BlockId(0)), &NullTelemetry);
+            let pig = Pig::build(&problem, &deps, machine, &NullTelemetry);
             let mut dot_opts = DotOptions::titled(format!(
                 "PIG of @{} block 0 on {} (dashed = false-dependence edges)",
                 func.name(),
@@ -551,7 +600,7 @@ fn real_main(opts: Options) -> Result<(), Failure> {
                 let s = list_schedule(
                     block,
                     &deps,
-                    &machine,
+                    machine,
                     SchedPriority::CriticalPath,
                     &NullTelemetry,
                 )
@@ -595,16 +644,14 @@ fn real_main(opts: Options) -> Result<(), Failure> {
         }
     }
 
-    if let Some(args) = opts.run {
+    if let Some(args) = &opts.run {
         let interp = Interpreter::new();
-        let before = interp
-            .run(&func, &args, Memory::new())
-            .map_err(|e| Failure {
-                code: 1,
-                msg: format!("original failed: {e}"),
-            })?;
+        let before = interp.run(func, args, Memory::new()).map_err(|e| Failure {
+            code: 1,
+            msg: format!("original failed: {e}"),
+        })?;
         let after = interp
-            .run(&result.function, &args, Memory::new())
+            .run(&result.function, args, Memory::new())
             .map_err(|e| Failure {
                 code: 1,
                 msg: format!("compiled failed: {e}"),
@@ -621,217 +668,47 @@ fn real_main(opts: Options) -> Result<(), Failure> {
     Ok(())
 }
 
-/// The batch path: compile every function of the module through the
-/// work-stealing [`BatchDriver`] and render per the emit mode. Results are
-/// joined in input order, so the output is byte-identical for every
-/// `--jobs` value. `--emit schedule`, `--emit dot`, and `--run` stay
-/// single-function features.
-fn batch_main(opts: Options, funcs: Vec<Function>) -> Result<(), Failure> {
-    if opts.run.is_some() || opts.emit == Emit::Schedule || opts.emit == Emit::Dot {
-        return Err(Failure {
-            code: 2,
-            msg: "--emit schedule, --emit dot, and --run need a single-function module".to_string(),
-        });
-    }
-    if opts.dump_dir.is_some() {
-        return Err(Failure {
-            code: 2,
-            msg: "--dump-dir needs a single-function module".to_string(),
-        });
-    }
-    let machine = match opts.regs {
-        Some(r) => opts.machine.with_num_regs(r),
-        None => opts.machine.clone(),
-    };
-    let mut budget = Budget::unlimited();
-    if let Some(n) = opts.max_insts {
-        budget = budget.with_max_block_insts(n);
-    }
-    if let Some(ms) = opts.deadline_ms {
-        budget = budget.with_deadline_in(Duration::from_millis(ms));
-    }
-    // Without --resilient the ladder is the requested strategy alone, so a
-    // failure surfaces instead of silently degrading; with it, the same
-    // reordered ladder the single-function path uses.
-    let ladder = if opts.resilient {
-        let mut ladder = Driver::default_ladder();
-        if opts.strategy != Strategy::combined() {
-            ladder.retain(|s| *s != opts.strategy);
-            ladder.insert(0, opts.strategy);
-        }
-        ladder
-    } else {
-        vec![opts.strategy]
-    };
-    let driver = Driver::new(
-        Pipeline::new(machine.clone())
-            .with_scope(opts.scope)
-            .with_closure(opts.closure),
-    )
-    .with_budget(budget)
-    .with_ladder(ladder);
-    let batch = BatchDriver::new(driver)
-        .with_jobs(opts.jobs.unwrap_or(1))
-        .with_recording(opts.recording());
-
-    let chrome = ChromeTraceSink::new();
-    let flight = FlightRecorder::default();
-    let mut shared: Vec<&(dyn Telemetry + Sync)> = Vec::new();
-    if opts.trace.is_some() {
-        shared.push(&chrome);
-    }
-    if opts.flight_armed() {
-        shared.push(&flight);
-    }
-    let shared_sink = SyncFanout::new(shared);
-    let out = if opts.trace.is_some() || opts.flight_armed() {
-        batch.compile_module(&funcs, &shared_sink)
-    } else {
-        batch.compile_module(&funcs, &NullTelemetry)
-    };
-
-    // --verify: check every successfully compiled slot with the
-    // independent checkers before the artifacts are rendered, so the
-    // verify.* counters land in the batch --stats-json payload. Failures
-    // surface below, after compile errors (which take precedence).
-    let mut verify_failures: Vec<(String, Vec<parsched_verify::Violation>)> = Vec::new();
-    if opts.verify {
-        let verifier = Verifier::new(&machine).strategy(opts.strategy);
-        for (func, res) in funcs.iter().zip(&out.results) {
-            if let Ok(r) = res {
-                let report = verifier.verify(func, r, &out.telemetry);
-                if !report.ok() {
-                    verify_failures.push((func.name().to_string(), report.violations));
-                }
-            }
-        }
-    }
-
-    if let Some(path) = &opts.trace {
-        chrome
-            .write_to_file(std::path::Path::new(path))
-            .map_err(|e| Failure::io(path, &e))?;
-    }
-    if let Some(path) = &opts.stats_json {
-        std::fs::write(path, batch_stats_json(&opts, &machine, &funcs, &out))
-            .map_err(|e| Failure::io(path, &e))?;
-    }
-    if let Some(path) = &opts.bench_json {
-        std::fs::write(path, bench_json(&opts, &funcs, &out)).map_err(|e| Failure::io(path, &e))?;
-    }
-    if opts.profile {
-        let rungs: std::collections::BTreeMap<String, &str> = funcs
-            .iter()
-            .zip(&out.results)
-            .filter_map(|(f, r)| {
-                r.as_ref()
-                    .ok()
-                    .map(|r| (f.name().to_string(), r.degradation.label()))
-            })
-            .collect();
-        eprint!("{}", render_profile(&out.telemetry, &rungs));
-    }
-
-    // Flight-recorder triggers, checked before the batch's own failure
-    // paths so the dump lands even when psc is about to exit non-zero.
-    let errored = out.results.iter().filter(|r| r.is_err()).count();
-    let degraded = out
-        .results
-        .iter()
-        .filter_map(|r| r.as_ref().ok())
-        .filter(|r| r.degradation != parsched::DegradationLevel::None)
-        .count();
-    if errored > 0 || degraded > 0 || !verify_failures.is_empty() {
-        let reason = format!(
-            "{errored} failed, {degraded} degraded, {} verify failures",
-            verify_failures.len()
-        );
-        dump_flight(&opts, &flight, &reason)?;
-    }
-
-    // Fail only after the measurement artifacts are on disk — a batch with
-    // one poisoned function still yields a complete bench/stats record.
-    let mut first: Option<Failure> = None;
-    for (func, res) in funcs.iter().zip(&out.results) {
-        if let Err(e) = res {
-            eprintln!("psc: @{}: {e}", func.name());
-            first.get_or_insert_with(|| Failure::from(e.clone()));
-        }
-    }
-    if let Some(f) = first {
-        return Err(f);
-    }
-    // Per-slot verification failures must not be swallowed by an
-    // otherwise-successful batch: report every violation, fail with the
-    // first function's.
-    if !verify_failures.is_empty() {
-        for (name, violations) in &verify_failures {
-            for v in violations {
-                eprintln!("psc: @{name}: {v}");
-            }
-        }
-        let (name, violations) = &verify_failures[0];
-        return Err(Failure::from(ParschedError::OutputVerify {
-            function: name.clone(),
-            count: violations.len(),
-            first: violations
-                .first()
-                .map(|v| v.to_string())
-                .unwrap_or_default(),
-        }));
-    }
-
+/// Renders a multi-function module per the emit mode (`text`, `json` or
+/// `stats`; the single-function modes were rejected up front). Every slot
+/// compiled: failures exit before rendering.
+fn emit_module(opts: &Options, machine: &MachineDesc, funcs: &[Function], out: &BatchOutput) {
+    let results: Vec<&CompileResult> = out.results.iter().flatten().collect();
     match opts.emit {
         Emit::Text => {
-            let compiled: Vec<&CompileResult> =
-                out.results.iter().filter_map(|r| r.as_ref().ok()).collect();
-            let rendered: Vec<String> = compiled
-                .iter()
-                .map(|r| print_function(&r.function))
-                .collect();
-            print!("{}", rendered.join("\n"));
+            let compiled: Vec<Function> = results.iter().map(|r| r.function.clone()).collect();
+            print!("{}", print_module(&compiled));
         }
         Emit::Json => {
             println!("[");
-            let n = out.results.len();
-            for (i, (func, res)) in funcs.iter().zip(&out.results).enumerate() {
-                if let Ok(r) = res {
-                    let s = &r.stats;
-                    let comma = if i + 1 < n { "," } else { "" };
-                    println!(
-                        "  {{\"function\": \"{}\", \"machine\": \"{}\", \"strategy\": \"{}\", \"degradation\": \"{}\", \"registers_used\": {}, \"cycles\": {}, \"spilled_values\": {}, \"inserted_mem_ops\": {}, \"introduced_false_deps\": {}, \"removed_false_edges\": {}, \"inst_count\": {}}}{comma}",
-                        escape_json(func.name()),
-                        escape_json(machine.name()),
-                        opts.strategy.label(),
-                        r.degradation.label(),
-                        s.registers_used,
-                        s.cycles,
-                        s.spilled_values,
-                        s.inserted_mem_ops,
-                        s.introduced_false_deps,
-                        s.removed_false_edges,
-                        s.inst_count
-                    );
-                }
+            for (i, (func, r)) in funcs.iter().zip(&results).enumerate() {
+                let s = &r.stats;
+                let comma = if i + 1 < results.len() { "," } else { "" };
+                println!(
+                    "  {{\"function\": \"{}\", \"machine\": \"{}\", \"strategy\": \"{}\", \"degradation\": \"{}\", \"registers_used\": {}, \"cycles\": {}, \"spilled_values\": {}, \"inserted_mem_ops\": {}, \"introduced_false_deps\": {}, \"removed_false_edges\": {}, \"inst_count\": {}}}{comma}",
+                    escape_json(func.name()),
+                    escape_json(machine.name()),
+                    opts.strategy.label(),
+                    r.degradation.label(),
+                    s.registers_used,
+                    s.cycles,
+                    s.spilled_values,
+                    s.inserted_mem_ops,
+                    s.introduced_false_deps,
+                    s.removed_false_edges,
+                    s.inst_count
+                );
             }
             println!("]");
         }
         Emit::Stats => {
-            let worst = out
-                .results
+            let worst = results
                 .iter()
-                .filter_map(|r| r.as_ref().ok())
                 .map(|r| r.degradation)
                 .max()
                 .unwrap_or_default();
-            let cycles: u64 = out
-                .results
-                .iter()
-                .filter_map(|r| r.as_ref().ok())
-                .map(|r| u64::from(r.stats.cycles))
-                .sum();
+            let cycles: u64 = results.iter().map(|r| u64::from(r.stats.cycles)).sum();
             println!("module:               {}", opts.file);
-            println!("functions:            {}", out.results.len());
+            println!("functions:            {}", results.len());
             println!("jobs:                 {}", out.jobs);
             println!("machine:              {machine}");
             println!("strategy:             {}", opts.strategy.label());
@@ -840,10 +717,9 @@ fn batch_main(opts: Options, funcs: Vec<Function>) -> Result<(), Failure> {
             println!("total instructions:   {}", out.total_insts());
             println!("worst degradation:    {}", worst.label());
         }
-        // Rejected above.
+        // Rejected in `real_main`.
         Emit::Schedule | Emit::Dot => {}
     }
-    Ok(())
 }
 
 /// Writes the flight-recorder dump: human-readable ring to stderr, JSON to
@@ -981,7 +857,7 @@ fn histograms_json(recorder: &Recorder, indent: &str) -> String {
 
 /// Renders the `--bench-json` payload: per-function wall times and batch
 /// throughput, in input order. Schema documented in docs/BENCHMARKING.md.
-fn bench_json(opts: &Options, funcs: &[Function], out: &parsched::BatchOutput) -> String {
+fn bench_json(opts: &Options, funcs: &[Function], out: &BatchOutput) -> String {
     let mut s = String::from("{\n");
     s.push_str("  \"schema\": \"psc-bench/1\",\n");
     s.push_str(&format!("  \"file\": \"{}\",\n", escape_json(&opts.file)));
@@ -1022,13 +898,15 @@ fn bench_json(opts: &Options, funcs: &[Function], out: &parsched::BatchOutput) -
     s
 }
 
-/// Renders the `--stats-json` payload for a batch: per-function stats plus
-/// the merged per-worker telemetry (phase totals and counters).
-fn batch_stats_json(
+/// Renders the `--stats-json` payload: machine and strategy, then for a
+/// one-function module its degradation, full [`parsched::CompileStats`]
+/// and per-block cycles, or for a module the per-function stats; then the
+/// merged telemetry (phase totals, histogram percentiles, counters).
+fn stats_json(
     opts: &Options,
     machine: &MachineDesc,
     funcs: &[Function],
-    out: &parsched::BatchOutput,
+    out: &BatchOutput,
 ) -> String {
     let mut s = String::from("{\n");
     s.push_str(&format!(
@@ -1036,37 +914,60 @@ fn batch_stats_json(
         escape_json(machine.name())
     ));
     s.push_str(&format!("  \"strategy\": \"{}\",\n", opts.strategy.label()));
-    s.push_str(&format!("  \"jobs\": {},\n", out.jobs));
-    s.push_str("  \"functions\": [\n");
-    let n = funcs.len();
-    for (i, (func, res)) in funcs.iter().zip(&out.results).enumerate() {
-        let comma = if i + 1 < n { "," } else { "" };
-        match res {
-            Ok(r) => {
-                let st = &r.stats;
-                s.push_str(&format!(
-                    "    {{\"name\": \"{}\", \"ok\": true, \"degradation\": \"{}\", \"registers_used\": {}, \"cycles\": {}, \"spilled_values\": {}, \"inserted_mem_ops\": {}, \"introduced_false_deps\": {}, \"removed_false_edges\": {}, \"inst_count\": {}}}{comma}\n",
+    if let [Ok(r)] = &out.results[..] {
+        let st = &r.stats;
+        s.push_str(&format!(
+            "  \"degradation\": \"{}\",\n",
+            r.degradation.label()
+        ));
+        s.push_str("  \"stats\": {\n");
+        s.push_str(&format!(
+            "    \"registers_used\": {},\n    \"cycles\": {},\n    \"spilled_values\": {},\n    \"inserted_mem_ops\": {},\n    \"introduced_false_deps\": {},\n    \"removed_false_edges\": {},\n    \"inst_count\": {}\n",
+            st.registers_used,
+            st.cycles,
+            st.spilled_values,
+            st.inserted_mem_ops,
+            st.introduced_false_deps,
+            st.removed_false_edges,
+            st.inst_count
+        ));
+        s.push_str("  },\n");
+        let cycles: Vec<String> = r.block_cycles.iter().map(u32::to_string).collect();
+        s.push_str(&format!("  \"block_cycles\": [{}],\n", cycles.join(", ")));
+    } else {
+        s.push_str(&format!("  \"jobs\": {},\n", out.jobs));
+        s.push_str("  \"functions\": [\n");
+        let n = funcs.len();
+        for (i, (func, res)) in funcs.iter().zip(&out.results).enumerate() {
+            let comma = if i + 1 < n { "," } else { "" };
+            match res {
+                Ok(r) => {
+                    let st = &r.stats;
+                    s.push_str(&format!(
+                        "    {{\"name\": \"{}\", \"ok\": true, \"degradation\": \"{}\", \"registers_used\": {}, \"cycles\": {}, \"spilled_values\": {}, \"inserted_mem_ops\": {}, \"introduced_false_deps\": {}, \"removed_false_edges\": {}, \"inst_count\": {}}}{comma}\n",
+                        escape_json(func.name()),
+                        r.degradation.label(),
+                        st.registers_used,
+                        st.cycles,
+                        st.spilled_values,
+                        st.inserted_mem_ops,
+                        st.introduced_false_deps,
+                        st.removed_false_edges,
+                        st.inst_count
+                    ));
+                }
+                Err(e) => s.push_str(&format!(
+                    "    {{\"name\": \"{}\", \"ok\": false, \"error\": \"{}\"}}{comma}\n",
                     escape_json(func.name()),
-                    r.degradation.label(),
-                    st.registers_used,
-                    st.cycles,
-                    st.spilled_values,
-                    st.inserted_mem_ops,
-                    st.introduced_false_deps,
-                    st.removed_false_edges,
-                    st.inst_count
-                ));
+                    escape_json(&e.to_string())
+                )),
             }
-            Err(e) => s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"ok\": false, \"error\": \"{}\"}}{comma}\n",
-                escape_json(func.name()),
-                escape_json(&e.to_string())
-            )),
         }
+        s.push_str("  ],\n");
     }
-    s.push_str("  ],\n");
+    let recorder = &out.telemetry;
     s.push_str("  \"phases\": [\n");
-    let phases = out.telemetry.phase_totals();
+    let phases = recorder.phase_totals();
     for (i, (name, ns)) in phases.iter().enumerate() {
         let comma = if i + 1 < phases.len() { "," } else { "" };
         s.push_str(&format!(
@@ -1077,10 +978,10 @@ fn batch_stats_json(
     }
     s.push_str("  ],\n");
     s.push_str("  \"histograms\": {\n");
-    s.push_str(&histograms_json(&out.telemetry, "    "));
+    s.push_str(&histograms_json(recorder, "    "));
     s.push_str("  },\n");
     s.push_str("  \"counters\": {\n");
-    let counters = out.telemetry.counters();
+    let counters = recorder.counters();
     for (i, (name, value)) in counters.iter().enumerate() {
         let comma = if i + 1 < counters.len() { "," } else { "" };
         s.push_str(&format!(
@@ -1093,77 +994,6 @@ fn batch_stats_json(
     s
 }
 
-/// Renders the --stats-json payload: machine, strategy, the full
-/// [`parsched::CompileStats`], per-block cycles, per-phase wall times from
-/// the recorder, and every telemetry counter.
-fn stats_json(
-    strategy: &Strategy,
-    machine: &MachineDesc,
-    result: &CompileResult,
-    recorder: &Recorder,
-) -> String {
-    let s = &result.stats;
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"machine\": \"{}\",\n",
-        escape_json(machine.name())
-    ));
-    out.push_str(&format!("  \"strategy\": \"{}\",\n", strategy.label()));
-    out.push_str(&format!(
-        "  \"degradation\": \"{}\",\n",
-        result.degradation.label()
-    ));
-    out.push_str("  \"stats\": {\n");
-    out.push_str(&format!(
-        "    \"registers_used\": {},\n    \"cycles\": {},\n    \"spilled_values\": {},\n    \"inserted_mem_ops\": {},\n    \"introduced_false_deps\": {},\n    \"removed_false_edges\": {},\n    \"inst_count\": {}\n",
-        s.registers_used,
-        s.cycles,
-        s.spilled_values,
-        s.inserted_mem_ops,
-        s.introduced_false_deps,
-        s.removed_false_edges,
-        s.inst_count
-    ));
-    out.push_str("  },\n");
-    let cycles: Vec<String> = result.block_cycles.iter().map(u32::to_string).collect();
-    out.push_str(&format!("  \"block_cycles\": [{}],\n", cycles.join(", ")));
-    out.push_str("  \"phases\": [\n");
-    let phases = recorder.phase_totals();
-    for (i, (name, ns)) in phases.iter().enumerate() {
-        let comma = if i + 1 < phases.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"total_ns\": {}}}{comma}\n",
-            escape_json(name),
-            ns
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"histograms\": {\n");
-    out.push_str(&histograms_json(recorder, "    "));
-    out.push_str("  },\n");
-    out.push_str("  \"counters\": {\n");
-    let counters = recorder.counters();
-    for (i, (name, value)) in counters.iter().enumerate() {
-        let comma = if i + 1 < counters.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    \"{}\": {}{comma}\n",
-            escape_json(name),
-            value
-        ));
-    }
-    out.push_str("  }\n}\n");
-    out
-}
-
-/// Writes per-block DOT dumps of the input function's graphs into `dir`:
-/// `block<b>_gs.dot` (scheduling DAG), `block<b>_et.dot` (undirected
-/// transitive closure plus machine conflicts), `block<b>_gf.dot` (its
-/// complement, the false-dependence graph), and — when the block forms a
-/// valid allocation problem — `block<b>_gr.dot` (interference) and
-/// `block<b>_pig.dot` (the parallelizable interference graph, false edges
-/// dashed). Blocks whose allocation problem cannot be built (e.g. multiple
-/// definitions of one register) get only the schedule-side graphs, with a
-/// note on stderr.
 /// Writes the function-level dumps: `cfg.dot` (the control-flow graph,
 /// with *plausible* region pairs — a dominates b, b post-dominates a — as
 /// dashed constraint-free edges), `webs.txt` (the web table: register,
@@ -1289,6 +1119,15 @@ fn dump_function_graphs(
     )
 }
 
+/// Writes per-block DOT dumps of the input function's graphs into `dir`:
+/// `block<b>_gs.dot` (scheduling DAG), `block<b>_et.dot` (undirected
+/// transitive closure plus machine conflicts), `block<b>_gf.dot` (its
+/// complement, the false-dependence graph), and — when the block forms a
+/// valid allocation problem — `block<b>_gr.dot` (interference) and
+/// `block<b>_pig.dot` (the parallelizable interference graph, false edges
+/// dashed). Blocks whose allocation problem cannot be built (e.g. multiple
+/// definitions of one register) get only the schedule-side graphs, with a
+/// note on stderr.
 fn dump_graphs(func: &Function, machine: &MachineDesc, dir: &str) -> Result<(), Failure> {
     use parsched::graph::dot::{digraph_to_dot, ungraph_to_dot, DotOptions};
     use parsched::ir::liveness::Liveness;

@@ -8,7 +8,7 @@ use parsched::ir::{parse_function, Function};
 use parsched::machine::presets;
 use parsched::telemetry::NullTelemetry;
 use parsched::telemetry::Telemetry;
-use parsched::{Budget, DegradationLevel, Driver, ParschedError, Pipeline, Strategy};
+use parsched::{BatchDriver, Budget, DegradationLevel, Driver, ParschedError, Pipeline, Strategy};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::time::{Duration, Instant};
@@ -225,7 +225,9 @@ fn batch_isolates_failures() {
     let good = pathological(20, 3);
     let bad = parse_function("func @bad(s0) {\nentry:\n    s1 = add s9, 1\n    ret s1\n}").unwrap();
     let driver = Driver::new(Pipeline::new(presets::paper_machine(4)));
-    let results = driver.compile_batch(&[good.clone(), bad, good]);
+    let results = BatchDriver::new(driver)
+        .compile_module(&[good.clone(), bad, good], &NullTelemetry)
+        .results;
     assert_eq!(results.len(), 3);
     assert!(results[0].is_ok());
     assert!(results[1].is_err());
@@ -264,7 +266,10 @@ fn deadline_overshoot_is_bounded_on_dag_large() {
 
     let uncapped = Driver::new(Pipeline::new(machine.clone()));
     let t0 = Instant::now();
-    let baseline = uncapped.compile_batch(&funcs);
+    let baseline = BatchDriver::new(uncapped)
+        .with_jobs(1)
+        .compile_module(&funcs, &NullTelemetry)
+        .results;
     let uncapped_wall = t0.elapsed();
     assert!(baseline.iter().all(Result::is_ok));
 
@@ -279,7 +284,10 @@ fn deadline_overshoot_is_bounded_on_dag_large() {
         let driver = Driver::new(Pipeline::new(machine.clone()))
             .with_budget(Budget::unlimited().with_deadline(deadline));
         let t1 = Instant::now();
-        let results = driver.compile_batch(&funcs);
+        let results = BatchDriver::new(driver)
+            .with_jobs(1)
+            .compile_module(&funcs, &NullTelemetry)
+            .results;
         let elapsed = t1.elapsed();
 
         // Every function is answered: compiled before the trip, or a
@@ -436,4 +444,94 @@ fn soak_service_at_twice_sustainable_rate() {
     );
     assert!(s.completed >= warmup);
     assert!(s.cache_hits > 0, "corpus repeats must hit the cache: {s:?}");
+}
+
+/// Cross-surface identity: for every example module × machine preset ×
+/// daemon strategy, `print_module` of the batch driver's output is the
+/// same at 1 and 2 jobs, and pscd's `func` — cold, then replayed hot
+/// from its cache — is exactly those bytes.
+#[test]
+fn pscd_and_batch_driver_emit_identical_bytes() {
+    use parsched::ir::{parse_module, print_module};
+    use parsched::telemetry::escape_json;
+    use parsched::telemetry::json::{parse, Value};
+    use parsched_pscd::{Service, ServiceConfig};
+    use std::sync::mpsc::channel;
+
+    let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+    let mut modules: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
+        .expect("examples dir")
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "psc"))
+        .collect();
+    modules.sort();
+    assert!(modules.len() >= 2, "found {modules:?}");
+
+    let svc = Service::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let (tx, rx) = channel::<String>();
+    let mut id = 0u64;
+    for path in &modules {
+        let src = std::fs::read_to_string(path).expect("example reads");
+        let funcs = parse_module(&src).expect("example parses");
+        for machine in ["single", "paper", "mips", "rs6000", "wide4"] {
+            for strategy in [
+                "combined",
+                "alloc-first",
+                "sched-first",
+                "linear-scan",
+                "spill-everything",
+            ] {
+                let case = format!("{} {machine} {strategy}", path.display());
+                let driver = Driver::new(Pipeline::new(
+                    presets::by_name(machine, 32).expect("preset"),
+                ))
+                .with_ladder(Driver::preferred_first_ladder(
+                    Strategy::parse(strategy).expect("strategy"),
+                ));
+                let batch_text = |jobs: usize| {
+                    let out = BatchDriver::new(driver.clone())
+                        .with_jobs(jobs)
+                        .compile_module(&funcs, &NullTelemetry);
+                    let compiled: Vec<Function> = out
+                        .results
+                        .into_iter()
+                        .map(|r| r.unwrap_or_else(|e| panic!("{case}: {e}")).function)
+                        .collect();
+                    print_module(&compiled)
+                };
+                let expected = batch_text(1);
+                assert_eq!(batch_text(2), expected, "{case}: jobs 2");
+                for hot in [false, true] {
+                    id += 1;
+                    svc.handle_line(
+                        &format!(
+                            "{{\"id\":{id},\"op\":\"compile\",\"src\":\"{}\",\
+                             \"machine\":\"{machine}\",\"strategy\":\"{strategy}\"}}",
+                            escape_json(&src)
+                        ),
+                        &tx,
+                    );
+                    let reply = rx
+                        .recv_timeout(Duration::from_secs(60))
+                        .expect("pscd answers");
+                    let doc = parse(&reply).unwrap_or_else(|e| panic!("{case}: {e}: {reply}"));
+                    assert_eq!(
+                        doc.get("cached"),
+                        Some(&Value::Bool(hot)),
+                        "{case}: {reply}"
+                    );
+                    let func = doc
+                        .get("body")
+                        .and_then(|b| b.get("func"))
+                        .and_then(Value::as_str)
+                        .unwrap_or_else(|| panic!("{case}: no func in {reply}"));
+                    assert_eq!(func, expected, "{case}: hot={hot}");
+                }
+            }
+        }
+    }
+    svc.shutdown_and_join();
 }

@@ -522,3 +522,138 @@ fn oracle_validates_loopy_functions_across_rungs_and_scopes() {
         }
     }
 }
+
+/// Runs the `psc` binary with `args`.
+fn psc<S: AsRef<std::ffi::OsStr>>(args: &[S]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_psc"))
+        .args(args)
+        .output()
+        .expect("psc runs")
+}
+
+/// A one-function module prints the same stdout whether or not
+/// `--bench-json` or `--jobs` is given: neither switches the output to the
+/// module shape.
+#[test]
+fn psc_one_function_stdout_ignores_bench_json_and_jobs() {
+    let dir = std::env::temp_dir().join(format!("psc-shape-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let bench = dir.join("bench.json");
+    let example =
+        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/branchy.psc");
+    let example = example.to_str().expect("utf-8 path");
+    for emit in ["text", "json", "stats"] {
+        let plain = psc(&[example, "--emit", emit]);
+        assert!(plain.status.success(), "--emit {emit}");
+        let with_bench = psc(&[
+            example,
+            "--emit",
+            emit,
+            "--bench-json",
+            bench.to_str().expect("utf-8 path"),
+        ]);
+        let with_jobs = psc(&[example, "--emit", emit, "--jobs", "2"]);
+        assert_eq!(
+            String::from_utf8_lossy(&with_bench.stdout),
+            String::from_utf8_lossy(&plain.stdout),
+            "--emit {emit} --bench-json"
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&with_jobs.stdout),
+            String::from_utf8_lossy(&plain.stdout),
+            "--emit {emit} --jobs 2"
+        );
+        let record = std::fs::read_to_string(&bench).expect("bench written");
+        assert!(record.contains("\"schema\": \"psc-bench/1\""), "{record}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every failure is one line on stderr: a function that fails input
+/// verification is reported once, with its exit code (4), whether it is
+/// the whole module or one slot of it.
+#[test]
+fn psc_reports_each_failing_function_once() {
+    let dir = std::env::temp_dir().join(format!("psc-fail-once-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let bad = "func @bad(s0) {\nentry:\n    s1 = add s9, 1\n    ret s1\n}\n";
+    let good = "func @good(s0) {\nentry:\n    s1 = add s0, 1\n    ret s1\n}\n";
+    for (name, src, prefix) in [
+        ("one.psc", bad.to_string(), "psc: verification failed"),
+        (
+            "two.psc",
+            format!("{good}\n{bad}"),
+            "psc: @bad: verification failed",
+        ),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, src).expect("write source");
+        let out = psc(&[&path]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(4), "{name}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{name}: {stderr}");
+        assert!(stderr.starts_with(prefix), "{name}: {stderr}");
+        assert!(out.stdout.is_empty(), "{name}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Cross-surface identity: `psc --resilient --emit text` prints exactly
+/// `print_module` of the batch driver's output for the same module,
+/// machine and strategy (the request pscd serves; `tests/resilience.rs`
+/// pins pscd to the same bytes).
+#[test]
+fn psc_text_matches_batch_driver_bytes() {
+    use parsched::ir::{parse_module, print_module};
+    use parsched::BatchDriver;
+    let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+    let mut modules: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
+        .expect("examples dir")
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "psc"))
+        .collect();
+    modules.sort();
+    assert!(modules.len() >= 2, "found {modules:?}");
+    for path in &modules {
+        let funcs = parse_module(&std::fs::read_to_string(path).expect("example reads"))
+            .expect("example parses");
+        for machine in ["single", "paper", "mips", "rs6000", "wide4"] {
+            for strategy in [
+                "combined",
+                "alloc-first",
+                "sched-first",
+                "linear-scan",
+                "spill-everything",
+            ] {
+                let case = format!("{} {machine} {strategy}", path.display());
+                let driver = Driver::new(Pipeline::new(
+                    presets::by_name(machine, 32).expect("preset"),
+                ))
+                .with_ladder(Driver::preferred_first_ladder(
+                    Strategy::parse(strategy).expect("strategy"),
+                ));
+                let compiled: Vec<Function> = BatchDriver::new(driver)
+                    .with_jobs(1)
+                    .compile_module(&funcs, &NullTelemetry)
+                    .results
+                    .into_iter()
+                    .map(|r| r.unwrap_or_else(|e| panic!("{case}: {e}")).function)
+                    .collect();
+                let out = psc(&[
+                    path.as_os_str(),
+                    "--resilient".as_ref(),
+                    "--machine".as_ref(),
+                    machine.as_ref(),
+                    "--strategy".as_ref(),
+                    strategy.as_ref(),
+                ]);
+                assert!(out.status.success(), "{case}");
+                assert_eq!(
+                    String::from_utf8_lossy(&out.stdout),
+                    print_module(&compiled),
+                    "{case}"
+                );
+            }
+        }
+    }
+}
