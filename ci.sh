@@ -50,6 +50,30 @@ if [ -n "$timing_hits" ]; then
     exit 1
 fi
 
+echo "==> JSON ownership (one JSON writer)"
+# Every emitted JSON document goes through parsched_telemetry::json::Writer,
+# which owns escaping and separators: outside crates/telemetry/src/json.rs
+# no code may escape a string itself or spell an escaped key literal
+# (\"name\":). Comment lines and the trailing #[cfg(test)] module of each
+# file are exempt, and so are parsched-loadgen's two deliberately
+# malformed chaos lines (a half-written request and a syntax error).
+json_hits=$(
+    find crates/*/src -name '*.rs' ! -path crates/telemetry/src/json.rs | sort |
+    while read -r f; do
+        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+            !/^[[:space:]]*\/\// { print f ":" FNR ": " $0 }' "$f"
+    done |
+    grep -E 'escape_json\(|\\"[^"\\]*\\":' |
+    grep -vE '^crates/bench/src/bin/loadgen\.rs:[0-9]+: .*write_all\(b"\{\\"id\\": (999999|oops), ' ||
+    true
+)
+if [ -n "$json_hits" ]; then
+    echo "$json_hits" >&2
+    echo "JSON ownership FAILED: write JSON through" >&2
+    echo "parsched_telemetry::json::Writer instead of by hand" >&2
+    exit 1
+fi
+
 echo "==> tier-1: cargo build --release"
 cargo build --release --offline
 

@@ -14,9 +14,8 @@
 //! `parsched-loadgen --chaos --seed 0` as a gate; see `docs/SERVICE.md`.
 
 use parsched::ir::print_function;
-use parsched::telemetry::escape_json;
-use parsched::telemetry::json::{parse, Value};
-use parsched_pscd::proto::{CODE_OK, CODE_OVERLOADED, CODE_PROTO, MAX_LINE_BYTES};
+use parsched::telemetry::json::{parse, Layout, Value, Writer};
+use parsched_pscd::proto::{ok_response, CODE_OK, CODE_OVERLOADED, CODE_PROTO, MAX_LINE_BYTES};
 use parsched_workload::{
     random_cfg_function, random_dag_function, CfgParams, DagParams, SplitMix64,
 };
@@ -89,11 +88,11 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-/// The seeded corpus: a handful of random functions, pre-escaped for
-/// embedding in request lines. Small enough that the run revisits each
-/// one many times, so the cache byte-identity audit gets real hits. With
-/// `branchy`, half the corpus is branchy/loopy CFG functions, driving the
-/// daemon through the global (web-based) allocation path.
+/// The seeded corpus: a handful of random functions as `.psc` text.
+/// Small enough that the run revisits each one many times, so the cache
+/// byte-identity audit gets real hits. With `branchy`, half the corpus is
+/// branchy/loopy CFG functions, driving the daemon through the global
+/// (web-based) allocation path.
 fn corpus(seed: u64, branchy: bool) -> Vec<String> {
     let params = DagParams {
         size: 36,
@@ -113,7 +112,7 @@ fn corpus(seed: u64, branchy: bool) -> Vec<String> {
             } else {
                 random_dag_function(case_seed, &params)
             };
-            escape_json(&print_function(&f))
+            print_function(&f)
         })
         .collect()
 }
@@ -143,11 +142,32 @@ struct Audit {
     failures: Vec<String>,
 }
 
-/// Extracts the raw `body` object text from a code-0 response line, so
-/// cache hits can be compared byte-for-byte against their cold twins.
-fn raw_body(line: &str) -> Option<&str> {
-    let (_, rest) = line.split_once(",\"body\":")?;
-    rest.strip_suffix('}')
+/// One request line (newline included): `id`, `op`, then the
+/// op-specific fields `rest` writes.
+fn request_line(id: u64, op: &str, rest: impl FnOnce(&mut Writer)) -> String {
+    Writer::compact()
+        .object(Layout::Line, |w| {
+            w.key("id").num(id);
+            w.key("op").str(op);
+            rest(w);
+        })
+        .finish()
+        + "\n"
+}
+
+/// The body text of a success response, byte for byte: what follows the
+/// framing [`ok_response`] writes around it. Cache hits are compared in
+/// this form against their cold twins.
+fn raw_body(line: &str, id: u64, cached: bool) -> Option<&str> {
+    let framing = ok_response(id, cached, "");
+    line.strip_prefix(framing.strip_suffix('}')?)?
+        .strip_suffix('}')
+}
+
+/// The `id` of a response line, when it parses and carries one.
+fn response_id(line: &str) -> Option<u64> {
+    let id = parse(line).ok()?.get("id")?.as_num()?;
+    Some(id as u64)
 }
 
 fn audit_response(line: &str, pending: &mut HashMap<u64, Pending>, audit: &mut Audit) {
@@ -196,7 +216,7 @@ fn audit_response(line: &str, pending: &mut HashMap<u64, Pending>, audit: &mut A
             // Only full-quality results are cached, so only they must be
             // byte-stable across the run.
             if degradation == "none" {
-                if let Some(body) = raw_body(line) {
+                if let Some(body) = raw_body(line, id, cached) {
                     let prev = audit
                         .first_bodies
                         .entry(p.corpus_idx)
@@ -301,11 +321,13 @@ fn run(opts: &Options) -> Result<Audit, String> {
         // Deadline storms: with chaos on, every ~97 requests a burst of
         // ten 1ms deadlines forces admission fast-fails and budget trips.
         let deadline_ms = if opts.chaos && i % 97 < 10 { 1 } else { 10_000 };
-        let line = format!(
-            "{{\"id\":{id},\"op\":\"compile\",\"src\":\"{}\",\"machine\":\"paper\",\
-             \"regs\":16,\"strategy\":\"combined\",\"deadline_ms\":{deadline_ms}}}\n",
-            sources[corpus_idx]
-        );
+        let line = request_line(id, "compile", |w| {
+            w.key("src").str(&sources[corpus_idx]);
+            w.key("machine").str("paper");
+            w.key("regs").num(16);
+            w.key("strategy").str("combined");
+            w.key("deadline_ms").num(deadline_ms);
+        });
         pending.insert(
             id,
             Pending {
@@ -339,14 +361,16 @@ fn run(opts: &Options) -> Result<Audit, String> {
     // Pull the daemon's own books into the report.
     let stats_id = opts.requests + 1;
     writer
-        .write_all(format!("{{\"id\":{stats_id},\"op\":\"stats\"}}\n").as_bytes())
+        .write_all(request_line(stats_id, "stats", |_| {}).as_bytes())
         .map_err(|e| format!("stats write: {e}"))?;
     let mut daemon_stats = String::from("null");
     let stats_deadline = Instant::now() + Duration::from_secs(10);
     while Instant::now() < stats_deadline {
         match resp_rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(line) if line.contains(&format!("\"id\":{stats_id},")) => {
-                daemon_stats = raw_body(&line).unwrap_or("null").to_string();
+            Ok(line) if response_id(&line) == Some(stats_id) => {
+                daemon_stats = raw_body(&line, stats_id, false)
+                    .unwrap_or("null")
+                    .to_string();
                 break;
             }
             Ok(line) => audit_response(&line, &mut pending, &mut audit),
@@ -366,7 +390,7 @@ fn run(opts: &Options) -> Result<Audit, String> {
     if opts.shutdown {
         let shut_id = opts.requests + 2;
         writer
-            .write_all(format!("{{\"id\":{shut_id},\"op\":\"shutdown\"}}\n").as_bytes())
+            .write_all(request_line(shut_id, "shutdown", |_| {}).as_bytes())
             .map_err(|e| format!("shutdown write: {e}"))?;
         // The daemon acknowledges the drain, then closes the stream.
         let ack_deadline = Instant::now() + Duration::from_secs(10);
@@ -394,38 +418,37 @@ fn run(opts: &Options) -> Result<Audit, String> {
 
     audit.latencies_ms.sort_by(|a, b| a.total_cmp(b));
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    println!(
-        "{{\"schema\":\"parsched-loadgen/1\",\"seed\":{},\"requests\":{},\"chaos\":{},\
-         \"answered\":{},\"ok\":{},\"cached_hits\":{},\"overloaded\":{},\"budget\":{},\
-         \"proto_errors\":{},\"other_errors\":{},\"chaos_lines_sent\":{},\
-         \"chaos_answers\":{},\"duplicate_answers\":{},\"cache_mismatches\":{},\
-         \"p50_ms\":{:.3},\"p99_ms\":{:.3},\"wall_ms\":{:.1},\"daemon_stats\":{},\
-         \"failures\":[{}]}}",
-        opts.seed,
-        opts.requests,
-        opts.chaos,
-        audit.answered,
-        audit.ok,
-        audit.cached_hits,
-        audit.overloaded,
-        audit.budget,
-        audit.proto_errors,
-        audit.other_errors,
-        chaos_lines_sent,
-        audit.chaos_answers,
-        audit.duplicate_answers,
-        audit.cache_mismatches,
-        percentile(&audit.latencies_ms, 0.5),
-        percentile(&audit.latencies_ms, 0.99),
-        wall_ms,
-        daemon_stats,
-        audit
-            .failures
-            .iter()
-            .map(|f| format!("\"{}\"", escape_json(f)))
-            .collect::<Vec<_>>()
-            .join(","),
-    );
+    let report = Writer::compact()
+        .object(Layout::Line, |w| {
+            w.key("schema").str("parsched-loadgen/1");
+            w.key("seed").num(opts.seed);
+            w.key("requests").num(opts.requests);
+            w.key("chaos").bool(opts.chaos);
+            w.key("answered").num(audit.answered);
+            w.key("ok").num(audit.ok);
+            w.key("cached_hits").num(audit.cached_hits);
+            w.key("overloaded").num(audit.overloaded);
+            w.key("budget").num(audit.budget);
+            w.key("proto_errors").num(audit.proto_errors);
+            w.key("other_errors").num(audit.other_errors);
+            w.key("chaos_lines_sent").num(chaos_lines_sent);
+            w.key("chaos_answers").num(audit.chaos_answers);
+            w.key("duplicate_answers").num(audit.duplicate_answers);
+            w.key("cache_mismatches").num(audit.cache_mismatches);
+            w.key("p50_ms")
+                .num(format_args!("{:.3}", percentile(&audit.latencies_ms, 0.5)));
+            w.key("p99_ms")
+                .num(format_args!("{:.3}", percentile(&audit.latencies_ms, 0.99)));
+            w.key("wall_ms").num(format_args!("{wall_ms:.1}"));
+            w.key("daemon_stats").raw(&daemon_stats);
+            w.key("failures").array(Layout::Line, |w| {
+                for f in &audit.failures {
+                    w.str(f);
+                }
+            });
+        })
+        .finish();
+    println!("{report}");
     Ok(audit)
 }
 

@@ -14,7 +14,7 @@
 //! spread, so only the configured slack protects it; that is why the CI
 //! gate uses a deliberately loose 2.5× threshold.
 
-use parsched::telemetry::json::Value;
+use parsched::telemetry::json::{Layout, Value, Writer};
 
 /// Schema tag of the machine-readable verdict document.
 pub const COMPARE_SCHEMA: &str = "parsched-bench-compare/1";
@@ -121,40 +121,40 @@ impl CompareReport {
 
     /// The machine-readable verdict document.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::from("{\n");
-        let _ = writeln!(s, "  \"schema\": \"{COMPARE_SCHEMA}\",");
-        let _ = writeln!(s, "  \"threshold\": {},", self.threshold);
-        let _ = writeln!(s, "  \"regressions\": {},", self.regressions().count());
-        let _ = writeln!(s, "  \"missing\": [{}],", quoted_list(&self.missing));
-        let _ = writeln!(s, "  \"added\": [{}],", quoted_list(&self.added));
-        let _ = writeln!(
-            s,
-            "  \"verdict\": \"{}\",",
-            if self.passed() { "ok" } else { "regressed" }
-        );
-        s.push_str("  \"points\": [\n");
-        for (i, d) in self.deltas.iter().enumerate() {
-            let comma = if i + 1 < self.deltas.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "    {{\"workload\": \"{}\", \"strategy\": \"{}\", \"threads\": {}, \
-                 \"metric\": \"{}\", \"base\": {:.1}, \"new\": {:.1}, \"ratio\": {:.4}, \
-                 \"slack\": {:.4}, \"regressed\": {}}}{}",
-                d.workload,
-                d.strategy,
-                d.threads,
-                d.metric.label(),
-                d.base,
-                d.new,
-                d.ratio,
-                d.slack,
-                d.regressed,
-                comma
-            );
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let strings = |w: &mut Writer, items: &[String]| {
+            for item in items {
+                w.str(item);
+            }
+        };
+        Writer::pretty()
+            .object(Layout::Rows, |w| {
+                w.key("schema").str(COMPARE_SCHEMA);
+                w.key("threshold").num(self.threshold);
+                w.key("regressions").num(self.regressions().count());
+                w.key("missing")
+                    .array(Layout::Line, |w| strings(w, &self.missing));
+                w.key("added")
+                    .array(Layout::Line, |w| strings(w, &self.added));
+                w.key("verdict")
+                    .str(if self.passed() { "ok" } else { "regressed" });
+                w.key("points").array(Layout::Rows, |w| {
+                    for d in &self.deltas {
+                        w.object(Layout::Line, |w| {
+                            w.key("workload").str(&d.workload);
+                            w.key("strategy").str(&d.strategy);
+                            w.key("threads").num(d.threads);
+                            w.key("metric").str(d.metric.label());
+                            w.key("base").num(format_args!("{:.1}", d.base));
+                            w.key("new").num(format_args!("{:.1}", d.new));
+                            w.key("ratio").num(format_args!("{:.4}", d.ratio));
+                            w.key("slack").num(format_args!("{:.4}", d.slack));
+                            w.key("regressed").bool(d.regressed);
+                        });
+                    }
+                });
+            })
+            .finish()
+            + "\n"
     }
 
     /// The human summary printed to stderr.
@@ -201,13 +201,6 @@ impl CompareReport {
         );
         s
     }
-}
-
-fn quoted_list(keys: &[String]) -> String {
-    keys.iter()
-        .map(|k| format!("\"{k}\""))
-        .collect::<Vec<_>>()
-        .join(", ")
 }
 
 fn key_of(p: &PointSample) -> String {
@@ -432,6 +425,36 @@ mod tests {
         assert_eq!(doc.get("regressions").and_then(Value::as_num), Some(1.0));
         let pts = doc.get("points").and_then(Value::as_arr).unwrap();
         assert_eq!(pts.len(), 1);
+    }
+
+    #[test]
+    fn verdict_json_escapes_hostile_names() {
+        let hostile = "kern\"els\\x";
+        let mut odd = sample(hostile, 1, 1e6, 100.0);
+        odd.strategy = "com\tbined\n".to_string();
+        let base = vec![odd.clone(), sample("gone\"", 2, 1e6, 100.0)];
+        let new = vec![odd, sample("new\\", 4, 1e6, 100.0)];
+        let report = compare(&base, &new, 2.5);
+        let doc = json::parse(&report.to_json()).unwrap();
+        let pts = doc.get("points").and_then(Value::as_arr).unwrap();
+        assert_eq!(
+            pts[0].get("workload").and_then(Value::as_str),
+            Some(hostile)
+        );
+        assert_eq!(
+            pts[0].get("strategy").and_then(Value::as_str),
+            Some("com\tbined\n")
+        );
+        let listed = |key: &str| -> Vec<String> {
+            let items = doc.get(key).and_then(Value::as_arr).unwrap();
+            items
+                .iter()
+                .map(|v| v.as_str().unwrap().to_string())
+                .collect()
+        };
+        assert_eq!(listed("missing"), report.missing);
+        assert_eq!(listed("added"), report.added);
+        assert!(report.missing[0].contains('"') && report.added[0].contains('\\'));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use parsched::ir::Function;
 use parsched::machine::{presets, MachineDesc};
-use parsched::telemetry::json::Value;
+use parsched::telemetry::json::{Layout, Value, Writer};
 use parsched::telemetry::NullTelemetry;
 use parsched::{BatchDriver, Driver, Pipeline, Strategy};
 use parsched_workload::{random_dag_function, straight_line_kernels, DagParams};
@@ -321,46 +321,50 @@ pub fn render_report(
     host_threads: usize,
     label: Option<&str>,
 ) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"schema\": \"{SCHEMA}\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(s, "  \"host_threads\": {host_threads},");
-    let _ = writeln!(
-        s,
-        "  \"os\": \"{}-{}\",",
-        std::env::consts::OS,
-        std::env::consts::ARCH
-    );
-    if let Some(label) = label {
-        let _ = writeln!(s, "  \"label\": \"{}\",", label.replace('"', "'"));
-    }
-    let threads: Vec<String> = THREAD_COUNTS.iter().map(usize::to_string).collect();
-    let _ = writeln!(s, "  \"thread_counts\": [{}],", threads.join(", "));
-    s.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        let walls: Vec<String> = p.wall_ns.iter().map(u128::to_string).collect();
-        let _ = writeln!(
-            s,
-            "    {{\"workload\": \"{}\", \"strategy\": \"{}\", \"threads\": {}, \"functions\": {}, \"iters\": {}, \"wall_ns\": [{}], \"median_wall_ns\": {}, \"insts\": {}, \"insts_per_sec\": {:.1}, \"spilled_values\": {}, \"errors\": {}, \"worst_degradation\": \"{}\"}}{}",
-            p.workload,
-            p.strategy,
-            p.threads,
-            p.functions,
-            p.wall_ns.len(),
-            walls.join(", "),
-            p.median_wall_ns,
-            p.insts,
-            p.insts_per_sec,
-            p.spilled_values,
-            p.errors,
-            p.worst_degradation,
-            comma
-        );
-    }
-    s.push_str("  ]\n}\n");
-    s
+    Writer::pretty()
+        .object(Layout::Rows, |w| {
+            w.key("schema").str(SCHEMA);
+            w.key("mode").str(mode);
+            w.key("host_threads").num(host_threads);
+            w.key("os").str(&format!(
+                "{}-{}",
+                std::env::consts::OS,
+                std::env::consts::ARCH
+            ));
+            if let Some(label) = label {
+                w.key("label").str(label);
+            }
+            w.key("thread_counts").array(Layout::Line, |w| {
+                for t in THREAD_COUNTS {
+                    w.num(t);
+                }
+            });
+            w.key("points").array(Layout::Rows, |w| {
+                for p in points {
+                    w.object(Layout::Line, |w| {
+                        w.key("workload").str(p.workload);
+                        w.key("strategy").str(p.strategy);
+                        w.key("threads").num(p.threads);
+                        w.key("functions").num(p.functions);
+                        w.key("iters").num(p.wall_ns.len());
+                        w.key("wall_ns").array(Layout::Line, |w| {
+                            for ns in &p.wall_ns {
+                                w.num(ns);
+                            }
+                        });
+                        w.key("median_wall_ns").num(p.median_wall_ns);
+                        w.key("insts").num(p.insts);
+                        w.key("insts_per_sec")
+                            .num(format_args!("{:.1}", p.insts_per_sec));
+                        w.key("spilled_values").num(p.spilled_values);
+                        w.key("errors").num(p.errors);
+                        w.key("worst_degradation").str(p.worst_degradation);
+                    });
+                }
+            });
+        })
+        .finish()
+        + "\n"
 }
 
 /// Validates a parsed report: schema tag, one point per
@@ -559,9 +563,14 @@ mod tests {
             Some(format!("{}-{}", std::env::consts::OS, std::env::consts::ARCH).as_str())
         );
         assert_eq!(doc.get("host_threads").and_then(Value::as_num), Some(4.0));
-        // Quotes in a label must not corrupt the document.
-        assert_eq!(doc.get("label").and_then(Value::as_str), Some("pr-6 'rc1'"));
+        // Quotes and backslashes in a label round-trip exactly.
+        assert_eq!(
+            doc.get("label").and_then(Value::as_str),
+            Some(r#"pr-6 "rc1""#)
+        );
         validate_report(&doc).unwrap();
+        let doc = json::parse(&render_report(&points, "smoke", 4, Some(r"host\q"))).unwrap();
+        assert_eq!(doc.get("label").and_then(Value::as_str), Some(r"host\q"));
         // Labels are optional: omitted entirely when not given.
         let doc = json::parse(&render_report(&points, "smoke", 4, None)).unwrap();
         assert!(doc.get("label").is_none());

@@ -21,8 +21,7 @@
 //! cold responses embed byte-identical body text (only the `cached`
 //! flag differs).
 
-use parsched_telemetry::escape_json;
-use parsched_telemetry::json::{parse, Value};
+use parsched_telemetry::json::{parse, Layout, Value, Writer};
 
 /// Hard cap on one request line. Longer lines are rejected with
 /// [`CODE_PROTO`] and drained without buffering, so an oversized (or
@@ -118,18 +117,30 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// The body text is what the result cache stores, so a cache hit replays
 /// the exact bytes of the original (cold) response body.
 pub fn ok_response(id: u64, cached: bool, body: &str) -> String {
-    format!("{{\"id\":{id},\"code\":{CODE_OK},\"cached\":{cached},\"body\":{body}}}")
+    Writer::compact()
+        .object(Layout::Line, |w| {
+            w.key("id").num(id);
+            w.key("code").num(CODE_OK);
+            w.key("cached").bool(cached);
+            w.key("body").raw(body);
+        })
+        .finish()
 }
 
 /// An error response. `id` is `null` when the line never parsed far
 /// enough to recover one.
 pub fn error_response(id: Option<u64>, code: i32, class: &str, message: &str) -> String {
-    let id = id.map_or("null".to_string(), |i| i.to_string());
-    format!(
-        "{{\"id\":{id},\"code\":{code},\"class\":\"{}\",\"error\":\"{}\"}}",
-        escape_json(class),
-        escape_json(message)
-    )
+    Writer::compact()
+        .object(Layout::Line, |w| {
+            match id {
+                Some(id) => w.key("id").num(id),
+                None => w.key("id").raw("null"),
+            };
+            w.key("code").num(code);
+            w.key("class").str(class);
+            w.key("error").str(message);
+        })
+        .finish()
 }
 
 #[cfg(test)]

@@ -25,7 +25,8 @@ use crate::proto::{
 use parsched::{Budget, Driver, Pipeline, Strategy};
 use parsched_ir::{parse_module, print_module};
 use parsched_machine::{presets, MachineDesc};
-use parsched_telemetry::{escape_json, FlightRecorder, Telemetry};
+use parsched_telemetry::json::{Layout, Writer};
+use parsched_telemetry::{FlightRecorder, Telemetry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
@@ -248,7 +249,7 @@ impl Service {
         };
         match req.op {
             Op::Ping => {
-                let _ = reply.send(ok_response(req.id, false, "{\"pong\":true}"));
+                let _ = reply.send(ok_response(req.id, false, &flag_body("pong")));
             }
             Op::Stats => {
                 let body = self.stats_body();
@@ -257,7 +258,7 @@ impl Service {
             Op::Shutdown => {
                 self.inner.shutdown_requested.store(true, Ordering::SeqCst);
                 self.begin_drain();
-                let _ = reply.send(ok_response(req.id, false, "{\"draining\":true}"));
+                let _ = reply.send(ok_response(req.id, false, &flag_body("draining")));
             }
             Op::Compile(c) => self.admit(
                 Request {
@@ -432,28 +433,38 @@ impl Service {
 
     fn stats_body(&self) -> String {
         let s = self.stats();
-        format!(
-            "{{\"accepted\":{},\"completed\":{},\"failed\":{},\"overloaded\":{},\
-             \"shed\":{},\"retries\":{},\"cache_hits\":{},\"cache_misses\":{},\
-             \"cache_evictions\":{},\"dropped_draining\":{},\"flight_dropped\":{},\
-             \"queue_depth\":{},\"ewma_ns\":{},\"workers\":{},\"draining\":{}}}",
-            s.accepted,
-            s.completed,
-            s.failed,
-            s.overloaded,
-            s.shed,
-            s.retries,
-            s.cache_hits,
-            s.cache_misses,
-            s.cache_evictions,
-            s.dropped_draining,
-            s.flight_dropped,
-            self.inner.queue_len.load(Ordering::SeqCst),
-            self.inner.ewma_ns.load(Ordering::SeqCst),
-            self.inner.cfg.workers.max(1),
-            self.inner.draining.load(Ordering::SeqCst),
-        )
+        let inner = &self.inner;
+        Writer::compact()
+            .object(Layout::Line, |w| {
+                w.key("accepted").num(s.accepted);
+                w.key("completed").num(s.completed);
+                w.key("failed").num(s.failed);
+                w.key("overloaded").num(s.overloaded);
+                w.key("shed").num(s.shed);
+                w.key("retries").num(s.retries);
+                w.key("cache_hits").num(s.cache_hits);
+                w.key("cache_misses").num(s.cache_misses);
+                w.key("cache_evictions").num(s.cache_evictions);
+                w.key("dropped_draining").num(s.dropped_draining);
+                w.key("flight_dropped").num(s.flight_dropped);
+                w.key("queue_depth")
+                    .num(inner.queue_len.load(Ordering::SeqCst));
+                w.key("ewma_ns").num(inner.ewma_ns.load(Ordering::SeqCst));
+                w.key("workers").num(inner.cfg.workers.max(1));
+                w.key("draining")
+                    .bool(inner.draining.load(Ordering::SeqCst));
+            })
+            .finish()
     }
+}
+
+/// A body holding the one flag `key`, set: `{"pong":true}`.
+fn flag_body(key: &str) -> String {
+    Writer::compact()
+        .object(Layout::Line, |w| {
+            w.key(key).bool(true);
+        })
+        .finish()
 }
 
 fn worker_loop(inner: &Inner, rx: &Mutex<Receiver<Job>>) {
@@ -635,23 +646,24 @@ fn compile_module_once(
         stats.inst_count += result.stats.inst_count;
         compiled.push(result.function);
     }
-    let body = format!(
-        "{{\"func\":\"{}\",\"degradation\":\"{}\",\"registers_used\":{},\
-         \"spilled_values\":{},\"inserted_mem_ops\":{},\"cycles\":{},\"inst_count\":{}}}",
-        escape_json(&print_module(&compiled)),
-        worst.label(),
-        stats.registers_used,
-        stats.spilled_values,
-        stats.inserted_mem_ops,
-        stats.cycles,
-        stats.inst_count,
-    );
+    let body = Writer::compact()
+        .object(Layout::Line, |w| {
+            w.key("func").str(&print_module(&compiled));
+            w.key("degradation").str(worst.label());
+            w.key("registers_used").num(stats.registers_used);
+            w.key("spilled_values").num(stats.spilled_values);
+            w.key("inserted_mem_ops").num(stats.inserted_mem_ops);
+            w.key("cycles").num(stats.cycles);
+            w.key("inst_count").num(stats.inst_count);
+        })
+        .finish();
     Ok((worst == parsched::DegradationLevel::None, body))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parsched_telemetry::escape_json;
     use std::sync::mpsc::channel;
 
     fn compile_line(id: u64, src: &str) -> String {

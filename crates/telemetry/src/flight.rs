@@ -9,7 +9,8 @@
 //! moments before the failure: which spans closed, what they cost, and what
 //! events the passes reported.
 
-use crate::{escape_json, locked, Telemetry};
+use crate::json::{Layout, Writer};
+use crate::{locked, Telemetry};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -161,29 +162,24 @@ impl FlightRecorder {
     /// JSON dump: `{"reason": ..., "dropped": N, "entries": [...]}`.
     pub fn dump_json(&self, reason: &str) -> String {
         let entries = self.entries();
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"reason\":\"{}\",\"dropped\":{},\"entries\":[",
-            escape_json(reason),
-            self.dropped()
-        );
-        for (i, e) in entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"seq\":{},\"at_ns\":{},\"kind\":\"{}\",\"name\":\"{}\",\"detail\":\"{}\"}}",
-                e.seq,
-                e.at_ns,
-                e.kind.label(),
-                escape_json(&e.name),
-                escape_json(&e.detail)
-            );
-        }
-        out.push_str("]}\n");
-        out
+        Writer::compact()
+            .object(Layout::Line, |w| {
+                w.key("reason").str(reason);
+                w.key("dropped").num(self.dropped());
+                w.key("entries").array(Layout::Line, |w| {
+                    for e in &entries {
+                        w.object(Layout::Line, |w| {
+                            w.key("seq").num(e.seq);
+                            w.key("at_ns").num(e.at_ns);
+                            w.key("kind").str(e.kind.label());
+                            w.key("name").str(&e.name);
+                            w.key("detail").str(&e.detail);
+                        });
+                    }
+                });
+            })
+            .finish()
+            + "\n"
     }
 }
 

@@ -1,15 +1,38 @@
-//! A minimal recursive-descent JSON reader, just big enough for the
-//! workspace's own line-oriented protocols — the bench harness's report
-//! validation (`--check`, the CI smoke step) and the `pscd` compile
-//! service's request intake — without pulling a registry dependency into
-//! the offline workspace. The writer side is [`crate::escape_json`].
+//! The workspace's one JSON module: a minimal recursive-descent reader and
+//! the [`Writer`] every emitted document goes through — psc's `--emit
+//! json`/`--stats-json`/`--bench-json`, the `fuzz --gap` report, `pscd`
+//! responses, the bench harness and loadgen reports, Chrome traces and
+//! flight-recorder dumps. No registry dependency enters the offline
+//! workspace.
 //!
-//! Not a general-purpose parser: numbers become `f64`, strings support the
-//! standard escapes plus `\uXXXX` (surrogate pairs rejected), and inputs
-//! deeper than [`MAX_DEPTH`] are refused rather than recursed into.
+//! The reader is not a general-purpose parser: numbers become `f64`,
+//! strings support the standard escapes plus `\uXXXX` (surrogate pairs
+//! rejected), and inputs deeper than [`MAX_DEPTH`] are refused rather than
+//! recursed into.
+//!
+//! The writer escapes every string and places every separator itself;
+//! numbers pass through in the caller's own formatting. It knows the two
+//! layouts the workspace emits: compact lines (`{"a":1,"b":[2,3]}`, one
+//! NDJSON record per line) and pretty documents whose containers hold
+//! either one member per indented line ([`Layout::Rows`]) or one-line
+//! records (`{"a": 1, "b": [2, 3]}`, [`Layout::Line`]).
+//!
+//! ```
+//! use parsched_telemetry::json::{Layout, Writer};
+//!
+//! let doc = Writer::pretty()
+//!     .object(Layout::Rows, |w| {
+//!         w.key("name").str("say \"hi\"");
+//!         w.key("cycles").array(Layout::Line, |w| {
+//!             w.num(3).num(format_args!("{:.1}", 1.26));
+//!         });
+//!     })
+//!     .finish();
+//! assert_eq!(doc, "{\n  \"name\": \"say \\\"hi\\\"\",\n  \"cycles\": [3, 1.3]\n}");
+//! ```
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Nesting depth cap: validation inputs are shallow; anything deeper is
 /// hostile or corrupt, and unbounded recursion would be a stack overflow.
@@ -285,6 +308,186 @@ impl Parser<'_> {
     }
 }
 
+/// Escapes `s` for inclusion inside a JSON string literal: `"`, `\` and
+/// every control character below U+0020; everything else passes through.
+pub fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+/// Appends `s`, escaped, to `out` — the one escaping primitive.
+fn escape_into(out: &mut String, s: &str) {
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[plain..i]);
+        plain = i + 1;
+        let _ = match b {
+            b'"' => out.write_str("\\\""),
+            b'\\' => out.write_str("\\\\"),
+            b'\n' => out.write_str("\\n"),
+            b'\r' => out.write_str("\\r"),
+            b'\t' => out.write_str("\\t"),
+            _ => write!(out, "\\u{b:04x}"),
+        };
+    }
+    out.push_str(&s[plain..]);
+}
+
+/// How a container places its members.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// Every member on the container's own line.
+    Line,
+    /// One member per line, then the closing bracket on a line of its own.
+    /// Pretty documents indent each level by two spaces; compact ones do
+    /// not indent.
+    Rows,
+}
+
+/// Builds one JSON document. Containers take a closure that writes their
+/// members; [`key`](Writer::key) names the next value inside an object.
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: String,
+    /// `", "` / `": "` within a line, and rows indented two spaces a level.
+    pretty: bool,
+    /// Open [`Layout::Rows`] containers: the indentation level.
+    depth: usize,
+    /// The innermost open container lays out rows.
+    rows: bool,
+    /// The innermost open container already has a member.
+    sep: bool,
+    /// A key was just written: the next value is its member, not a new one.
+    keyed: bool,
+}
+
+impl Writer {
+    /// A compact writer: no whitespace but the newlines of [`Layout::Rows`].
+    pub fn compact() -> Writer {
+        Writer::default()
+    }
+
+    /// A pretty writer.
+    pub fn pretty() -> Writer {
+        Writer {
+            pretty: true,
+            ..Writer::default()
+        }
+    }
+
+    /// Takes the document written so far (no trailing newline).
+    pub fn finish(&mut self) -> String {
+        std::mem::take(&mut self.out)
+    }
+
+    /// Names the next value: writes `"key":` inside the open object.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.member();
+        self.quoted(key);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+        self.keyed = true;
+        self
+    }
+
+    /// A string value, escaped.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.member();
+        self.quoted(s);
+        self
+    }
+
+    /// A number, written exactly as `n` displays — pass
+    /// `format_args!("{:.1}", x)` to fix the precision.
+    pub fn num(&mut self, n: impl fmt::Display) -> &mut Self {
+        self.member();
+        let _ = write!(self.out, "{n}");
+        self
+    }
+
+    /// `true` or `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.raw(if b { "true" } else { "false" })
+    }
+
+    /// An already-serialized JSON value, embedded verbatim: neither
+    /// re-parsed nor re-escaped.
+    pub fn raw(&mut self, json: &str) -> &mut Self {
+        self.member();
+        self.out.push_str(json);
+        self
+    }
+
+    /// An object whose members `f` writes.
+    pub fn object(&mut self, layout: Layout, f: impl FnOnce(&mut Writer)) -> &mut Self {
+        self.container(('{', '}'), layout, f)
+    }
+
+    /// An array whose elements `f` writes.
+    pub fn array(&mut self, layout: Layout, f: impl FnOnce(&mut Writer)) -> &mut Self {
+        self.container(('[', ']'), layout, f)
+    }
+
+    fn container(
+        &mut self,
+        (open, close): (char, char),
+        layout: Layout,
+        f: impl FnOnce(&mut Writer),
+    ) -> &mut Self {
+        self.member();
+        self.out.push(open);
+        let outer = (self.rows, self.sep);
+        self.rows = layout == Layout::Rows;
+        self.sep = false;
+        if self.rows {
+            self.depth += 1;
+        }
+        f(self);
+        if self.rows {
+            self.depth -= 1;
+            self.newline();
+        }
+        self.out.push(close);
+        (self.rows, self.sep) = outer;
+        self
+    }
+
+    /// Places the separator before a new member of the open container.
+    fn member(&mut self) {
+        if std::mem::take(&mut self.keyed) {
+            return;
+        }
+        if std::mem::replace(&mut self.sep, true) {
+            self.out.push(',');
+            if self.pretty && !self.rows {
+                self.out.push(' ');
+            }
+        }
+        if self.rows {
+            self.newline();
+        }
+    }
+
+    fn newline(&mut self) {
+        self.out.push('\n');
+        if self.pretty {
+            for _ in 0..self.depth {
+                self.out.push_str("  ");
+            }
+        }
+    }
+
+    fn quoted(&mut self, s: &str) {
+        self.out.push('"');
+        escape_into(&mut self.out, s);
+        self.out.push('"');
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,5 +555,88 @@ mod tests {
         let original = "line\none \"two\" \\three\\ \ttab";
         let doc = format!("\"{}\"", crate::escape_json(original));
         assert_eq!(must(&doc).as_str(), Some(original));
+    }
+
+    /// Strings the writer must escape round-trip through `parse`: quotes,
+    /// backslashes, every control character below U+0020, DEL, non-BMP
+    /// scalars, and empty keys and values.
+    #[test]
+    fn writer_roundtrips_hostile_strings() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let strings = [
+            "",
+            "say \"hi\"",
+            r"C:\dir\n\u0041",
+            &controls,
+            "del\u{7f}",
+            "clef \u{1d11e} smile \u{1f600}",
+        ];
+        for mut w in [Writer::compact(), Writer::pretty()] {
+            let doc = w
+                .object(Layout::Rows, |w| {
+                    for s in strings {
+                        w.key(s).str(s);
+                    }
+                    w.key("list").array(Layout::Line, |w| {
+                        for s in strings {
+                            w.str(s);
+                        }
+                    });
+                })
+                .finish();
+            let str_of = |s: &&str| Value::Str(s.to_string());
+            let mut expected: BTreeMap<_, _> =
+                strings.iter().map(|s| (s.to_string(), str_of(s))).collect();
+            expected.insert(
+                "list".into(),
+                Value::Arr(strings.iter().map(str_of).collect()),
+            );
+            assert_eq!(must(&doc), Value::Obj(expected), "{doc}");
+        }
+    }
+
+    /// Writes the same document, with empty and nested containers of both
+    /// layouts, through `w`.
+    fn golden_doc(w: &mut Writer) -> String {
+        w.object(Layout::Rows, |w| {
+            w.key("id").raw("null");
+            w.key("body").raw(r#"{"a":1}"#);
+            w.key("rows").array(Layout::Rows, |w| {
+                w.object(Layout::Line, |w| {
+                    w.key("n").num(format_args!("{:.3}", 0.5));
+                    w.key("v").array(Layout::Line, |w| {
+                        w.num(2).bool(false).array(Layout::Line, |_| {});
+                    });
+                });
+                w.object(Layout::Rows, |w| {
+                    w.key("h").object(Layout::Line, |w| {
+                        w.key("0").num(4).key("s").str("a\"b\n");
+                    });
+                });
+            });
+            w.key("empty").object(Layout::Rows, |_| {});
+        })
+        .finish()
+    }
+
+    #[test]
+    fn compact_layout_golden() {
+        let doc = golden_doc(&mut Writer::compact());
+        assert_eq!(
+            doc,
+            "{\n\"id\":null,\n\"body\":{\"a\":1},\n\"rows\":[\n{\"n\":0.500,\"v\":[2,false,[]]},\n\
+             {\n\"h\":{\"0\":4,\"s\":\"a\\\"b\\n\"}\n}\n],\n\"empty\":{\n}\n}"
+        );
+        assert_eq!(must(&doc), must(&golden_doc(&mut Writer::pretty())));
+    }
+
+    #[test]
+    fn pretty_layout_golden() {
+        assert_eq!(
+            golden_doc(&mut Writer::pretty()),
+            "{\n  \"id\": null,\n  \"body\": {\"a\":1},\n  \"rows\": [\n    \
+             {\"n\": 0.500, \"v\": [2, false, []]},\n    {\n      \
+             \"h\": {\"0\": 4, \"s\": \"a\\\"b\\n\"}\n    }\n  ],\n  \"empty\": {\n  }\n}"
+        );
     }
 }

@@ -25,7 +25,7 @@
 //! The crate is std-only: no external dependencies, so the workspace builds
 //! with `cargo build --offline` on a machine with an empty registry cache.
 
-use std::fmt::Write as _;
+use json::{Layout, Writer};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -36,6 +36,7 @@ mod profile;
 
 pub use flight::{FlightEntry, FlightKind, FlightRecorder};
 pub use histogram::Histogram;
+pub use json::escape_json;
 pub use profile::{fmt_ns, PhaseNode, PhaseTree};
 
 /// Locks a mutex, recovering the data if a previous holder panicked.
@@ -456,16 +457,17 @@ impl ChromeTraceSink {
     /// Render the complete `{"traceEvents": [...]}` document.
     pub fn render(&self) -> String {
         let st = locked(&self.state);
-        let mut out = String::from("{\"traceEvents\":[\n");
-        for (i, e) in st.entries.iter().enumerate() {
-            out.push_str(e);
-            if i + 1 < st.entries.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("],\"displayTimeUnit\":\"ms\"}\n");
-        out
+        Writer::compact()
+            .object(Layout::Line, |w| {
+                w.key("traceEvents").array(Layout::Rows, |w| {
+                    for e in &st.entries {
+                        w.raw(e);
+                    }
+                });
+                w.key("displayTimeUnit").str("ms");
+            })
+            .finish()
+            + "\n"
     }
 
     /// Write the rendered trace to `path`.
@@ -476,6 +478,20 @@ impl ChromeTraceSink {
     fn push(&self, entry: String) {
         locked(&self.state).entries.push(entry);
     }
+}
+
+/// One compact `trace_event` object: the common `name`/`cat`/`ph`/`ts`
+/// head, then the phase-specific fields `rest` writes.
+fn trace_event(name: &str, ph: &str, ts: u128, rest: impl FnOnce(&mut Writer)) -> String {
+    Writer::compact()
+        .object(Layout::Line, |w| {
+            w.key("name").str(name);
+            w.key("cat").str("parsched");
+            w.key("ph").str(ph);
+            w.key("ts").num(ts);
+            rest(w);
+        })
+        .finish()
 }
 
 impl Telemetry for ChromeTraceSink {
@@ -490,29 +506,22 @@ impl Telemetry for ChromeTraceSink {
         let mut st = locked(&self.state);
         if let Some(pos) = st.open.iter().rposition(|(n, _)| n == name) {
             let (n, start) = st.open.remove(pos);
-            let mut e = String::new();
-            let _ = write!(
-                e,
-                "{{\"name\":\"{}\",\"cat\":\"parsched\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":1}}",
-                escape_json(&n),
-                start,
-                t.saturating_sub(start)
-            );
+            let e = trace_event(&n, "X", start, |w| {
+                w.key("dur").num(t.saturating_sub(start));
+                w.key("pid").num(1).key("tid").num(1);
+            });
             st.entries.push(e);
         }
     }
 
     fn counter(&self, name: &str, value: u64) {
         let t = self.now_us();
-        let mut e = String::new();
-        let _ = write!(
-            e,
-            "{{\"name\":\"{}\",\"cat\":\"parsched\",\"ph\":\"C\",\"ts\":{},\"pid\":1,\"tid\":1,\"args\":{{\"value\":{}}}}}",
-            escape_json(name),
-            t,
-            value
-        );
-        self.push(e);
+        self.push(trace_event(name, "C", t, |w| {
+            w.key("pid").num(1).key("tid").num(1);
+            w.key("args").object(Layout::Line, |w| {
+                w.key("value").num(value);
+            });
+        }));
     }
 
     fn gauge(&self, name: &str, value: u64) {
@@ -522,31 +531,32 @@ impl Telemetry for ChromeTraceSink {
 
     fn event(&self, name: &str, detail: &str) {
         let t = self.now_us();
-        let mut e = String::new();
-        let _ = write!(
-            e,
-            "{{\"name\":\"{}\",\"cat\":\"parsched\",\"ph\":\"i\",\"ts\":{},\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{{\"detail\":\"{}\"}}}}",
-            escape_json(name),
-            t,
-            escape_json(detail)
-        );
-        self.push(e);
+        self.push(trace_event(name, "i", t, |w| {
+            w.key("pid").num(1).key("tid").num(1);
+            w.key("s").str("t");
+            w.key("args").object(Layout::Line, |w| {
+                w.key("detail").str(detail);
+            });
+        }));
     }
 }
 
 /// Tee: forwards every signal to each inner sink. `enabled()` is true iff
-/// any inner sink is enabled.
-pub struct Fanout<'a> {
-    sinks: Vec<&'a dyn Telemetry>,
+/// any inner sink is enabled. `S` is the sink type: the default
+/// `dyn Telemetry` tees arbitrary sinks, while `dyn Telemetry + Sync`
+/// makes the tee itself `Sync`, usable as the shared sink of a parallel
+/// driver.
+pub struct Fanout<'a, S: ?Sized + Telemetry + 'a = dyn Telemetry + 'a> {
+    sinks: Vec<&'a S>,
 }
 
-impl<'a> Fanout<'a> {
-    pub fn new(sinks: Vec<&'a dyn Telemetry>) -> Self {
+impl<'a, S: ?Sized + Telemetry> Fanout<'a, S> {
+    pub fn new(sinks: Vec<&'a S>) -> Self {
         Fanout { sinks }
     }
 }
 
-impl Telemetry for Fanout<'_> {
+impl<S: ?Sized + Telemetry> Telemetry for Fanout<'_, S> {
     fn enabled(&self) -> bool {
         self.sinks.iter().any(|s| s.enabled())
     }
@@ -580,74 +590,6 @@ impl Telemetry for Fanout<'_> {
             s.hist(name, value);
         }
     }
-}
-
-/// [`Fanout`] over `Sync` sinks: usable as the shared sink of a parallel
-/// driver (`&(dyn Telemetry + Sync)`), which the reference-based [`Fanout`]
-/// cannot guarantee.
-pub struct SyncFanout<'a> {
-    sinks: Vec<&'a (dyn Telemetry + Sync)>,
-}
-
-impl<'a> SyncFanout<'a> {
-    pub fn new(sinks: Vec<&'a (dyn Telemetry + Sync)>) -> Self {
-        SyncFanout { sinks }
-    }
-}
-
-impl Telemetry for SyncFanout<'_> {
-    fn enabled(&self) -> bool {
-        self.sinks.iter().any(|s| s.enabled())
-    }
-    fn phase_start(&self, name: &str) {
-        for s in &self.sinks {
-            s.phase_start(name);
-        }
-    }
-    fn phase_end(&self, name: &str) {
-        for s in &self.sinks {
-            s.phase_end(name);
-        }
-    }
-    fn counter(&self, name: &str, value: u64) {
-        for s in &self.sinks {
-            s.counter(name, value);
-        }
-    }
-    fn gauge(&self, name: &str, value: u64) {
-        for s in &self.sinks {
-            s.gauge(name, value);
-        }
-    }
-    fn event(&self, name: &str, detail: &str) {
-        for s in &self.sinks {
-            s.event(name, detail);
-        }
-    }
-    fn hist(&self, name: &str, value: u64) {
-        for s in &self.sinks {
-            s.hist(name, value);
-        }
-    }
-}
-
-/// Escape a string for inclusion inside a JSON string literal.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -784,7 +726,7 @@ mod tests {
         let a = Recorder::new();
         let b = Recorder::new();
         let null = NullTelemetry;
-        let tee = Fanout::new(vec![&a, &b, &null]);
+        let tee = Fanout::<dyn Telemetry>::new(vec![&a, &b, &null]);
         assert!(tee.enabled());
         {
             let _s = span(&tee, "p");

@@ -29,12 +29,12 @@ use parsched::ir::interp::{Interpreter, Memory};
 use parsched::ir::{parse_module, print_function, print_inst, print_module, BlockId, Function};
 use parsched::machine::{parse_machine_spec, presets, MachineDesc};
 use parsched::sched::{list_schedule, DepGraph, SchedPriority};
+use parsched::telemetry::json::{Layout, Writer};
 use parsched::telemetry::{
-    escape_json, ChromeTraceSink, Fanout, FlightRecorder, NullTelemetry, PhaseTree, Recorder,
-    SyncFanout, Telemetry,
+    ChromeTraceSink, Fanout, FlightRecorder, NullTelemetry, PhaseTree, Recorder, Telemetry,
 };
 use parsched::{
-    AllocScope, BatchDriver, BatchOutput, Budget, ClosureMode, CompileResult, Driver,
+    AllocScope, BatchDriver, BatchOutput, Budget, ClosureMode, CompileResult, CompileStats, Driver,
     ParschedError, Pipeline, Strategy,
 };
 use parsched_verify::Verifier;
@@ -448,7 +448,7 @@ fn real_main(opts: Options) -> Result<(), Failure> {
     if opts.flight_armed() {
         shared.push(&flight);
     }
-    let shared_sink = SyncFanout::new(shared);
+    let shared_sink = Fanout::new(shared);
     let out = batch.compile_module(&funcs, &shared_sink);
 
     // --verify runs before the artifacts are written, so its verify.*
@@ -457,7 +457,7 @@ fn real_main(opts: Options) -> Result<(), Failure> {
     let mut verify_failures: Vec<(&Function, Vec<parsched_verify::Violation>)> = Vec::new();
     if opts.verify {
         let verifier = Verifier::new(&machine).strategy(opts.strategy);
-        let sink = Fanout::new(vec![&out.telemetry, &shared_sink]);
+        let sink = Fanout::<dyn Telemetry>::new(vec![&out.telemetry, &shared_sink]);
         for (func, res) in funcs.iter().zip(&out.results) {
             if let Ok(r) = res {
                 let report = verifier.verify(func, r, &sink);
@@ -615,19 +615,14 @@ fn emit_function(
             }
         }
         Emit::Json => {
-            let s = &result.stats;
-            println!(
-                "{{\n  \"machine\": \"{}\",\n  \"strategy\": \"{}\",\n  \"registers_used\": {},\n  \"cycles\": {},\n  \"spilled_values\": {},\n  \"inserted_mem_ops\": {},\n  \"introduced_false_deps\": {},\n  \"removed_false_edges\": {},\n  \"inst_count\": {}\n}}",
-                machine.name(),
-                opts.strategy.label(),
-                s.registers_used,
-                s.cycles,
-                s.spilled_values,
-                s.inserted_mem_ops,
-                s.introduced_false_deps,
-                s.removed_false_edges,
-                s.inst_count
-            );
+            let doc = Writer::pretty()
+                .object(Layout::Rows, |w| {
+                    w.key("machine").str(machine.name());
+                    w.key("strategy").str(opts.strategy.label());
+                    stats_fields(w, &result.stats);
+                })
+                .finish();
+            println!("{doc}");
         }
         Emit::Stats => {
             let s = &result.stats;
@@ -679,26 +674,20 @@ fn emit_module(opts: &Options, machine: &MachineDesc, funcs: &[Function], out: &
             print!("{}", print_module(&compiled));
         }
         Emit::Json => {
-            println!("[");
-            for (i, (func, r)) in funcs.iter().zip(&results).enumerate() {
-                let s = &r.stats;
-                let comma = if i + 1 < results.len() { "," } else { "" };
-                println!(
-                    "  {{\"function\": \"{}\", \"machine\": \"{}\", \"strategy\": \"{}\", \"degradation\": \"{}\", \"registers_used\": {}, \"cycles\": {}, \"spilled_values\": {}, \"inserted_mem_ops\": {}, \"introduced_false_deps\": {}, \"removed_false_edges\": {}, \"inst_count\": {}}}{comma}",
-                    escape_json(func.name()),
-                    escape_json(machine.name()),
-                    opts.strategy.label(),
-                    r.degradation.label(),
-                    s.registers_used,
-                    s.cycles,
-                    s.spilled_values,
-                    s.inserted_mem_ops,
-                    s.introduced_false_deps,
-                    s.removed_false_edges,
-                    s.inst_count
-                );
-            }
-            println!("]");
+            let doc = Writer::pretty()
+                .array(Layout::Rows, |w| {
+                    for (func, r) in funcs.iter().zip(&results) {
+                        w.object(Layout::Line, |w| {
+                            w.key("function").str(func.name());
+                            w.key("machine").str(machine.name());
+                            w.key("strategy").str(opts.strategy.label());
+                            w.key("degradation").str(r.degradation.label());
+                            stats_fields(w, &r.stats);
+                        });
+                    }
+                })
+                .finish();
+            println!("{doc}");
         }
         Emit::Stats => {
             let worst = results
@@ -834,73 +823,61 @@ fn render_profile(recorder: &Recorder, rungs: &std::collections::BTreeMap<String
     out
 }
 
-/// Renders the shared `"histograms"` JSON section: per-name sample count
-/// and latency percentiles. `indent` is the leading whitespace per line.
-fn histograms_json(recorder: &Recorder, indent: &str) -> String {
-    let hists = recorder.histograms();
-    let mut s = String::new();
-    for (i, (name, h)) in hists.iter().enumerate() {
-        let comma = if i + 1 < hists.len() { "," } else { "" };
-        let q = |p: f64| h.percentile(p).unwrap_or(0);
-        s.push_str(&format!(
-            "{indent}\"{}\": {{\"count\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}{comma}\n",
-            escape_json(name),
-            h.count(),
-            q(50.0),
-            q(90.0),
-            q(99.0),
-            h.max().unwrap_or(0)
-        ));
-    }
-    s
+/// Writes the seven [`CompileStats`] fields, in their fixed order, into
+/// the open object.
+fn stats_fields(w: &mut Writer, s: &CompileStats) {
+    w.key("registers_used").num(s.registers_used);
+    w.key("cycles").num(s.cycles);
+    w.key("spilled_values").num(s.spilled_values);
+    w.key("inserted_mem_ops").num(s.inserted_mem_ops);
+    w.key("introduced_false_deps").num(s.introduced_false_deps);
+    w.key("removed_false_edges").num(s.removed_false_edges);
+    w.key("inst_count").num(s.inst_count);
 }
 
 /// Renders the `--bench-json` payload: per-function wall times and batch
 /// throughput, in input order. Schema documented in docs/BENCHMARKING.md.
 fn bench_json(opts: &Options, funcs: &[Function], out: &BatchOutput) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"schema\": \"psc-bench/1\",\n");
-    s.push_str(&format!("  \"file\": \"{}\",\n", escape_json(&opts.file)));
-    s.push_str(&format!("  \"strategy\": \"{}\",\n", opts.strategy.label()));
-    s.push_str(&format!("  \"jobs\": {},\n", out.jobs));
-    s.push_str("  \"functions\": [\n");
-    let n = funcs.len();
-    for (i, (func, res)) in funcs.iter().zip(&out.results).enumerate() {
-        let comma = if i + 1 < n { "," } else { "" };
-        match res {
-            Ok(r) => s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"ok\": true, \"wall_ns\": {}, \"insts\": {}, \"cycles\": {}, \"spilled_values\": {}, \"degradation\": \"{}\"}}{comma}\n",
-                escape_json(func.name()),
-                out.per_func_ns[i],
-                r.stats.inst_count,
-                r.stats.cycles,
-                r.stats.spilled_values,
-                r.degradation.label()
-            )),
-            Err(e) => s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"ok\": false, \"wall_ns\": {}, \"error\": \"{}\"}}{comma}\n",
-                escape_json(func.name()),
-                out.per_func_ns[i],
-                escape_json(&e.to_string())
-            )),
-        }
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!("  \"ok\": {},\n", out.ok_count()));
-    s.push_str(&format!("  \"failed\": {},\n", out.err_count()));
-    s.push_str(&format!("  \"total_wall_ns\": {},\n", out.wall.as_nanos()));
-    s.push_str(&format!("  \"total_insts\": {},\n", out.total_insts()));
-    s.push_str(&format!(
-        "  \"insts_per_sec\": {:.1}\n",
-        out.insts_per_sec()
-    ));
-    s.push_str("}\n");
-    s
+    Writer::pretty()
+        .object(Layout::Rows, |w| {
+            w.key("schema").str("psc-bench/1");
+            w.key("file").str(&opts.file);
+            w.key("strategy").str(opts.strategy.label());
+            w.key("jobs").num(out.jobs);
+            w.key("functions").array(Layout::Rows, |w| {
+                for ((func, res), ns) in funcs.iter().zip(&out.results).zip(&out.per_func_ns) {
+                    w.object(Layout::Line, |w| {
+                        w.key("name").str(func.name());
+                        w.key("ok").bool(res.is_ok());
+                        w.key("wall_ns").num(ns);
+                        match res {
+                            Ok(r) => {
+                                w.key("insts").num(r.stats.inst_count);
+                                w.key("cycles").num(r.stats.cycles);
+                                w.key("spilled_values").num(r.stats.spilled_values);
+                                w.key("degradation").str(r.degradation.label());
+                            }
+                            Err(e) => {
+                                w.key("error").str(&e.to_string());
+                            }
+                        }
+                    });
+                }
+            });
+            w.key("ok").num(out.ok_count());
+            w.key("failed").num(out.err_count());
+            w.key("total_wall_ns").num(out.wall.as_nanos());
+            w.key("total_insts").num(out.total_insts());
+            w.key("insts_per_sec")
+                .num(format_args!("{:.1}", out.insts_per_sec()));
+        })
+        .finish()
+        + "\n"
 }
 
 /// Renders the `--stats-json` payload: machine and strategy, then for a
-/// one-function module its degradation, full [`parsched::CompileStats`]
-/// and per-block cycles, or for a module the per-function stats; then the
+/// one-function module its degradation, full [`CompileStats`] and
+/// per-block cycles, or for a module the per-function stats; then the
 /// merged telemetry (phase totals, histogram percentiles, counters).
 fn stats_json(
     opts: &Options,
@@ -908,90 +885,68 @@ fn stats_json(
     funcs: &[Function],
     out: &BatchOutput,
 ) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"machine\": \"{}\",\n",
-        escape_json(machine.name())
-    ));
-    s.push_str(&format!("  \"strategy\": \"{}\",\n", opts.strategy.label()));
-    if let [Ok(r)] = &out.results[..] {
-        let st = &r.stats;
-        s.push_str(&format!(
-            "  \"degradation\": \"{}\",\n",
-            r.degradation.label()
-        ));
-        s.push_str("  \"stats\": {\n");
-        s.push_str(&format!(
-            "    \"registers_used\": {},\n    \"cycles\": {},\n    \"spilled_values\": {},\n    \"inserted_mem_ops\": {},\n    \"introduced_false_deps\": {},\n    \"removed_false_edges\": {},\n    \"inst_count\": {}\n",
-            st.registers_used,
-            st.cycles,
-            st.spilled_values,
-            st.inserted_mem_ops,
-            st.introduced_false_deps,
-            st.removed_false_edges,
-            st.inst_count
-        ));
-        s.push_str("  },\n");
-        let cycles: Vec<String> = r.block_cycles.iter().map(u32::to_string).collect();
-        s.push_str(&format!("  \"block_cycles\": [{}],\n", cycles.join(", ")));
-    } else {
-        s.push_str(&format!("  \"jobs\": {},\n", out.jobs));
-        s.push_str("  \"functions\": [\n");
-        let n = funcs.len();
-        for (i, (func, res)) in funcs.iter().zip(&out.results).enumerate() {
-            let comma = if i + 1 < n { "," } else { "" };
-            match res {
-                Ok(r) => {
-                    let st = &r.stats;
-                    s.push_str(&format!(
-                        "    {{\"name\": \"{}\", \"ok\": true, \"degradation\": \"{}\", \"registers_used\": {}, \"cycles\": {}, \"spilled_values\": {}, \"inserted_mem_ops\": {}, \"introduced_false_deps\": {}, \"removed_false_edges\": {}, \"inst_count\": {}}}{comma}\n",
-                        escape_json(func.name()),
-                        r.degradation.label(),
-                        st.registers_used,
-                        st.cycles,
-                        st.spilled_values,
-                        st.inserted_mem_ops,
-                        st.introduced_false_deps,
-                        st.removed_false_edges,
-                        st.inst_count
-                    ));
-                }
-                Err(e) => s.push_str(&format!(
-                    "    {{\"name\": \"{}\", \"ok\": false, \"error\": \"{}\"}}{comma}\n",
-                    escape_json(func.name()),
-                    escape_json(&e.to_string())
-                )),
-            }
-        }
-        s.push_str("  ],\n");
-    }
     let recorder = &out.telemetry;
-    s.push_str("  \"phases\": [\n");
-    let phases = recorder.phase_totals();
-    for (i, (name, ns)) in phases.iter().enumerate() {
-        let comma = if i + 1 < phases.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"total_ns\": {}}}{comma}\n",
-            escape_json(name),
-            ns
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"histograms\": {\n");
-    s.push_str(&histograms_json(recorder, "    "));
-    s.push_str("  },\n");
-    s.push_str("  \"counters\": {\n");
-    let counters = recorder.counters();
-    for (i, (name, value)) in counters.iter().enumerate() {
-        let comma = if i + 1 < counters.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    \"{}\": {}{comma}\n",
-            escape_json(name),
-            value
-        ));
-    }
-    s.push_str("  }\n}\n");
-    s
+    Writer::pretty()
+        .object(Layout::Rows, |w| {
+            w.key("machine").str(machine.name());
+            w.key("strategy").str(opts.strategy.label());
+            if let [Ok(r)] = &out.results[..] {
+                w.key("degradation").str(r.degradation.label());
+                w.key("stats")
+                    .object(Layout::Rows, |w| stats_fields(w, &r.stats));
+                w.key("block_cycles").array(Layout::Line, |w| {
+                    for c in &r.block_cycles {
+                        w.num(c);
+                    }
+                });
+            } else {
+                w.key("jobs").num(out.jobs);
+                w.key("functions").array(Layout::Rows, |w| {
+                    for (func, res) in funcs.iter().zip(&out.results) {
+                        w.object(Layout::Line, |w| {
+                            w.key("name").str(func.name());
+                            w.key("ok").bool(res.is_ok());
+                            match res {
+                                Ok(r) => {
+                                    w.key("degradation").str(r.degradation.label());
+                                    stats_fields(w, &r.stats);
+                                }
+                                Err(e) => {
+                                    w.key("error").str(&e.to_string());
+                                }
+                            }
+                        });
+                    }
+                });
+            }
+            w.key("phases").array(Layout::Rows, |w| {
+                for (name, ns) in recorder.phase_totals() {
+                    w.object(Layout::Line, |w| {
+                        w.key("name").str(&name);
+                        w.key("total_ns").num(ns);
+                    });
+                }
+            });
+            w.key("histograms").object(Layout::Rows, |w| {
+                for (name, h) in recorder.histograms() {
+                    let q = |p: f64| h.percentile(p).unwrap_or(0);
+                    w.key(&name).object(Layout::Line, |w| {
+                        w.key("count").num(h.count());
+                        w.key("p50").num(q(50.0));
+                        w.key("p90").num(q(90.0));
+                        w.key("p99").num(q(99.0));
+                        w.key("max").num(h.max().unwrap_or(0));
+                    });
+                }
+            });
+            w.key("counters").object(Layout::Rows, |w| {
+                for (name, value) in recorder.counters() {
+                    w.key(&name).num(value);
+                }
+            });
+        })
+        .finish()
+        + "\n"
 }
 
 /// Writes the function-level dumps: `cfg.dot` (the control-flow graph,

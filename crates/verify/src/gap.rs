@@ -27,7 +27,8 @@ use parsched::{Driver, ParschedError, Pipeline, Strategy};
 use parsched_ir::verify::verify_function;
 use parsched_ir::Function;
 use parsched_machine::{presets, MachineDesc};
-use parsched_telemetry::{escape_json, NullTelemetry, Recorder};
+use parsched_telemetry::json::{Layout, Writer};
+use parsched_telemetry::{NullTelemetry, Recorder};
 use parsched_workload::{expr_tree_function, random_dag_function, DagParams, SplitMix64};
 use std::path::PathBuf;
 
@@ -304,52 +305,39 @@ fn pick_machine(rng: &mut SplitMix64) -> MachineDesc {
 
 /// Renders the `parsched-gap/1` JSON document (schema in `docs/EXACT.md`).
 fn render_report(config: &GapConfig, s: &GapSummary) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"parsched-gap/1\",\n");
-    out.push_str(&format!("  \"seed\": {},\n", config.seed));
-    out.push_str(&format!("  \"count\": {},\n", config.count));
-    out.push_str(&format!("  \"cases\": {},\n", s.cases));
-    out.push_str(&format!("  \"measured\": {},\n", s.measured));
-    out.push_str(&format!("  \"unproven\": {},\n", s.unproven));
-    out.push_str(&format!("  \"refused\": {},\n", s.refused));
-    out.push_str(&format!("  \"checks_run\": {},\n", s.checks_run));
-    out.push_str(&format!("  \"violations\": {},\n", s.violations));
-    out.push_str(&format!("  \"anomalies\": {},\n", s.anomalies));
-    out.push_str("  \"strategies\": [\n");
-    for (i, t) in s.per_strategy.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!(
-            "      \"strategy\": \"{}\",\n",
-            escape_json(&t.label)
-        ));
-        out.push_str(&format!("      \"compiles\": {},\n", t.compiles));
-        out.push_str(&format!(
-            "      \"compile_errors\": {},\n",
-            t.compile_errors
-        ));
-        out.push_str(&format!("      \"optimal\": {},\n", t.optimal));
-        out.push_str(&format!("      \"beats_exact\": {},\n", t.beats_exact));
-        out.push_str(&format!(
-            "      \"spill_gap_total\": {},\n",
-            t.spill_gap_total
-        ));
-        out.push_str(&format!("      \"reg_gap_total\": {},\n", t.reg_gap_total));
-        out.push_str(&format!(
-            "      \"cycle_gap_total\": {},\n",
-            t.cycle_gap_total
-        ));
-        out.push_str(&format!("      \"cycle_gap_max\": {},\n", t.cycle_gap_max));
-        out.push_str(&format!(
-            "      \"cycle_gap_hist\": {{\"0\": {}, \"1\": {}, \"2\": {}, \"3+\": {}}}\n",
-            t.cycle_gap_hist[0], t.cycle_gap_hist[1], t.cycle_gap_hist[2], t.cycle_gap_hist[3]
-        ));
-        out.push_str(if i + 1 == s.per_strategy.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    Writer::pretty()
+        .object(Layout::Rows, |w| {
+            w.key("schema").str("parsched-gap/1");
+            w.key("seed").num(config.seed);
+            w.key("count").num(config.count);
+            w.key("cases").num(s.cases);
+            w.key("measured").num(s.measured);
+            w.key("unproven").num(s.unproven);
+            w.key("refused").num(s.refused);
+            w.key("checks_run").num(s.checks_run);
+            w.key("violations").num(s.violations);
+            w.key("anomalies").num(s.anomalies);
+            w.key("strategies").array(Layout::Rows, |w| {
+                for t in &s.per_strategy {
+                    w.object(Layout::Rows, |w| {
+                        w.key("strategy").str(&t.label);
+                        w.key("compiles").num(t.compiles);
+                        w.key("compile_errors").num(t.compile_errors);
+                        w.key("optimal").num(t.optimal);
+                        w.key("beats_exact").num(t.beats_exact);
+                        w.key("spill_gap_total").num(t.spill_gap_total);
+                        w.key("reg_gap_total").num(t.reg_gap_total);
+                        w.key("cycle_gap_total").num(t.cycle_gap_total);
+                        w.key("cycle_gap_max").num(t.cycle_gap_max);
+                        w.key("cycle_gap_hist").object(Layout::Line, |w| {
+                            for (bucket, n) in ["0", "1", "2", "3+"].iter().zip(&t.cycle_gap_hist) {
+                                w.key(bucket).num(n);
+                            }
+                        });
+                    });
+                }
+            });
+        })
+        .finish()
+        + "\n"
 }

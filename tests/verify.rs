@@ -657,3 +657,43 @@ fn psc_text_matches_batch_driver_bytes() {
         }
     }
 }
+
+/// A `--machine-spec` name may hold any non-whitespace byte; psc's
+/// one-function `--emit json` escapes it like every other JSON surface,
+/// so the document parses and the name round-trips exactly.
+#[test]
+fn psc_one_function_json_escapes_the_machine_name() {
+    use parsched::telemetry::json::{self, Value};
+    let dir = std::env::temp_dir().join(format!("psc-json-name-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let name = r#"my"mach\ine"#;
+    let spec = dir.join("quoted.spec");
+    std::fs::write(
+        &spec,
+        format!(
+            "machine {name}\nissue 2\nregs 16\nunit fixed 1\nunit fetch 1\n\
+             route int fixed 1\nroute float fixed 1\nroute load fetch 2\n\
+             route store fetch 1\nroute branch fixed 1\nroute call fixed 1\n\
+             route nop fixed 1\n"
+        ),
+    )
+    .expect("write spec");
+    let example =
+        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/branchy.psc");
+    let out = psc(&[
+        example.as_os_str(),
+        "--machine-spec".as_ref(),
+        spec.as_os_str(),
+        "--emit".as_ref(),
+        "json".as_ref(),
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = json::parse(&stdout).unwrap_or_else(|e| panic!("{e}: {stdout}"));
+    assert_eq!(doc.get("machine").and_then(Value::as_str), Some(name));
+    let _ = std::fs::remove_dir_all(&dir);
+}
