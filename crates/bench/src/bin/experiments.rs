@@ -105,7 +105,18 @@ fn t_cycles() {
             }
             table.row(&cells);
         }
-        println!("machine: {machine}");
+        // The register count varies by row, so the heading names only the
+        // machine's shape.
+        let units: String = machine
+            .units()
+            .iter()
+            .map(|u| format!(" {}x{}", u.count, u.name))
+            .collect();
+        println!(
+            "machine: {} (issue {}; units:{units})",
+            machine.name(),
+            machine.issue_width()
+        );
         print!("{}", table.render());
         println!();
     }

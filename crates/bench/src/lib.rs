@@ -1,26 +1,21 @@
-//! The `parsched` benchmark harness.
+//! The paper-table generators and the `pscd` load generator.
 //!
 //! Three binaries share this crate:
 //!
-//! - `parsched-bench` (the default) runs the parallel batch-compilation
-//!   sweep from [`sweep`] and writes `BENCH_parallel.json` at the repo
-//!   root; see `docs/BENCHMARKING.md`.
-//! - `figures` and `experiments` regenerate the per-block tables in
-//!   EXPERIMENTS.md.
+//! - `figures` and `experiments` regenerate the tables in EXPERIMENTS.md;
+//! - `parsched-loadgen` drives a running `pscd` with a seeded request
+//!   stream (see `docs/SERVICE.md`).
 //!
-//! The crate is deliberately zero-dependency (no criterion, no rand, no
-//! serde) so the workspace builds and benches fully offline: timing uses
-//! `std::time::Instant`, randomness comes from `parsched-workload`'s
-//! seeded SplitMix64 generators, and report validation uses the small
-//! JSON reader in `parsched::telemetry::json`. This module itself holds the corpus shared by
-//! the `figures`/`experiments` binaries, so every table in EXPERIMENTS.md
-//! is generated from one definition.
+//! The repo benchmark is `perfbench/`, not this crate; see
+//! `docs/BENCHMARKING.md`. The crate is deliberately zero-dependency (no
+//! criterion, no rand, no serde) so the workspace builds fully offline:
+//! randomness comes from `parsched-workload`'s seeded SplitMix64
+//! generators. This module itself holds the corpus shared by the
+//! `figures`/`experiments` binaries, so every table in EXPERIMENTS.md is
+//! generated from one definition.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod compare;
-pub mod sweep;
 
 use parsched::ir::Function;
 use parsched::machine::{presets, MachineDesc};

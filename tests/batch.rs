@@ -1,16 +1,19 @@
 //! Batch-compilation contracts: thread count must never change the
-//! output (byte-identical assembly, identical spill counts), one
-//! function's failure must stay in its own result slot, and a panicking
-//! shared telemetry sink must not take the batch down.
+//! output (byte-identical assembly, identical spill counts), neither may
+//! the reachability backend, spill rounds must maintain the closure
+//! incrementally, one function's failure must stay in its own result
+//! slot, and a panicking shared telemetry sink must not take the batch
+//! down.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use parsched::ir::{parse_module, print_function, Function};
 use parsched::machine::presets;
-use parsched::telemetry::{NullTelemetry, Telemetry};
+use parsched::telemetry::{NullTelemetry, Recorder, Telemetry};
 use parsched::{
-    BatchDriver, BatchOutput, Budget, DegradationLevel, Driver, ParschedError, Pipeline,
+    BatchDriver, BatchOutput, Budget, ClosureMode, CompileStats, DegradationLevel, Driver,
+    ParschedError, Pipeline, Strategy,
 };
 use parsched_workload::{
     random_cfg_function, random_dag_function, straight_line_kernels, CfgParams, DagParams,
@@ -46,6 +49,36 @@ fn corpus() -> Vec<Function> {
     funcs
 }
 
+/// The register-pressure shape: wide 48-inst DAGs keep many values live
+/// at once, so on the 6-register paper machine combined spills over
+/// several rounds.
+const PRESSURE: DagParams = DagParams {
+    size: 48,
+    load_fraction: 0.2,
+    float_fraction: 0.3,
+    window: 24,
+};
+
+/// 32 spill-heavy functions for `paper_machine(6)`.
+fn pressure_corpus() -> Vec<Function> {
+    (0..32u64)
+        .map(|seed| random_dag_function(seed * 17 + 3, &PRESSURE))
+        .collect()
+}
+
+/// 24 eight-instruction DAGs, small enough for the exact solver.
+fn exact_small_corpus() -> Vec<Function> {
+    let params = DagParams {
+        size: 8,
+        load_fraction: 0.2,
+        float_fraction: 0.3,
+        window: 4,
+    };
+    (0..24u64)
+        .map(|seed| random_dag_function(seed * 13 + 7, &params))
+        .collect()
+}
+
 fn assembly(out: &BatchOutput) -> String {
     out.results
         .iter()
@@ -57,22 +90,54 @@ fn assembly(out: &BatchOutput) -> String {
         .join("\n")
 }
 
-#[test]
-fn jobs_one_and_eight_are_byte_identical() {
-    let funcs = corpus();
-    let driver = Driver::new(Pipeline::new(presets::paper_machine(8)));
+fn stats(out: &BatchOutput) -> Vec<CompileStats> {
+    out.results
+        .iter()
+        .map(|r| match r {
+            Ok(res) => res.stats,
+            Err(e) => panic!("batch function failed: {e}"),
+        })
+        .collect()
+}
+
+/// Compiles `funcs` at 1, 2, 4 and 8 jobs and requires byte-identical
+/// assembly and equal spill and instruction totals at every count.
+fn assert_jobs_invariant(label: &str, driver: &Driver, funcs: &[Function]) {
     let serial = BatchDriver::new(driver.clone())
         .with_jobs(1)
-        .compile_module(&funcs, &NullTelemetry);
-    let threaded = BatchDriver::new(driver)
-        .with_jobs(8)
-        .compile_module(&funcs, &NullTelemetry);
+        .compile_module(funcs, &NullTelemetry);
     assert_eq!(serial.jobs, 1);
-    assert_eq!(threaded.jobs, 8.min(funcs.len()));
-    assert_eq!(serial.ok_count(), funcs.len());
-    assert_eq!(assembly(&serial), assembly(&threaded));
-    assert_eq!(serial.total_spills(), threaded.total_spills());
-    assert_eq!(serial.total_insts(), threaded.total_insts());
+    assert_eq!(serial.ok_count(), funcs.len(), "{label}");
+    let base_asm = assembly(&serial);
+    for jobs in [2, 4, 8] {
+        let out = BatchDriver::new(driver.clone())
+            .with_jobs(jobs)
+            .compile_module(funcs, &NullTelemetry);
+        assert_eq!(out.jobs, jobs.min(funcs.len()), "{label}");
+        assert_eq!(
+            base_asm,
+            assembly(&out),
+            "{label}: jobs={jobs} changed the assembly"
+        );
+        assert_eq!(serial.total_spills(), out.total_spills(), "{label}");
+        assert_eq!(serial.total_insts(), out.total_insts(), "{label}");
+    }
+}
+
+#[test]
+fn jobs_one_and_eight_are_byte_identical() {
+    let paper8 = Driver::new(Pipeline::new(presets::paper_machine(8)));
+    assert_jobs_invariant("generator corpus", &paper8, &corpus());
+}
+
+#[test]
+fn thread_count_never_changes_spilling_or_exact_output() {
+    let paper8 = Driver::new(Pipeline::new(presets::paper_machine(8)));
+    // `Driver::new`'s default ladder leads with combined.
+    let paper6 = Driver::new(Pipeline::new(presets::paper_machine(6)));
+    assert_jobs_invariant("pressure corpus", &paper6, &pressure_corpus());
+    let exact = paper8.with_ladder(Driver::preferred_first_ladder(Strategy::exact()));
+    assert_jobs_invariant("exact-small corpus", &exact, &exact_small_corpus());
 }
 
 #[test]
@@ -88,33 +153,50 @@ fn example_modules_are_deterministic_across_jobs() {
         modules.len() >= 2,
         "expected at least two .psc example modules, found {modules:?}"
     );
+    let driver = Driver::new(Pipeline::new(presets::paper_machine(8)));
     for path in modules {
         let src = std::fs::read_to_string(&path).unwrap();
         let funcs = parse_module(&src)
             .unwrap_or_else(|e| panic!("{}: failed to parse: {e}", path.display()));
-        let driver = Driver::new(Pipeline::new(presets::paper_machine(8)));
-        let baseline = BatchDriver::new(driver.clone())
-            .with_jobs(1)
-            .compile_module(&funcs, &NullTelemetry);
-        let base_asm = assembly(&baseline);
-        for jobs in [2, 4, 8] {
-            let out = BatchDriver::new(driver.clone())
-                .with_jobs(jobs)
-                .compile_module(&funcs, &NullTelemetry);
-            assert_eq!(
-                base_asm,
-                assembly(&out),
-                "{}: jobs={jobs} changed the assembly",
-                path.display()
-            );
-            assert_eq!(
-                baseline.total_spills(),
-                out.total_spills(),
-                "{}",
-                path.display()
-            );
-        }
+        assert_jobs_invariant(&path.display().to_string(), &driver, &funcs);
     }
+}
+
+#[test]
+fn spill_rounds_rebuild_the_closure_incrementally() {
+    // Several spill rounds must run through the session PIG, and only the
+    // first round may build the closure from scratch.
+    let func = random_dag_function(3, &PRESSURE);
+    let pipeline = Pipeline::new(presets::paper_machine(6));
+    let recorder = Recorder::new();
+    let result = pipeline
+        .compile(&func, &Strategy::combined(), &recorder)
+        .expect("combined compiles the pressure function");
+    assert!(result.stats.spilled_values > 0, "the function must spill");
+    assert!(
+        recorder.counter_value("pig.rounds") > 0,
+        "the session PIG path never ran"
+    );
+    let full = recorder.counter_value("pig.full_rebuilds");
+    assert!(
+        full <= 1,
+        "pig.full_rebuilds = {full}: spill rounds rebuilt the closure from scratch"
+    );
+}
+
+#[test]
+fn closure_backends_emit_identical_code() {
+    let funcs = pressure_corpus();
+    let compile = |mode| {
+        let pipeline = Pipeline::new(presets::paper_machine(6)).with_closure(mode);
+        BatchDriver::new(Driver::new(pipeline))
+            .with_jobs(1)
+            .compile_module(&funcs, &NullTelemetry)
+    };
+    let dense = compile(ClosureMode::Dense);
+    let sparse = compile(ClosureMode::Sparse);
+    assert_eq!(assembly(&dense), assembly(&sparse));
+    assert_eq!(stats(&dense), stats(&sparse));
 }
 
 #[test]
