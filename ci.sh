@@ -19,7 +19,7 @@ baseline=$(cat ci/panic-baseline.txt)
 count=$(grep -rE 'unwrap\(\)|expect\(|panic!' \
     crates/ir/src crates/sched/src crates/regalloc/src crates/core/src \
     crates/exact/src crates/verify/src crates/telemetry/src \
-    crates/pscd/src crates/machine/src | wc -l)
+    crates/pscd/src crates/machine/src crates/graph/src | wc -l)
 echo "    panic-pattern sites: $count (baseline $baseline)"
 if [ "$count" -gt "$baseline" ]; then
     echo "panic audit FAILED: $count sites > baseline $baseline" >&2
@@ -114,8 +114,9 @@ echo "==> chaos gate (pscd daemon vs parsched-loadgen, must stay under 30s)"
 # workload, and require both to exit cleanly: the loadgen exits nonzero on
 # a daemon crash, an unanswered accepted request, or a cache hit whose
 # bytes differ from the cold response; the daemon exits nonzero if the
-# drain fails. --shutdown makes the loadgen end the run, so the daemon's
-# exit is part of the gate.
+# drain fails. A first run without --shutdown must exit on its own once
+# every request is answered; the second run's --shutdown makes the
+# loadgen end the daemon, so the daemon's exit is part of the gate.
 chaos_sock=$(mktemp -u /tmp/parsched-chaos.XXXXXX.sock)
 ./target/release/pscd --listen "$chaos_sock" 2> /dev/null &
 chaos_pid=$!
@@ -123,6 +124,12 @@ for _ in $(seq 1 50); do
     [ -S "$chaos_sock" ] && break
     sleep 0.1
 done
+if ! timeout 30 ./target/release/parsched-loadgen --socket "$chaos_sock" \
+    --branchy --seed 3 --requests 200 > /dev/null; then
+    kill "$chaos_pid" 2> /dev/null || true
+    echo "chaos gate FAILED: loadgen without --shutdown did not exit cleanly" >&2
+    exit 1
+fi
 if ! timeout 30 ./target/release/parsched-loadgen --socket "$chaos_sock" \
     --chaos --branchy --seed 0 --requests 500 --rps 500 --shutdown \
     > /dev/null; then

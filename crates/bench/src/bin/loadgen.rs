@@ -21,6 +21,7 @@ use parsched_workload::{
 };
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
+use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, TryRecvError};
 use std::time::{Duration, Instant};
@@ -413,6 +414,10 @@ fn run(opts: &Options) -> Result<Audit, String> {
         }
     }
 
+    // The reader thread holds a clone of this socket, so dropping the
+    // writer alone would leave the connection open and the join blocked;
+    // shutting both directions ends the reader's `lines()`.
+    let _ = writer.shutdown(Shutdown::Both);
     drop(writer);
     let _ = reader.join();
 

@@ -79,7 +79,7 @@ pub mod prelude {
         StrategyParseError,
     };
     pub use parsched_exact::ExactConfig;
-    pub use parsched_graph::{ClosureMode, Reachability};
+    pub use parsched_graph::Reachability;
     pub use parsched_regalloc::AllocSession;
     pub use parsched_sched::{BlockRemap, SchedSession};
     pub use parsched_telemetry::{NullTelemetry, Recorder, Telemetry};
@@ -89,7 +89,7 @@ pub use batch::{BatchDriver, BatchOutput};
 pub use budget::Budget;
 pub use driver::{DegradationLevel, Driver};
 pub use error::ParschedError;
-pub use parsched_graph::{ClosureMode, ClosureModeParseError, Reachability};
+pub use parsched_graph::Reachability;
 pub use pipeline::{
     AllocScope, CompileResult, CompileStats, Pipeline, PipelineError, Strategy, StrategyParseError,
 };

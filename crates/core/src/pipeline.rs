@@ -4,7 +4,6 @@
 use crate::budget::Budget;
 use crate::driver::DegradationLevel;
 use parsched_exact::{ExactConfig, ExactError};
-use parsched_graph::ClosureMode;
 use parsched_ir::{BlockId, Function};
 use parsched_machine::MachineDesc;
 use parsched_regalloc::allocator::{allocate_single_block_in, AllocError, BlockStrategy};
@@ -265,7 +264,6 @@ pub struct Pipeline {
     machine: MachineDesc,
     merge_chains: bool,
     scope: AllocScope,
-    closure: ClosureMode,
 }
 
 impl Pipeline {
@@ -275,7 +273,6 @@ impl Pipeline {
             machine,
             merge_chains: false,
             scope: AllocScope::Auto,
-            closure: ClosureMode::Auto,
         }
     }
 
@@ -299,21 +296,6 @@ impl Pipeline {
     pub fn with_chain_merging(mut self, enable: bool) -> Pipeline {
         self.merge_chains = enable;
         self
-    }
-
-    /// Sets the reachability backend policy ([`ClosureMode::Auto`] by
-    /// default): which representation the combined strategy's sessions use
-    /// for the transitive closure of each block's dependence graph. Exposed
-    /// as `psc --closure {auto,dense,sparse}` for benchmarking; the output
-    /// is byte-identical under every mode.
-    pub fn with_closure(mut self, mode: ClosureMode) -> Pipeline {
-        self.closure = mode;
-        self
-    }
-
-    /// The configured reachability backend policy.
-    pub fn closure(&self) -> ClosureMode {
-        self.closure
     }
 
     /// The target machine.
@@ -579,7 +561,6 @@ impl Pipeline {
         telemetry: &dyn Telemetry,
     ) -> Result<(Function, CompileStats), PipelineError> {
         let mut stats = CompileStats::default();
-        session.set_closure_mode(self.closure);
         // Auto keeps single-block functions on the block-level allocators;
         // --global forces the web path everywhere, --per-block only changes
         // multi-block behavior (a single block has no cross-block webs).

@@ -16,20 +16,23 @@ pub fn dsatur_coloring(g: &UnGraph) -> Coloring {
     let mut colors = vec![UNCOLORED; n];
     let mut saturation: Vec<HashSet<u32>> = vec![HashSet::new(); n];
 
-    for _ in 0..n {
-        let v = (0..n)
-            .filter(|&v| colors[v] == UNCOLORED)
-            .max_by_key(|&v| (saturation[v].len(), g.degree(v), std::cmp::Reverse(v)))
-            .expect("uncolored node remains");
-        let c = (0..)
-            .find(|c| !saturation[v].contains(c))
-            .expect("free color");
+    while let Some(v) = (0..n)
+        .filter(|&v| colors[v] == UNCOLORED)
+        .max_by_key(|&v| (saturation[v].len(), g.degree(v), std::cmp::Reverse(v)))
+    {
+        let mut c = 0;
+        while saturation[v].contains(&c) {
+            c += 1;
+        }
         colors[v] = c;
         for &u in g.neighbors(v) {
             saturation[u].insert(c);
         }
     }
-    Coloring::new(g, colors).expect("dsatur coloring is proper by construction")
+    match Coloring::new(g, colors) {
+        Ok(coloring) => coloring,
+        Err(e) => unreachable!("each node got a color none of its neighbors had: {e}"),
+    }
 }
 
 #[cfg(test)]

@@ -75,10 +75,6 @@ pub fn exact_coloring(g: &UnGraph, limits: &ExactLimits) -> Result<Coloring, Exa
             limit: limits.max_nodes,
         });
     }
-    if n == 0 {
-        return Ok(Coloring::new(g, Vec::new()).expect("empty coloring is proper"));
-    }
-
     let mut best = dsatur_coloring(g);
     let clique = max_clique_lower_bound(g);
     let lower = clique.len() as u32;
@@ -109,7 +105,12 @@ pub fn exact_coloring(g: &UnGraph, limits: &ExactLimits) -> Result<Coloring, Exa
             limits.max_steps,
         ) {
             Some(true) => {
-                best = Coloring::new(g, colors.clone()).expect("search result is proper");
+                best = match Coloring::new(g, colors.clone()) {
+                    Ok(coloring) => coloring,
+                    Err(e) => unreachable!(
+                        "try_color colors every node differently from its neighbors: {e}"
+                    ),
+                };
                 if target == 0 {
                     break;
                 }

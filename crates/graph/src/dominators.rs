@@ -91,10 +91,10 @@ impl Dominators {
             if cur == a {
                 return true;
             }
-            if cur == self.root {
-                return false;
+            match self.idom[cur] {
+                Some(d) if cur != self.root => cur = d,
+                _ => return false,
             }
-            cur = self.idom[cur].expect("reachable node has idom");
         }
     }
 
@@ -137,12 +137,19 @@ impl DominatorTree {
 }
 
 fn intersect(idom: &[Option<NodeId>], rpo_index: &[usize], mut a: NodeId, mut b: NodeId) -> NodeId {
+    // Both fingers start at processed nodes and only climb to their
+    // dominators, which reverse postorder processed earlier, so every idom
+    // looked up here is already set.
+    let climb = |v: NodeId| match idom[v] {
+        Some(d) => d,
+        None => unreachable!("finger {v} climbed to an unprocessed node"),
+    };
     while a != b {
         while rpo_index[a] > rpo_index[b] {
-            a = idom[a].expect("finger has idom");
+            a = climb(a);
         }
         while rpo_index[b] > rpo_index[a] {
-            b = idom[b].expect("finger has idom");
+            b = climb(b);
         }
     }
     a

@@ -51,7 +51,7 @@ pub use coloring::{Coloring, ColoringError};
 pub use digraph::{DiGraph, DEADLINE_STRIDE};
 pub use dominators::{DominatorTree, Dominators};
 pub use hash::{FastMap, FastSet};
-pub use reachability::{ClosureMode, ClosureModeParseError, Reachability, Rebuilt};
+pub use reachability::{ClosureMode, Reachability, Rebuilt};
 pub use scc::strongly_connected_components;
 pub use topo::{topological_sort, CycleError};
 pub use ungraph::UnGraph;

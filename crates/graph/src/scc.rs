@@ -51,9 +51,9 @@ pub fn strongly_connected_components(g: &DiGraph) -> Vec<Vec<NodeId>> {
                     lowlink[parent] = lowlink[parent].min(lowlink[v]);
                 }
                 if lowlink[v] == index[v] {
+                    // `v` is still on the stack, so this pops down to it.
                     let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
+                    while let Some(w) = stack.pop() {
                         on_stack[w] = false;
                         comp.push(w);
                         if w == v {

@@ -7,6 +7,7 @@ use parsched_graph::coloring::{
 use parsched_graph::{
     strongly_connected_components, BitSet, ClosureMode, DiGraph, Reachability, Rebuilt, UnGraph,
 };
+use std::collections::VecDeque;
 
 /// SplitMix64 — enough randomness for structural graph tests.
 struct Rng(u64);
@@ -193,62 +194,103 @@ fn clique_is_actually_a_clique() {
     }
 }
 
-/// Builds both closure backends over `g`, panicking on deadline (none set).
-fn both_backends(g: &DiGraph) -> (Reachability, Reachability) {
-    let dense = Reachability::build(g, ClosureMode::Dense, None).unwrap();
-    let sparse = Reachability::build(g, ClosureMode::Sparse, None).unwrap();
-    (dense, sparse)
+/// Membership of the nodes reachable from `i` by a non-empty path, by
+/// breadth-first search over `next` — an independent reference for
+/// [`Reachability`].
+fn bfs(n: usize, next: impl Fn(usize) -> Vec<usize>, i: usize) -> Vec<bool> {
+    let mut seen = vec![false; n];
+    let mut queue: VecDeque<usize> = next(i).into();
+    while let Some(u) = queue.pop_front() {
+        if !seen[u] {
+            seen[u] = true;
+            queue.extend(next(u));
+        }
+    }
+    seen
 }
 
-/// Asserts the two relations answer every query surface identically:
-/// `reaches`, `row_iter`, `rrow_iter`, `unordered_into`, and `to_dense`.
-fn assert_backends_agree(dense: &Reachability, sparse: &Reachability) {
-    let n = dense.len();
-    assert_eq!(n, sparse.len());
-    assert_eq!(dense.to_dense(), sparse.to_dense());
+fn members(set: &[bool]) -> Vec<usize> {
+    (0..set.len()).filter(|&j| set[j]).collect()
+}
+
+/// Asserts `reach` answers every query surface of `g`'s reachability as the
+/// BFS reference does: `reaches`, sorted `row_iter`/`rrow_iter`,
+/// `for_each_unreachable`, `unordered_into`, and `to_dense`.
+fn assert_matches_bfs(reach: &Reachability, g: &DiGraph) {
+    let n = g.node_count();
+    assert_eq!(reach.len(), n);
+    let dense = reach.to_dense();
     let mut universe = BitSet::new(n);
     universe.fill();
-    let mut out_d = BitSet::new(n);
-    let mut out_s = BitSet::new(n);
+    let mut out = BitSet::new(n);
     for i in 0..n {
-        for j in 0..n {
-            assert_eq!(
-                dense.reaches(i, j),
-                sparse.reaches(i, j),
-                "reaches({i}, {j}) diverges"
-            );
+        let fwd = bfs(n, |u| g.succs(u).to_vec(), i);
+        let bwd = bfs(n, |u| g.preds(u).to_vec(), i);
+        for (j, &expected) in fwd.iter().enumerate() {
+            assert_eq!(reach.reaches(i, j), expected, "reaches({i}, {j})");
+            assert_eq!(dense.get(i, j), expected, "to_dense ({i}, {j})");
         }
-        let rd: Vec<usize> = dense.row_iter(i).collect();
-        let mut rs: Vec<usize> = sparse.row_iter(i).collect();
-        rs.sort_unstable();
-        assert_eq!(rd, rs, "row_iter({i}) diverges");
-        let rd: Vec<usize> = dense.rrow_iter(i).collect();
-        let mut rs: Vec<usize> = sparse.rrow_iter(i).collect();
-        rs.sort_unstable();
-        assert_eq!(rd, rs, "rrow_iter({i}) diverges");
-        dense.unordered_into(i, &universe, &mut out_d);
-        sparse.unordered_into(i, &universe, &mut out_s);
-        assert_eq!(out_d, out_s, "unordered_into({i}) diverges");
+        let mut row: Vec<usize> = reach.row_iter(i).collect();
+        row.sort_unstable();
+        assert_eq!(row, members(&fwd), "row_iter({i})");
+        let mut rrow: Vec<usize> = reach.rrow_iter(i).collect();
+        rrow.sort_unstable();
+        assert_eq!(rrow, members(&bwd), "rrow_iter({i})");
+        let unordered: Vec<usize> = (0..n).filter(|&j| j != i && !fwd[j] && !bwd[j]).collect();
+        let mut each = Vec::new();
+        reach.for_each_unreachable(i, |j| each.push(j));
+        each.sort_unstable();
+        assert_eq!(each, unordered, "for_each_unreachable({i})");
+        reach.unordered_into(i, &universe, &mut out);
+        assert_eq!(
+            out.iter().collect::<Vec<_>>(),
+            unordered,
+            "unordered_into({i})"
+        );
     }
 }
 
+fn closure(g: &DiGraph) -> Reachability {
+    Reachability::build(g, ClosureMode::Auto, None).unwrap()
+}
+
+/// Hand-made cyclic graphs: the closure falls back to the fixpoint.
+fn cyclic_graphs() -> Vec<DiGraph> {
+    let graph = |n: usize, edges: &[(usize, usize)]| {
+        let mut g = DiGraph::new(n);
+        for &(u, v) in edges {
+            g.add_edge(u, v);
+        }
+        g
+    };
+    vec![
+        // A 5-ring.
+        graph(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+        // A self-loop feeding a chain, plus an isolated node.
+        graph(4, &[(0, 0), (0, 1), (1, 2)]),
+        // Two 2-cycles joined one way, with a tail into the first.
+        graph(6, &[(5, 0), (0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 4)]),
+    ]
+}
+
 #[test]
-fn sparse_closure_equals_dense_on_random_dags() {
+fn closure_matches_bfs_reference() {
     let mut rng = Rng::new(11);
     for _ in 0..CASES {
         let g = random_dag(&mut rng, 24);
-        let (dense, sparse) = both_backends(&g);
-        assert_eq!(dense.backend_label(), "dense");
-        assert_eq!(sparse.backend_label(), "sparse");
-        assert_backends_agree(&dense, &sparse);
+        assert_matches_bfs(&closure(&g), &g);
+    }
+    for g in cyclic_graphs() {
+        assert_matches_bfs(&closure(&g), &g);
     }
 }
 
 #[test]
-fn incremental_rebuild_equals_from_scratch_for_both_backends() {
+fn incremental_rebuild_equals_from_scratch() {
     // Simulates a spill round: grow the DAG by splicing new nodes into the
     // index space (the identity-with-gaps remap spill insertion produces),
-    // then check the incrementally rebuilt relation matches a fresh build.
+    // then check the incrementally rebuilt relation matches a fresh build
+    // and the BFS reference.
     let mut rng = Rng::new(12);
     for _ in 0..CASES {
         let g = random_dag(&mut rng, 20);
@@ -274,31 +316,17 @@ fn incremental_rebuild_equals_from_scratch_for_both_backends() {
                 grown.add_edge(s.min(t), s.max(t));
             }
         }
-        for mode in [ClosureMode::Dense, ClosureMode::Sparse] {
-            let mut reach = Reachability::build(&g, mode, None).unwrap();
-            let rebuilt = reach.rebuild(&g, &grown, &old_to_new, None).unwrap();
-            assert!(
-                matches!(rebuilt, Rebuilt::Incremental { .. }),
-                "usable previous state must take the incremental path"
-            );
-            let fresh = Reachability::build(&grown, mode, None).unwrap();
-            assert_eq!(
-                reach.to_dense(),
-                fresh.to_dense(),
-                "incremental {} rebuild diverges from scratch",
-                reach.backend_label()
-            );
-        }
-    }
-}
-
-#[test]
-fn auto_mode_matches_forced_backends() {
-    let mut rng = Rng::new(13);
-    for _ in 0..CASES {
-        let g = random_dag(&mut rng, 24);
-        let auto = Reachability::build(&g, ClosureMode::Auto, None).unwrap();
-        let (dense, _) = both_backends(&g);
-        assert_eq!(auto.to_dense(), dense.to_dense());
+        let mut reach = closure(&g);
+        let rebuilt = reach.rebuild(&g, &grown, &old_to_new, None).unwrap();
+        assert!(
+            matches!(rebuilt, Rebuilt::Incremental { .. }),
+            "usable previous state must take the incremental path"
+        );
+        assert_eq!(
+            reach,
+            closure(&grown),
+            "incremental rebuild diverges from scratch"
+        );
+        assert_matches_bfs(&reach, &grown);
     }
 }

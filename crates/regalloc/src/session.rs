@@ -73,17 +73,8 @@ impl AllocSession {
         self.sched.set_deadline(deadline);
     }
 
-    /// Sets the reachability backend policy (see
-    /// [`parsched_sched::SchedSession::set_closure_mode`]); takes effect at
-    /// the next [`AllocSession::begin`].
-    pub fn set_closure_mode(&mut self, mode: ClosureMode) {
-        self.sched.set_closure_mode(mode);
-    }
-
-    /// The configured reachability backend policy.
-    pub fn closure_mode(&self) -> ClosureMode {
-        self.sched.closure_mode()
-    }
+    /// Kept only because perfbench's `layers.rs` calls it: a no-op.
+    pub fn set_closure_mode(&mut self, _mode: ClosureMode) {}
 
     /// Starts a fresh block: full dependence-graph and closure build. Also
     /// the reset between functions when a session is reused.
@@ -253,8 +244,7 @@ impl AllocSession {
                 });
             }
             // ef_row(i) = defs \ reach(i) \ reach⁻¹(i) \ conflicts(i) \ {i};
-            // the engine answers the first three in one query, whichever
-            // backend it holds.
+            // the engine answers the first three in one query.
             reach.unordered_into(i, &def_mask, &mut self.scratch);
             self.scratch
                 .difference_with(&conflict_rows[conflict_idx[i]]);

@@ -10,13 +10,10 @@
 //!
 //! The reachability relation itself lives behind
 //! [`parsched_graph::Reachability`], which answers point queries, row
-//! enumeration, and unordered-pair enumeration without committing callers to
-//! a dense bit-matrix: the backend (dense rows or a sparse chain cover) is
-//! chosen per block by the session's [`ClosureMode`]. Either backend is
-//! maintained exactly, not approximately: the result of a rebuild is always
-//! equal to a from-scratch construction over the new block, which the
-//! property suite in `tests/sessions.rs` checks against hundreds of seeded
-//! cases under both backends.
+//! enumeration, and unordered-pair enumeration. It is maintained exactly, not
+//! approximately: the result of a rebuild is always equal to a from-scratch
+//! construction over the new block, which the property suite in
+//! `tests/sessions.rs` checks against hundreds of seeded cases.
 
 use crate::deps::DepGraph;
 use parsched_graph::{ClosureMode, Reachability, Rebuilt};
@@ -27,7 +24,7 @@ use std::time::Instant;
 /// The session's wall-clock deadline passed mid-build.
 ///
 /// Closure maintenance is the longest uninterruptible loop in the
-/// pipeline; both reachability backends poll the clock every
+/// pipeline; the reachability builds poll the clock every
 /// ~[`parsched_graph::DEADLINE_STRIDE`] units of work so a deadline set via
 /// [`SchedSession::set_deadline`] trips within a bounded slice of work
 /// instead of after a whole rung. The caller (the allocator's budget
@@ -105,15 +102,13 @@ impl BlockRemap {
 /// Long-lived scheduling state for one block, reusable across spill rounds
 /// and (after [`SchedSession::build`] on a new block) across functions.
 ///
-/// Telemetry: every full closure construction bumps `pig.full_rebuilds` and
-/// emits a `closure.backend` event (plus a `closure.chains` counter when the
-/// sparse backend is chosen); every incremental rebuild bumps
-/// `pig.incremental_nodes` by the number of rows actually recomputed.
+/// Telemetry: every full closure construction bumps `pig.full_rebuilds`;
+/// every incremental rebuild bumps `pig.incremental_nodes` by the number of
+/// rows actually recomputed.
 #[derive(Debug)]
 pub struct SchedSession {
     deps: Option<DepGraph>,
     reach: Reachability,
-    mode: ClosureMode,
     /// Cooperative wall-clock deadline for closure maintenance.
     deadline: Option<Instant>,
 }
@@ -125,26 +120,13 @@ impl Default for SchedSession {
 }
 
 impl SchedSession {
-    /// Creates an empty session with the [`ClosureMode::Auto`] backend.
+    /// Creates an empty session.
     pub fn new() -> SchedSession {
         SchedSession {
             deps: None,
             reach: Reachability::new(),
-            mode: ClosureMode::Auto,
             deadline: None,
         }
-    }
-
-    /// Sets the backend selection policy for subsequent builds. The backend
-    /// is sticky per block: changing the mode takes effect at the next
-    /// [`SchedSession::build`], not mid-spill-loop.
-    pub fn set_closure_mode(&mut self, mode: ClosureMode) {
-        self.mode = mode;
-    }
-
-    /// The configured backend selection policy.
-    pub fn closure_mode(&self) -> ClosureMode {
-        self.mode
     }
 
     /// Sets (or clears) the wall-clock deadline the closure loops poll
@@ -167,15 +149,9 @@ impl SchedSession {
         self.reach = Reachability::new();
     }
 
-    fn report_build(&self, telemetry: &dyn parsched_telemetry::Telemetry) {
-        if !telemetry.enabled() {
-            return;
-        }
-        telemetry.counter("pig.full_rebuilds", 1);
-        telemetry.event("closure.backend", self.reach.backend_label());
-        let chains = self.reach.chain_count();
-        if chains > 0 {
-            telemetry.counter("closure.chains", chains as u64);
+    fn report_build(telemetry: &dyn parsched_telemetry::Telemetry) {
+        if telemetry.enabled() {
+            telemetry.counter("pig.full_rebuilds", 1);
         }
     }
 
@@ -194,7 +170,7 @@ impl SchedSession {
         let deps = DepGraph::build(block, telemetry);
         let reach = {
             let _s = parsched_telemetry::span(telemetry, "closure.build");
-            Reachability::build(deps.graph(), self.mode, self.deadline)
+            Reachability::build(deps.graph(), ClosureMode::Auto, self.deadline)
         };
         let Some(reach) = reach else {
             self.reset();
@@ -204,7 +180,7 @@ impl SchedSession {
         };
         self.reach = reach;
         self.deps = Some(deps);
-        self.report_build(telemetry);
+        Self::report_build(telemetry);
         Ok(())
     }
 
@@ -262,7 +238,7 @@ impl SchedSession {
                     telemetry.counter("pig.incremental_nodes", recomputed);
                 }
             }
-            Rebuilt::Full => self.report_build(telemetry),
+            Rebuilt::Full => Self::report_build(telemetry),
         }
         Ok(())
     }
@@ -338,17 +314,14 @@ mod tests {
             }
             "#,
         );
-        for mode in [ClosureMode::Auto, ClosureMode::Dense, ClosureMode::Sparse] {
-            let mut sess = SchedSession::new();
-            sess.set_closure_mode(mode);
-            assert!(sess.build(&old, &NullTelemetry).is_ok());
-            let remap = BlockRemap::new(vec![0, 2, 4], 5);
-            assert!(sess
-                .rebuild_after_spill(&new, &remap, &NullTelemetry)
-                .is_ok());
-            let reference = DepGraph::build(&new, &NullTelemetry).graph().reachability();
-            assert_eq!(sess.reachability().to_dense(), reference, "{mode}");
-        }
+        let mut sess = SchedSession::new();
+        assert!(sess.build(&old, &NullTelemetry).is_ok());
+        let remap = BlockRemap::new(vec![0, 2, 4], 5);
+        assert!(sess
+            .rebuild_after_spill(&new, &remap, &NullTelemetry)
+            .is_ok());
+        let reference = DepGraph::build(&new, &NullTelemetry).graph().reachability();
+        assert_eq!(sess.reachability().to_dense(), reference);
     }
 
     #[test]
@@ -373,24 +346,20 @@ mod tests {
         }
         src.push_str("    ret s1500\n}");
         let b = block(&src);
-        for mode in [ClosureMode::Dense, ClosureMode::Sparse] {
-            let mut sess = SchedSession::new();
-            sess.set_closure_mode(mode);
-            sess.set_deadline(Some(Instant::now() - std::time::Duration::from_millis(1)));
-            let err = sess.build(&b, &NullTelemetry);
-            assert_eq!(
-                err,
-                Err(DeadlineExceeded {
-                    phase: "closure.build"
-                }),
-                "{mode}"
-            );
-            // The failed build leaves no half-built state behind.
-            assert!(sess.deps().is_none());
-            // Clearing the deadline makes the same block build fine.
-            sess.set_deadline(None);
-            assert!(sess.build(&b, &NullTelemetry).is_ok());
-            assert!(sess.deps().is_some());
-        }
+        let mut sess = SchedSession::new();
+        sess.set_deadline(Some(Instant::now() - std::time::Duration::from_millis(1)));
+        let err = sess.build(&b, &NullTelemetry);
+        assert_eq!(
+            err,
+            Err(DeadlineExceeded {
+                phase: "closure.build"
+            })
+        );
+        // The failed build leaves no half-built state behind.
+        assert!(sess.deps().is_none());
+        // Clearing the deadline makes the same block build fine.
+        sess.set_deadline(None);
+        assert!(sess.build(&b, &NullTelemetry).is_ok());
+        assert!(sess.deps().is_some());
     }
 }

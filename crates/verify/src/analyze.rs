@@ -352,8 +352,8 @@ pub fn et_pairs(succ: &[Vec<usize>], classes: &[OpClass], machine: &MachineDesc)
         }
     }
     // The checker deliberately goes through the same Reachability engine as
-    // the pipeline (Auto backend) — the engine's own property suite pins
-    // sparse ≡ dense, and the checker only consumes the query interface.
+    // the pipeline — the engine's own property suite pins it to a BFS
+    // reference, and the checker only consumes the query interface.
     let reach =
         match parsched_graph::Reachability::build(&g, parsched_graph::ClosureMode::Auto, None) {
             Some(r) => r,

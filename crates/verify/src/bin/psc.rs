@@ -34,7 +34,7 @@ use parsched::telemetry::{
     ChromeTraceSink, Fanout, FlightRecorder, NullTelemetry, PhaseTree, Recorder, Telemetry,
 };
 use parsched::{
-    AllocScope, BatchDriver, BatchOutput, Budget, ClosureMode, CompileResult, CompileStats, Driver,
+    AllocScope, BatchDriver, BatchOutput, Budget, CompileResult, CompileStats, Driver,
     ParschedError, Pipeline, Strategy,
 };
 use parsched_verify::Verifier;
@@ -56,10 +56,6 @@ options:
                          docs/GLOBAL.md)
   --per-block            baseline: block-local webs share registers but
                          every cross-block web gets a dedicated one
-  --closure auto|dense|sparse   reachability backend for the scheduling
-                         closure (default auto: density heuristic per
-                         block); output is byte-identical either way —
-                         see docs/REACHABILITY.md
   --machine single|paper|mips|rs6000|wide4      (default paper)
   --machine-spec FILE    load a textual machine description instead
   --regs N               override the register-file size
@@ -127,7 +123,6 @@ struct Options {
     flight_json: Option<String>,
     dump_dir: Option<String>,
     scope: AllocScope,
-    closure: ClosureMode,
     verify: bool,
     run: Option<Vec<i64>>,
 }
@@ -248,7 +243,6 @@ fn parse_args() -> Result<Cmd, String> {
     let mut flight_json: Option<String> = None;
     let mut dump_dir: Option<String> = None;
     let mut scope = AllocScope::Auto;
-    let mut closure = ClosureMode::Auto;
     let mut verify = false;
     let mut run: Option<Vec<i64>> = None;
     let mut exact_max_insts: Option<usize> = None;
@@ -338,10 +332,6 @@ fn parse_args() -> Result<Cmd, String> {
                 }
                 scope = AllocScope::PerBlock;
             }
-            "--closure" => {
-                let v = args.next().ok_or("--closure needs a value")?;
-                closure = v.parse().map_err(|e| format!("{e}"))?;
-            }
             "--verify" => verify = true,
             "--run" => {
                 let rest: Result<Vec<i64>, _> = args.by_ref().map(|a| a.parse()).collect();
@@ -377,7 +367,6 @@ fn parse_args() -> Result<Cmd, String> {
         flight_json,
         dump_dir,
         scope,
-        closure,
         verify,
         run,
     })))
@@ -424,13 +413,9 @@ fn real_main(opts: Options) -> Result<(), Failure> {
     } else {
         vec![opts.strategy]
     };
-    let driver = Driver::new(
-        Pipeline::new(machine.clone())
-            .with_scope(opts.scope)
-            .with_closure(opts.closure),
-    )
-    .with_budget(budget)
-    .with_ladder(ladder);
+    let driver = Driver::new(Pipeline::new(machine.clone()).with_scope(opts.scope))
+        .with_budget(budget)
+        .with_ladder(ladder);
     let batch = BatchDriver::new(driver)
         .with_jobs(opts.jobs.unwrap_or(1))
         .with_recording(opts.recording());

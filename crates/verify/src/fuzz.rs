@@ -21,7 +21,7 @@
 //! violation.
 
 use crate::{minimize, OracleConfig, Verifier, Violation};
-use parsched::{BatchDriver, ClosureMode, Driver, ParschedError, Pipeline, Strategy};
+use parsched::{BatchDriver, Driver, ParschedError, Pipeline, Strategy};
 use parsched_ir::verify::verify_function;
 use parsched_ir::{print_function, Function};
 use parsched_machine::{presets, MachineDesc};
@@ -56,9 +56,6 @@ pub struct FuzzConfig {
     /// Restrict generation to branchy/loopy CFG functions (the `--cfg`
     /// flag): every case exercises the global, web-based allocation path.
     pub cfg_only: bool,
-    /// Reachability backend forced on every compile (the `--closure` flag);
-    /// `Auto` is the production heuristic.
-    pub closure: ClosureMode,
 }
 
 impl Default for FuzzConfig {
@@ -69,7 +66,6 @@ impl Default for FuzzConfig {
             out_dir: PathBuf::from("fuzz-failures"),
             verbose: false,
             cfg_only: false,
-            closure: ClosureMode::Auto,
         }
     }
 }
@@ -124,15 +120,7 @@ pub fn run(config: &FuzzConfig) -> Result<FuzzSummary, std::io::Error> {
             );
         }
         for (si, strategy) in strategies.iter().enumerate() {
-            let violations = run_one(
-                &func,
-                &machine,
-                *strategy,
-                config.closure,
-                case_seed,
-                &mut summary,
-                si,
-            );
+            let violations = run_one(&func, &machine, *strategy, case_seed, &mut summary, si);
             if !violations.is_empty() {
                 emit_reproducer(
                     config,
@@ -202,12 +190,10 @@ fn pick_machine(rng: &mut SplitMix64) -> MachineDesc {
 
 /// Compiles `func` on one rung and verifies the result. Returns the
 /// violations (already tallied into `summary`).
-#[allow(clippy::too_many_arguments)]
 fn run_one(
     func: &Function,
     machine: &MachineDesc,
     strategy: Strategy,
-    closure: ClosureMode,
     case_seed: u64,
     summary: &mut FuzzSummary,
     strategy_index: usize,
@@ -218,8 +204,7 @@ fn run_one(
             seed: case_seed,
             runs: 2,
         });
-    let driver = Driver::new(Pipeline::new(machine.clone()).with_closure(closure))
-        .with_ladder(vec![strategy]);
+    let driver = Driver::new(Pipeline::new(machine.clone())).with_ladder(vec![strategy]);
     let violations = match driver.compile_resilient(func, &NullTelemetry) {
         Ok(result) => {
             summary.compiles += 1;
@@ -250,7 +235,6 @@ fn still_fails(
     func: &Function,
     machine: &MachineDesc,
     strategy: Strategy,
-    closure: ClosureMode,
     oracle_seed: u64,
 ) -> bool {
     let verifier = Verifier::new(machine)
@@ -259,8 +243,7 @@ fn still_fails(
             seed: oracle_seed,
             runs: 2,
         });
-    let driver = Driver::new(Pipeline::new(machine.clone()).with_closure(closure))
-        .with_ladder(vec![strategy]);
+    let driver = Driver::new(Pipeline::new(machine.clone())).with_ladder(vec![strategy]);
     match driver.compile_resilient(func, &NullTelemetry) {
         Ok(result) => !verifier.verify(func, &result, &NullTelemetry).ok(),
         Err(ParschedError::Panicked { .. }) => true,
@@ -279,7 +262,7 @@ fn emit_reproducer(
 ) -> Result<(), std::io::Error> {
     let oracle_seed = config.seed ^ u64::from(case);
     let small = minimize::minimize(func, 400, |candidate| {
-        still_fails(candidate, machine, strategy, config.closure, oracle_seed)
+        still_fails(candidate, machine, strategy, oracle_seed)
     });
     let mut text = String::new();
     text.push_str("# parsched-verify fuzz reproducer\n");
@@ -318,10 +301,7 @@ fn run_batch_case(
     if funcs.iter().any(|f| verify_function(f, false).is_err()) {
         return Ok(());
     }
-    let batch = BatchDriver::new(Driver::new(
-        Pipeline::new(machine.clone()).with_closure(config.closure),
-    ))
-    .with_jobs(4);
+    let batch = BatchDriver::new(Driver::new(Pipeline::new(machine.clone()))).with_jobs(4);
     let out = batch.compile_module(&funcs, &NullTelemetry);
     // The default ladder leads with the combined strategy, so that is the
     // requested rung for Theorem 1 gating.

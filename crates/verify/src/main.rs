@@ -23,7 +23,7 @@ parsched-verify — translation validation fuzzer for the parsched pipeline
 
 USAGE:
     parsched-verify fuzz [--seed N] [--count N] [--out DIR] [--cfg]
-                         [--closure auto|dense|sparse] [--verbose]
+                         [--verbose]
     parsched-verify fuzz --gap [--seed N] [--count N] [--gap-out FILE]
                          [--gap-max-nodes N] [--verbose]
     parsched-verify replay FILE...
@@ -49,9 +49,6 @@ OPTIONS (fuzz):
     --out DIR    directory for reproducer files
     --cfg        generate only branchy/loopy CFG functions, so every case
                  takes the global (web-based) allocation path
-    --closure auto|dense|sparse
-                 force a reachability backend on every compile (default
-                 auto; see docs/REACHABILITY.md)
     --gap-out FILE
                  where --gap writes the JSON report
                  (default: gap-report.json)
@@ -123,10 +120,6 @@ fn run_fuzz(args: &[String]) -> i32 {
                 None => return usage_error("--gap-max-nodes needs an integer"),
             },
             "--cfg" => config.cfg_only = true,
-            "--closure" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => config.closure = v,
-                None => return usage_error("--closure needs auto, dense, or sparse"),
-            },
             "--verbose" => {
                 config.verbose = true;
                 gap_config.verbose = true;
