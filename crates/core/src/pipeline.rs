@@ -11,8 +11,8 @@ use parsched_regalloc::global::{
     allocate_global_scoped, GlobalAllocError, GlobalScope, GlobalStrategy,
 };
 use parsched_regalloc::{AllocSession, BudgetExceeded, PinterConfig};
-use parsched_sched::falsedep::count_false_deps_until;
-use parsched_sched::{list_schedule, SchedError};
+use parsched_sched::falsedep::count_false_deps_in;
+use parsched_sched::{list_schedule, DepGraph, SchedError};
 use parsched_telemetry::Telemetry;
 use std::error::Error;
 use std::fmt;
@@ -405,19 +405,17 @@ impl Pipeline {
         // register; drop the resulting identity copies before scheduling.
         parsched_regalloc::assignment::remove_identity_copies(&mut allocated);
 
-        // Count false dependences intrinsically: each allocated block is
-        // renamed apart to recover its symbolic form, and the block's own
-        // register output dependences are tested against the resulting Ef.
-        // The count is statistics-only, so budget pressure skips it (per
-        // block) instead of failing the compilation: it builds a transitive
-        // closure, the most expensive phase on pathological blocks.
-        stats.introduced_false_deps = self.count_false_deps(&allocated, &limits, telemetry);
+        // Each allocated block's dependence graph is built once, for both
+        // the false-dependence count and the final list schedule.
+        let graphs = block_graphs(&allocated, telemetry);
+        stats.introduced_false_deps =
+            self.count_false_deps(&allocated, &graphs, &limits, telemetry);
 
         // Final scheduling of the allocated code.
         limits.check_deadline("pipeline.final_schedule")?;
         let (final_fn, block_cycles) = {
             let _span = parsched_telemetry::span(telemetry, "pipeline.final_schedule");
-            self.schedule_blocks_measured(&allocated, telemetry)?
+            self.schedule_blocks_with(&allocated, &graphs, telemetry)?
         };
         stats.cycles = block_cycles.iter().sum();
         stats.inst_count = final_fn.inst_count();
@@ -469,7 +467,9 @@ impl Pipeline {
             cycles: sol.cycles(),
             inst_count: sol.function.inst_count(),
         };
-        stats.introduced_false_deps = self.count_false_deps(&sol.function, limits, telemetry);
+        let graphs = block_graphs(&sol.function, &parsched_telemetry::NullTelemetry);
+        stats.introduced_false_deps =
+            self.count_false_deps(&sol.function, &graphs, limits, telemetry);
         emit_stats(&stats, telemetry);
         Ok(CompileResult {
             function: sol.function,
@@ -479,15 +479,16 @@ impl Pipeline {
         })
     }
 
-    /// Counts false dependences intrinsically: each allocated block is
-    /// renamed apart to recover its symbolic form, and the block's own
-    /// register output dependences are tested against the resulting Ef.
-    /// The count is statistics-only, so budget pressure skips it (per
-    /// block) instead of failing the compilation: it builds a transitive
-    /// closure, the most expensive phase on pathological blocks.
+    /// Counts false dependences intrinsically: each allocated block's own
+    /// register output dependences (from `graphs`, one per block) are
+    /// tested against the block's renamed-apart form. The count is
+    /// statistics-only, so budget pressure skips it (per block) instead of
+    /// failing the compilation: it builds a transitive closure, quadratic
+    /// in the block's length.
     fn count_false_deps(
         &self,
         allocated: &Function,
+        graphs: &[DepGraph],
         limits: &parsched_regalloc::AllocLimits,
         telemetry: &dyn Telemetry,
     ) -> usize {
@@ -499,7 +500,7 @@ impl Pipeline {
                 let counted = if block.insts().len() > cap {
                     None
                 } else {
-                    count_false_deps_until(block, &self.machine, limits.deadline)
+                    count_false_deps_in(block, &graphs[b], &self.machine, limits.deadline)
                 };
                 counted.unwrap_or_else(|| {
                     if telemetry.enabled() {
@@ -524,18 +525,28 @@ impl Pipeline {
         func: &Function,
         telemetry: &dyn Telemetry,
     ) -> Result<(Function, Vec<u32>), SchedError> {
+        self.schedule_blocks_with(func, &block_graphs(func, telemetry), telemetry)
+    }
+
+    /// [`Pipeline::schedule_blocks_measured`] over prebuilt dependence
+    /// graphs, one per block.
+    fn schedule_blocks_with(
+        &self,
+        func: &Function,
+        graphs: &[DepGraph],
+        telemetry: &dyn Telemetry,
+    ) -> Result<(Function, Vec<u32>), SchedError> {
         let mut out = func.clone();
         let mut cycles = Vec::with_capacity(func.block_count());
-        for b in 0..func.block_count() {
+        for (b, deps) in graphs.iter().enumerate() {
             let block = func.block(BlockId(b));
             let _span = parsched_telemetry::span(telemetry, "sched.block");
             if telemetry.enabled() {
                 telemetry.event("sched.block", block.label());
             }
-            let deps = parsched_sched::DepGraph::build(block, telemetry);
             let schedule = list_schedule(
                 block,
-                &deps,
+                deps,
                 &self.machine,
                 parsched_sched::SchedPriority::CriticalPath,
                 telemetry,
@@ -605,6 +616,14 @@ impl Pipeline {
         };
         Ok((allocated, stats))
     }
+}
+
+/// The dependence graph of every block of `func`, in block order.
+fn block_graphs(func: &Function, telemetry: &dyn Telemetry) -> Vec<DepGraph> {
+    func.blocks()
+        .iter()
+        .map(|block| DepGraph::build(block, telemetry))
+        .collect()
 }
 
 /// Emits the final [`CompileStats`] once, authoritatively, as `stats.*`

@@ -3,9 +3,11 @@
 use parsched_graph::UnGraph;
 use parsched_ir::liveness::Liveness;
 use parsched_ir::{BlockId, Function, Reg};
-use std::collections::{BTreeSet, HashMap};
 use std::error::Error;
 use std::fmt;
+
+/// "Not a node" in [`BlockAllocProblem`]'s rank table.
+const NONE: usize = usize::MAX;
 
 /// The register-allocation problem for one basic block.
 ///
@@ -24,8 +26,14 @@ use std::fmt;
 pub struct BlockAllocProblem {
     block: BlockId,
     nodes: Vec<Reg>,
-    node_of_reg: HashMap<Reg, usize>,
+    /// Every register the block mentions, sorted; a register's index here
+    /// is its rank.
+    regs: Vec<Reg>,
+    /// The node of each rank, or [`NONE`].
+    node_of_rank: Vec<usize>,
     def_site: Vec<Option<usize>>,
+    /// The first node each body instruction defines.
+    def_node: Vec<Option<usize>>,
     uses_count: Vec<u32>,
     interference: UnGraph,
 }
@@ -77,27 +85,47 @@ impl BlockAllocProblem {
         let block = func.block(block_id);
         let body = block.body();
         let live_in = liveness.live_in(block_id);
+        let live_out = liveness.live_out(block_id);
+
+        // Rank every register the block mentions in `Reg` order: a bit set
+        // over ranks then iterates like the `BTreeSet`s liveness hands out,
+        // so edges (and neighbor orders) come out as if built from those.
+        let mut regs: Vec<Reg> = live_in.iter().chain(live_out).copied().collect();
+        for inst in block.insts() {
+            inst.defs_into(&mut regs);
+            inst.uses_into(&mut regs);
+        }
+        regs.sort_unstable();
+        regs.dedup();
+        let rank = |r: &Reg| match regs.binary_search(r) {
+            Ok(k) => k,
+            Err(_) => unreachable!("every register of the block is ranked"),
+        };
 
         // Enumerate nodes: live-in values first (deterministic BTreeSet
         // order), then body definitions in program order.
         let mut nodes: Vec<Reg> = Vec::new();
-        let mut node_of_reg: HashMap<Reg, usize> = HashMap::new();
+        let mut node_of_rank = vec![NONE; regs.len()];
         let mut def_site: Vec<Option<usize>> = Vec::new();
-        for &r in live_in {
-            node_of_reg.insert(r, nodes.len());
-            nodes.push(r);
+        let mut def_node: Vec<Option<usize>> = vec![None; body.len()];
+        for r in live_in {
+            node_of_rank[rank(r)] = nodes.len();
+            nodes.push(*r);
             def_site.push(None);
         }
         for (i, inst) in body.iter().enumerate() {
             for d in inst.defs() {
-                if let Some(&existing) = node_of_reg.get(&d) {
+                let k = rank(&d);
+                let existing = node_of_rank[k];
+                if existing != NONE {
                     return Err(if def_site[existing].is_none() {
                         ProblemError::DefShadowsLiveIn { reg: d }
                     } else {
                         ProblemError::MultipleDefs { reg: d }
                     });
                 }
-                node_of_reg.insert(d, nodes.len());
+                node_of_rank[k] = nodes.len();
+                def_node[i].get_or_insert(nodes.len());
                 nodes.push(d);
                 def_site.push(Some(i));
             }
@@ -107,46 +135,73 @@ impl BlockAllocProblem {
         let mut uses_count = vec![0u32; nodes.len()];
         for inst in block.insts() {
             for u in inst.uses() {
-                if let Some(&n) = node_of_reg.get(&u) {
+                let n = node_of_rank[rank(&u)];
+                if n != NONE {
                     uses_count[n] += 1;
                 }
             }
         }
 
+        // The registers live right after each body instruction, one row of
+        // rank bits per instruction, from one backward walk.
+        let words = regs.len().div_ceil(64);
+        let mut live = vec![0u64; words];
+        for r in live_out {
+            let k = rank(r);
+            live[k / 64] |= 1 << (k % 64);
+        }
+        let mut live_after = vec![0u64; body.len() * words];
+        let mut scratch: Vec<Reg> = Vec::new();
+        for (i, inst) in block.insts().iter().enumerate().rev() {
+            if i < body.len() {
+                live_after[i * words..(i + 1) * words].copy_from_slice(&live);
+            }
+            inst.defs_into(&mut scratch);
+            for r in scratch.drain(..) {
+                let k = rank(&r);
+                live[k / 64] &= !(1 << (k % 64));
+            }
+            inst.uses_into(&mut scratch);
+            for r in scratch.drain(..) {
+                let k = rank(&r);
+                live[k / 64] |= 1 << (k % 64);
+            }
+        }
+
         // Interference: def point of each node vs values live right after.
         let mut interference = UnGraph::new(nodes.len());
-        let per_inst = liveness.per_inst_live_out(func, block_id);
-        let add_live_edges = |g: &mut UnGraph, node: usize, live: &BTreeSet<Reg>| {
-            for &other in live {
-                if let Some(&o) = node_of_reg.get(&other) {
-                    if o != node {
-                        g.add_edge(node, o);
-                    }
-                }
-            }
-        };
-        // Live-in values are all simultaneously live at entry.
-        let live_in_nodes: Vec<usize> = live_in.iter().map(|r| node_of_reg[r]).collect();
-        for (a, &u) in live_in_nodes.iter().enumerate() {
-            for &v in &live_in_nodes[a + 1..] {
-                interference.add_edge(u, v);
+        // Live-in values (nodes `0..live_in.len()`) are all simultaneously
+        // live at entry.
+        for a in 0..live_in.len() {
+            for b in a + 1..live_in.len() {
+                interference.add_edge(a, b);
             }
         }
         // Definitions interfere with the live-out set of their instruction.
         for (i, inst) in body.iter().enumerate() {
-            // The live set after the *last body inst* vs terminator handled
-            // implicitly: per_inst covers every body instruction.
+            let row = &live_after[i * words..(i + 1) * words];
             for d in inst.defs() {
-                let n = node_of_reg[&d];
-                add_live_edges(&mut interference, n, &per_inst[i]);
+                let n = node_of_rank[rank(&d)];
+                for (w, &word) in row.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let o = node_of_rank[w * 64 + bits.trailing_zeros() as usize];
+                        bits &= bits - 1;
+                        if o != NONE && o != n {
+                            interference.add_edge(n, o);
+                        }
+                    }
+                }
             }
         }
 
         Ok(BlockAllocProblem {
             block: block_id,
             nodes,
-            node_of_reg,
+            regs,
+            node_of_rank,
             def_site,
+            def_node,
             uses_count,
             interference,
         })
@@ -174,7 +229,8 @@ impl BlockAllocProblem {
 
     /// The node for register `r`, if `r` is live-in or defined here.
     pub fn node_of(&self, r: Reg) -> Option<usize> {
-        self.node_of_reg.get(&r).copied()
+        let k = self.regs.binary_search(&r).ok()?;
+        Some(self.node_of_rank[k]).filter(|&n| n != NONE)
     }
 
     /// The body-instruction index defining node `n`, or `None` for live-in
@@ -185,9 +241,7 @@ impl BlockAllocProblem {
 
     /// The node defined by body instruction `i`, if any.
     pub fn node_defined_at(&self, i: usize) -> Option<usize> {
-        // def_site is monotone over the trailing section; linear scan is
-        // fine at block scale.
-        (0..self.nodes.len()).find(|&n| self.def_site[n] == Some(i))
+        self.def_node.get(i).copied().flatten()
     }
 
     /// Number of uses of node `n` within the block (terminator included).

@@ -3,7 +3,7 @@
 use crate::timing::BlockTiming;
 use parsched_graph::DiGraph;
 use parsched_graph::FastMap;
-use parsched_ir::{Block, Inst, InstKind};
+use parsched_ir::{Block, Inst, InstKind, MemAddr, Reg};
 use parsched_machine::{MachineDesc, OpClass};
 use std::time::Instant;
 
@@ -108,9 +108,15 @@ pub fn op_class(inst: &Inst) -> OpClass {
 #[derive(Debug, Clone)]
 pub struct DepGraph {
     graph: DiGraph,
-    kinds: FastMap<(usize, usize), DepKind>,
+    /// Edge kinds aligned with `graph.succs(u)`: node `u`'s are
+    /// `succ_kinds[kind_start[u]..kind_start[u + 1]]`.
+    kind_start: Vec<usize>,
+    succ_kinds: Vec<DepKind>,
     classes: Vec<OpClass>,
 }
+
+/// "No instruction" / "no occurrence" in the builder's index tables.
+const NONE: usize = usize::MAX;
 
 impl DepGraph {
     /// Builds the dependence graph of `block`'s body, reporting node/edge
@@ -130,7 +136,7 @@ impl DepGraph {
     }
 
     /// [`DepGraph::build`] with a cooperative wall-clock deadline: the
-    /// quadratic pair scan polls the clock once per row and returns
+    /// anti/output/memory pass polls the clock once per row and returns
     /// `None` as soon as `deadline` is in the past. Meant for
     /// statistics-only callers that would rather skip the graph than
     /// blow a compile budget on it.
@@ -152,114 +158,128 @@ impl DepGraph {
         let body = block.body();
         let n = body.len();
         let mut graph = DiGraph::new(n);
-        let mut kinds: FastMap<(usize, usize), DepKind> = FastMap::default();
+        // `(from, kind)` of every edge in insertion order, which is each
+        // node's successor order; sorted into per-node rows at the end.
+        let mut log: Vec<(usize, DepKind)> = Vec::with_capacity(2 * n);
 
-        let mut add = |graph: &mut DiGraph, from: usize, to: usize, kind: DepKind| {
-            debug_assert!(from < to, "dependences point forward");
-            use std::collections::hash_map::Entry;
-            match kinds.entry((from, to)) {
-                Entry::Vacant(e) => {
-                    graph.add_edge(from, to);
-                    e.insert(kind);
-                }
-                Entry::Occupied(mut e) => {
-                    if strength(kind) > strength(*e.get()) {
-                        e.insert(kind);
-                    }
-                }
-            }
-        };
-
-        // Flow dependences are *killing*: a use depends on the most recent
-        // definition of its register, not on stale earlier ones (an
-        // intervening redefinition yields output + flow edges whose
-        // transitive combination preserves ordering). Anti and output
-        // dependences follow the paper's literal any-later-redefinition
-        // wording; they are conservative but only add ordering already
-        // implied transitively.
-        // Hoisted per-instruction facts: the pair scan below would
-        // otherwise recompute them (and the memory/call pattern matches)
-        // O(n²) times. Register lists live in two flat arenas indexed by
-        // instruction, so hoisting costs two allocations, not 2n.
-        let mut defs_arena: Vec<parsched_ir::Reg> = Vec::new();
-        let mut uses_arena: Vec<parsched_ir::Reg> = Vec::new();
+        // Per-instruction register lists as dense register ids, in two
+        // flat arenas indexed by instruction: each register is hashed once
+        // per occurrence here, and the passes below index plain tables.
+        let mut ids: FastMap<Reg, usize> = FastMap::with_capacity_and_hasher(n, Default::default());
+        let mut regs: Vec<Reg> = Vec::new();
+        let (mut defs_arena, mut uses_arena) = (Vec::with_capacity(n), Vec::with_capacity(2 * n));
         let mut defs_idx: Vec<usize> = Vec::with_capacity(n + 1);
         let mut uses_idx: Vec<usize> = Vec::with_capacity(n + 1);
         defs_idx.push(0);
         uses_idx.push(0);
+        let mut intern = |regs: &mut Vec<Reg>, arena: &mut Vec<usize>| {
+            for r in regs.drain(..) {
+                let next = ids.len();
+                arena.push(*ids.entry(r).or_insert(next));
+            }
+        };
         for inst in body {
-            inst.defs_into(&mut defs_arena);
-            inst.uses_into(&mut uses_arena);
+            inst.defs_into(&mut regs);
+            intern(&mut regs, &mut defs_arena);
+            inst.uses_into(&mut regs);
+            intern(&mut regs, &mut uses_arena);
             defs_idx.push(defs_arena.len());
             uses_idx.push(uses_arena.len());
         }
         let defs = |i: usize| &defs_arena[defs_idx[i]..defs_idx[i + 1]];
         let uses = |i: usize| &uses_arena[uses_idx[i]..uses_idx[i + 1]];
-        let mem_r: Vec<Option<&parsched_ir::MemAddr>> = body.iter().map(Inst::mem_read).collect();
-        let mem_w: Vec<Option<&parsched_ir::MemAddr>> = body.iter().map(Inst::mem_write).collect();
-        let is_call: Vec<bool> = body
-            .iter()
-            .map(|b| matches!(b.kind(), InstKind::Call { .. }))
-            .collect();
 
-        let mut last_def: FastMap<parsched_ir::Reg, usize> = FastMap::default();
+        // Flow dependences are *killing*: a use depends on the most recent
+        // definition of its register, not on stale earlier ones (an
+        // intervening redefinition yields output + flow edges whose
+        // transitive combination preserves ordering). They are inserted
+        // first, so they lead every successor list.
+        let mut last_def = vec![NONE; ids.len()];
         for j in 0..n {
-            for u in uses(j) {
-                if let Some(&i) = last_def.get(u) {
-                    add(&mut graph, i, j, DepKind::Flow);
+            for &u in uses(j) {
+                let i = last_def[u];
+                if i != NONE && graph.add_edge(i, j) {
+                    log.push((i, DepKind::Flow));
                 }
             }
             for &d in defs(j) {
-                last_def.insert(d, j);
+                last_def[d] = j;
             }
         }
 
+        // Anti and output dependences follow the paper's literal
+        // any-later-redefinition wording; they are conservative but only
+        // add ordering already implied transitively. Their candidates come
+        // from each register's earlier definitions and uses, kept as
+        // linked lists through one occurrence arena; only memory
+        // operations and calls are compared pairwise. Each row inserts its
+        // new edges by ascending source, each once with its strongest kind.
+        let (mut def_head, mut use_head) = (last_def, vec![NONE; ids.len()]);
+        def_head.fill(NONE);
+        // (instruction, previous occurrence of the register)
+        let mut occ: Vec<(usize, usize)> = Vec::with_capacity(defs_arena.len() + uses_arena.len());
+        let mut mem: Vec<usize> = Vec::new();
+        let mut row: Vec<(usize, DepKind)> = Vec::new();
         for j in 0..n {
-            // Each row below is O(j) with several register scans, so one
-            // clock read per row is invisible next to the row itself.
+            // One clock read per row is invisible next to the row itself.
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 return None;
             }
-            let defs_j = defs(j);
-            let (rj, wj) = (mem_r[j], mem_w[j]);
-            for i in 0..j {
-                // Output: i and j define the same register.
-                if defs(i).iter().any(|d| defs_j.contains(d)) {
-                    add(&mut graph, i, j, DepKind::Output);
-                }
-                // Anti: i uses a register j redefines.
-                if uses(i).iter().any(|u| defs_j.contains(u)) {
-                    add(&mut graph, i, j, DepKind::Anti);
-                }
-                // Memory dependences.
-                let (ri, wi) = (mem_r[i], mem_w[i]);
-                if let (Some(w), Some(r)) = (wi, rj) {
-                    if w.may_alias(r) {
-                        add(&mut graph, i, j, DepKind::MemFlow);
+            row.clear();
+            for &d in defs(j) {
+                for (head, kind) in [(def_head[d], DepKind::Output), (use_head[d], DepKind::Anti)] {
+                    let mut k = head;
+                    while k != NONE {
+                        row.push((occ[k].0, kind));
+                        k = occ[k].1;
                     }
                 }
-                if let (Some(r), Some(w)) = (ri, wj) {
-                    if r.may_alias(w) {
-                        add(&mut graph, i, j, DepKind::MemAnti);
+            }
+            if touches_memory(&body[j]) {
+                for &i in &mem {
+                    if let Some(kind) = mem_dep(&body[i], &body[j], MemAddr::may_alias) {
+                        row.push((i, kind));
                     }
                 }
-                if let (Some(w1), Some(w2)) = (wi, wj) {
-                    if w1.may_alias(w2) {
-                        add(&mut graph, i, j, DepKind::MemOutput);
-                    }
+                mem.push(j);
+            }
+            row.sort_unstable_by_key(|&(i, kind)| (i, std::cmp::Reverse(strength(kind))));
+            row.dedup_by_key(|&mut (i, _)| i);
+            for &(i, kind) in &row {
+                if graph.add_edge(i, j) {
+                    log.push((i, kind));
                 }
-                // Calls are barriers for memory and other calls.
-                if (is_call[i] && (is_call[j] || rj.is_some() || wj.is_some()))
-                    || (is_call[j] && (ri.is_some() || wi.is_some()))
-                {
-                    add(&mut graph, i, j, DepKind::Control);
+            }
+            for (heads, occurring) in [(&mut use_head, uses(j)), (&mut def_head, defs(j))] {
+                for &r in occurring {
+                    let head = heads[r];
+                    if head == NONE || occ[head].0 != j {
+                        heads[r] = occ.len();
+                        occ.push((j, head));
+                    }
                 }
             }
         }
 
+        // Counting sort of the log by source: `kind_start[u]` first serves
+        // as `u`'s write cursor (ending at the next row's start), then is
+        // shifted back into place.
+        let mut kind_start = vec![0; n + 1];
+        for u in 0..n {
+            kind_start[u + 1] = kind_start[u] + graph.out_degree(u);
+        }
+        let mut succ_kinds = vec![DepKind::Flow; log.len()];
+        for &(u, kind) in &log {
+            succ_kinds[kind_start[u]] = kind;
+            kind_start[u] += 1;
+        }
+        kind_start.rotate_right(1);
+        kind_start[0] = 0;
+
         Some(DepGraph {
             graph,
-            kinds,
+            kind_start,
+            succ_kinds,
             classes: body.iter().map(op_class).collect(),
         })
     }
@@ -289,17 +309,28 @@ impl DepGraph {
         &self.classes
     }
 
-    /// The kind of the edge `from → to`, if present.
-    pub fn kind(&self, from: usize, to: usize) -> Option<DepKind> {
-        self.kinds.get(&(from, to)).copied()
+    /// The kinds of `u`'s outgoing edges, aligned with
+    /// `self.graph().succs(u)`.
+    pub fn succ_kinds(&self, u: usize) -> &[DepKind] {
+        &self.succ_kinds[self.kind_start[u]..self.kind_start[u + 1]]
     }
 
-    /// Iterates over all edges.
+    /// The kind of the edge `from → to`, if present.
+    pub fn kind(&self, from: usize, to: usize) -> Option<DepKind> {
+        if from >= self.len() {
+            return None;
+        }
+        let k = self.graph.succs(from).iter().position(|&v| v == to)?;
+        Some(self.succ_kinds(from)[k])
+    }
+
+    /// Iterates over all edges, by source and then in successor order.
     pub fn edges(&self) -> impl Iterator<Item = DepEdge> + '_ {
-        self.graph.edges().map(|(from, to)| DepEdge {
-            from,
-            to,
-            kind: self.kinds[&(from, to)],
+        (0..self.len()).flat_map(move |from| {
+            let succs = self.graph.succs(from).iter();
+            succs
+                .zip(self.succ_kinds(from))
+                .map(move |(&to, &kind)| DepEdge { from, to, kind })
         })
     }
 
@@ -312,6 +343,40 @@ impl DepGraph {
     /// acyclic. The `Result` is kept for API compatibility.
     pub fn heights(&self, machine: &MachineDesc) -> Result<Vec<u32>, parsched_graph::CycleError> {
         Ok(BlockTiming::of_body(self, machine).heights().to_vec())
+    }
+}
+
+/// Whether `inst` takes part in memory ordering: a load, a store or a call.
+pub(crate) fn touches_memory(inst: &Inst) -> bool {
+    is_call(inst) || inst.mem_read().is_some() || inst.mem_write().is_some()
+}
+
+fn is_call(inst: &Inst) -> bool {
+    matches!(inst.kind(), InstKind::Call { .. })
+}
+
+/// The strongest memory or call-ordering dependence of a later `b` on an
+/// earlier `a`, with `alias` deciding whether two addresses may overlap:
+/// calls are barriers for memory operations and each other, and a store
+/// orders against every aliasing load or store.
+pub(crate) fn mem_dep(
+    a: &Inst,
+    b: &Inst,
+    alias: impl Fn(&MemAddr, &MemAddr) -> bool,
+) -> Option<DepKind> {
+    if (is_call(a) && touches_memory(b)) || (is_call(b) && touches_memory(a)) {
+        return Some(DepKind::Control);
+    }
+    let overlap =
+        |x: Option<&MemAddr>, y: Option<&MemAddr>| x.zip(y).is_some_and(|(x, y)| alias(x, y));
+    if overlap(a.mem_write(), b.mem_read()) {
+        Some(DepKind::MemFlow)
+    } else if overlap(a.mem_write(), b.mem_write()) {
+        Some(DepKind::MemOutput)
+    } else if overlap(a.mem_read(), b.mem_write()) {
+        Some(DepKind::MemAnti)
+    } else {
+        None
     }
 }
 

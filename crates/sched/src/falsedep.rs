@@ -12,9 +12,9 @@
 //!   scheduled together (**Lemma 1** — an edge `(u,v)` of a post-allocation
 //!   scheduling graph is a false dependence iff `{u,v} ∈ Ef`).
 
-use crate::deps::{DepEdge, DepGraph};
-use parsched_graph::{ClosureMode, Reachability, UnGraph, DEADLINE_STRIDE};
-use parsched_ir::{Block, Inst, Reg};
+use crate::deps::{mem_dep, touches_memory, DepEdge, DepGraph};
+use parsched_graph::{ClosureMode, FastMap, Reachability, UnGraph, DEADLINE_STRIDE};
+use parsched_ir::{Block, Inst, MemAddr, Reg};
 use parsched_machine::MachineDesc;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -277,6 +277,98 @@ pub fn count_false_deps_until(
     Some(count)
 }
 
+/// Counts the false dependences of `block` from `own`, the block's own
+/// dependence graph (the one its final list schedule uses), without
+/// renaming the block or building a second graph. Equal to
+/// [`count_false_deps_until`], the independent reference.
+///
+/// The renamed-apart form is value-numbered in place: a use reads the
+/// most recent definition of its register, so its flow edges are `own`'s,
+/// and memory and call edges are recomputed with each base register
+/// standing for the value it holds. They cannot be read off `own`: there
+/// a reused physical base hides memory edges the renamed block has. Every
+/// edge points forward, so one forward pass builds each instruction's
+/// ancestor set, and an output edge `u → v` of `own` is false iff `u` is
+/// not an ancestor of `v` and the machine could issue the two together.
+///
+/// Polls `deadline` once per instruction and returns `None` once it
+/// passes (or if it already has on entry).
+pub fn count_false_deps_in(
+    block: &Block,
+    own: &DepGraph,
+    machine: &MachineDesc,
+    deadline: Option<Instant>,
+) -> Option<usize> {
+    let tripped = || deadline.is_some_and(|d| Instant::now() >= d);
+    if tripped() {
+        return None;
+    }
+    let candidate = |e: &DepEdge| {
+        e.kind.is_register_false_candidate()
+            && !machine.pairwise_conflict(own.class(e.from), own.class(e.to))
+    };
+    if !own.edges().any(|e| candidate(&e)) {
+        return Some(0);
+    }
+
+    let body = block.body();
+    let (n, words) = (body.len(), body.len().div_ceil(64));
+    // Row `v` holds the renamed-apart ancestors of `v`.
+    let mut ancestors = vec![0u64; n * words];
+    let mut last_def: FastMap<Reg, usize> = FastMap::default();
+    // Memory operations and calls so far, each with the definition its
+    // base register reads (`None`: the value live into the block).
+    let mut mem: Vec<(usize, Option<usize>)> = Vec::new();
+    let mut regs: Vec<Reg> = Vec::new();
+    for v in 0..n {
+        if tripped() {
+            return None;
+        }
+        let (done, rest) = ancestors.split_at_mut(v * words);
+        let row = &mut rest[..words];
+        let mut inherit = |u: usize| {
+            row[u / 64] |= 1 << (u % 64);
+            for (a, &b) in row.iter_mut().zip(&done[u * words..(u + 1) * words]) {
+                *a |= b;
+            }
+        };
+        let inst = &body[v];
+        inst.uses_into(&mut regs);
+        for r in regs.drain(..) {
+            if let Some(&u) = last_def.get(&r) {
+                inherit(u);
+            }
+        }
+        if touches_memory(inst) {
+            let addr = inst.mem_read().or(inst.mem_write());
+            let base = addr.and_then(MemAddr::base_reg);
+            let def = base.and_then(|r| last_def.get(&r).copied());
+            for &(u, u_def) in &mem {
+                // One register holding two different values is two names
+                // after renaming, so nothing proves the addresses apart.
+                let alias = |a: &MemAddr, b: &MemAddr| {
+                    (a.base_reg().is_some() && a.base_reg() == b.base_reg() && u_def != def)
+                        || a.may_alias(b)
+                };
+                if mem_dep(&body[u], inst, alias).is_some() {
+                    inherit(u);
+                }
+            }
+            mem.push((v, def));
+        }
+        inst.defs_into(&mut regs);
+        for d in regs.drain(..) {
+            last_def.insert(d, v);
+        }
+    }
+    let reaches = |u: usize, v: usize| ancestors[v * words + u / 64] >> (u % 64) & 1 == 1;
+    Some(
+        own.edges()
+            .filter(|e| candidate(e) && !reaches(e.from, e.to))
+            .count(),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,6 +530,19 @@ mod tests {
         assert_eq!(count_false_deps(&good, &m), 0);
         // Symbolic code has none by construction.
         assert_eq!(count_false_deps(&example1_sym(), &m), 0);
+    }
+
+    #[test]
+    fn shared_count_matches_reference_and_honors_deadline() {
+        let m = machine();
+        let bad = example1_bad_alloc();
+        let own = DepGraph::build(&bad, &Q);
+        assert_eq!(count_false_deps_in(&bad, &own, &m, None), Some(1));
+        // A deadline already in the past skips the count, as it skips the
+        // reference.
+        let past = Some(Instant::now());
+        assert_eq!(count_false_deps_in(&bad, &own, &m, past), None);
+        assert_eq!(count_false_deps_until(&bad, &m, past), None);
     }
 
     #[test]

@@ -51,11 +51,9 @@ impl<'m> BlockTiming<'m> {
             term_class: None,
         };
         for from in 0..n {
-            for &to in graph.succs(from) {
-                if let Some(kind) = deps.kind(from, to) {
-                    let lat = t.edge_latency(&DepEdge { from, to, kind });
-                    t.succ.push((to, lat));
-                }
+            for (&to, &kind) in graph.succs(from).iter().zip(deps.succ_kinds(from)) {
+                let lat = t.edge_latency(&DepEdge { from, to, kind });
+                t.succ.push((to, lat));
             }
             t.succ_start[from + 1] = t.succ.len();
         }
