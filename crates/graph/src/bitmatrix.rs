@@ -9,7 +9,7 @@ use std::fmt;
 /// word at a time. This is the representation used for transitive closures
 /// and graph complements, both of which Pinter's construction performs on
 /// every basic block.
-#[derive(PartialEq, Eq)]
+#[derive(Default, PartialEq, Eq)]
 pub struct BitMatrix {
     rows: Vec<BitSet>,
     n: usize,

@@ -302,7 +302,7 @@ pub fn allocate_single_block_in(
                     Some(pig) => pig,
                     None => unreachable!("slot filled above"),
                 };
-                last_pig_edges = pig.graph().edge_count() as u64;
+                last_pig_edges = pig.edge_count() as u64;
                 limits.check_pig_edges("pig.edges", last_pig_edges)?;
                 let priority: Vec<u32> = {
                     let _span = parsched_telemetry::span(telemetry, "alloc.heights");

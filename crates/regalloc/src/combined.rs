@@ -8,11 +8,18 @@
 //! options are given away"), guided by scheduling priorities; only when no
 //! profitable removal remains does it *spill*, choosing the victim by the
 //! weighted metric `h*(v) = cost(v) / Σ w({u,v})`.
+//!
+//! The procedure reads the PIG's bit rows, never its neighbor lists.
+//! Least-benefit removal sorts the run's false-only edges once into a
+//! candidate array keyed by `(priority sum, a, b)` (one `u64` per edge:
+//! the sum over the edge's lexicographic index). Each node's ranks sit in a
+//! compressed sparse row table; when the node becomes savable its ranks
+//! are set in an eligible bit array, and each removal takes the lowest
+//! eligible rank whose edge is still alive. That is the edge a full scan
+//! would pick, at the cost of one bit scan instead of a heap operation.
 
 use crate::pig::Pig;
-use parsched_graph::BitSet;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use parsched_graph::{BitMatrix, BitSet};
 
 /// How the allocator picks which false-dependence edge to sacrifice when
 /// register pressure blocks simplification.
@@ -153,23 +160,115 @@ pub struct CombinedWorkspace {
     falive_deg: Vec<usize>,
     shared_cnt: Vec<usize>,
     queued: Vec<bool>,
-    heap: BinaryHeap<Reverse<u128>>,
+    candidates: Candidates,
+    used: Vec<bool>,
     scratch: BitSet,
 }
 
-/// Copies `n` rows of `src` into `dst`, reusing `dst`'s buffers.
-fn clone_rows_into(dst: &mut Vec<BitSet>, n: usize, src: &parsched_graph::UnGraph) {
-    dst.truncate(n);
-    for (v, row) in dst.iter_mut().enumerate() {
-        row.clone_from(src.row(v));
+/// The least-benefit candidates of one run: every false-only edge, sorted
+/// once by its static key `(priority sum, a, b)`, with an *eligible* bit
+/// per rank. A node's ranks become eligible when it becomes savable;
+/// [`Candidates::pick`] returns the lowest eligible rank whose edge is
+/// still alive. The array is built at the run's first pick, so a run that
+/// never blocks never sorts.
+#[derive(Default)]
+struct Candidates {
+    built: bool,
+    /// False-only edges `(a, b)`, `a < b`, in lexicographic order.
+    edges: Vec<(u32, u32)>,
+    /// By rank: `priority sum << 32 | index into edges`. The index stands
+    /// in for `(a, b)`, so one `u64` sort yields the key order.
+    keys: Vec<u64>,
+    /// Node `v`'s ranks are `ranks[start[v]..start[v + 1]]`.
+    start: Vec<usize>,
+    ranks: Vec<u32>,
+    /// Per-node fill cursor while building `ranks`.
+    cursor: Vec<usize>,
+    /// Bit `r` is set while rank `r` may still be picked.
+    eligible: Vec<u64>,
+    /// Every word of `eligible` below `hint` is zero.
+    hint: usize,
+}
+
+impl Candidates {
+    /// Collects and sorts the false-only edges; nothing is eligible yet.
+    fn build(&mut self, false_only: &BitMatrix, priority: &[u32]) {
+        let n = false_only.size();
+        self.built = true;
+        self.edges.clear();
+        self.keys.clear();
+        for a in 0..n {
+            for b in false_only.row(a).iter().filter(|&b| b > a) {
+                let key = priority[a].saturating_add(priority[b]);
+                self.keys
+                    .push(((key as u64) << 32) | self.edges.len() as u64);
+                self.edges.push((a as u32, b as u32));
+            }
+        }
+        // Edge indices, ranks and node ids are stored as u32.
+        assert!(
+            self.edges.len() <= u32::MAX as usize,
+            "too many candidate edges"
+        );
+        self.keys.sort_unstable();
+        self.start.clear();
+        self.start.push(0);
+        for v in 0..n {
+            self.start.push(self.start[v] + false_only.row(v).count());
+        }
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.start[..n]);
+        self.ranks.clear();
+        self.ranks.resize(self.start[n], 0);
+        for (rank, &key) in self.keys.iter().enumerate() {
+            let (a, b) = self.edges[key as u32 as usize];
+            for v in [a as usize, b as usize] {
+                self.ranks[self.cursor[v]] = rank as u32;
+                self.cursor[v] += 1;
+            }
+        }
+        self.eligible.clear();
+        self.eligible.resize(self.keys.len().div_ceil(64), 0);
+        self.hint = self.eligible.len();
     }
-    for v in dst.len()..n {
-        dst.push(src.row(v).clone());
+
+    /// Makes every candidate edge of `v` eligible (a no-op before
+    /// [`Candidates::build`], which the caller follows with the marks due).
+    fn mark(&mut self, v: usize) {
+        if !self.built {
+            return;
+        }
+        for &rank in &self.ranks[self.start[v]..self.start[v + 1]] {
+            let w = rank as usize / 64;
+            self.eligible[w] |= 1 << (rank % 64);
+            self.hint = self.hint.min(w);
+        }
+    }
+
+    /// Takes the lowest eligible rank whose edge is alive (both endpoints
+    /// alive and the edge not yet removed), clearing the dead ranks it
+    /// passes: a dead edge never comes back.
+    fn pick(&mut self, alive: &BitSet, false_rows: &[BitSet]) -> Option<(usize, usize)> {
+        while let Some(&word) = self.eligible.get(self.hint) {
+            if word == 0 {
+                self.hint += 1;
+                continue;
+            }
+            let bit = word.trailing_zeros();
+            self.eligible[self.hint] &= !(1 << bit);
+            let rank = self.hint * 64 + bit as usize;
+            let (a, b) = self.edges[self.keys[rank] as u32 as usize];
+            let (a, b) = (a as usize, b as usize);
+            if alive.contains(a) && alive.contains(b) && false_rows[a].contains(b) {
+                return Some((a, b));
+            }
+        }
+        None
     }
 }
 
-/// [`clone_rows_into`] over a [`parsched_graph::BitMatrix`] source.
-fn clone_matrix_rows_into(dst: &mut Vec<BitSet>, n: usize, src: &parsched_graph::BitMatrix) {
+/// Copies `n` rows of `src` into `dst`, reusing `dst`'s buffers.
+fn clone_rows_into(dst: &mut Vec<BitSet>, n: usize, src: &BitMatrix) {
     dst.truncate(n);
     for (v, row) in dst.iter_mut().enumerate() {
         row.clone_from(src.row(v));
@@ -194,7 +293,7 @@ pub fn combined_color_in(
 ) -> CombinedOutcome {
     let _span = parsched_telemetry::span(telemetry, "combined.color");
     let setup_span = parsched_telemetry::span(telemetry, "combined.setup");
-    let n = pig.graph().node_count();
+    let n = pig.node_count();
     assert_eq!(costs.len(), n, "one cost per node");
     assert_eq!(priority.len(), n, "one priority per node");
 
@@ -205,8 +304,8 @@ pub fn combined_color_in(
     // edge set.
     let work_rows = &mut ws.work_rows;
     let false_rows = &mut ws.false_rows;
-    clone_rows_into(work_rows, n, pig.graph());
-    clone_matrix_rows_into(false_rows, n, pig.false_only());
+    clone_rows_into(work_rows, n, pig.adjacency());
+    clone_rows_into(false_rows, n, pig.false_only());
     let alive = &mut ws.alive;
     alive.reset(n);
     alive.fill();
@@ -215,7 +314,7 @@ pub fn combined_color_in(
     // edges. Current degree is their sum.
     let inter_deg = &mut ws.inter_deg;
     inter_deg.clear();
-    inter_deg.extend((0..n).map(|v| pig.graph().degree(v) - false_rows[v].count()));
+    inter_deg.extend((0..n).map(|v| work_rows[v].count() - false_rows[v].count()));
     let falive_deg = &mut ws.falive_deg;
     falive_deg.clear();
     falive_deg.extend((0..n).map(|v| false_rows[v].count()));
@@ -248,35 +347,26 @@ pub fn combined_color_in(
 
     // Least-benefit removal picks the minimum of a *static* key (the
     // priority sums never change), so instead of rescanning every eligible
-    // edge after each removal, a lazy heap holds candidate edges and
-    // entries are validated when popped. A node's false edges enter the
-    // heap when it becomes savable — at the start, or when `remove_node`
-    // drops its interference degree below k (degrees only decrease, so
-    // that transition happens at most once per node). Stale entries
-    // (removed edge, dead endpoint, savability lost) are discarded on pop,
-    // which keeps the choice identical to the full scan.
+    // edge after each removal, the candidate edges are sorted once and a
+    // node's edges become eligible when it becomes savable — at the start,
+    // or when `remove_node` drops its interference degree below k (degrees
+    // only decrease, so that happens at most once per node). An eligible
+    // edge whose endpoint died or that was removed is skipped and never
+    // comes back, and an alive one is always valid (its savable endpoint
+    // keeps interference degree below k and the edge itself), so the
+    // lowest alive eligible rank is exactly what the full scan would pick.
     let lazy = config.edge_policy == EdgeRemovalPolicy::LeastBenefit;
-    let heap = &mut ws.heap;
-    heap.clear();
+    let candidates = &mut ws.candidates;
     let queued = &mut ws.queued;
     queued.clear();
     queued.resize(if lazy { n } else { 0 }, false);
     let savable = |v: usize, inter_deg: &[usize], falive_deg: &[usize]| {
         inter_deg[v] < k as usize && falive_deg[v] > 0
     };
+    candidates.built = false;
     if lazy {
         for v in alive.iter() {
-            if savable(v, inter_deg, falive_deg) {
-                queued[v] = true;
-                for u in false_rows[v].iter() {
-                    let (a, b) = (v.min(u), v.max(u));
-                    heap.push(Reverse(pack_edge(
-                        priority[a].saturating_add(priority[b]),
-                        a,
-                        b,
-                    )));
-                }
-            }
+            queued[v] = savable(v, inter_deg, falive_deg);
         }
     }
 
@@ -315,8 +405,7 @@ pub fn combined_color_in(
             );
             if lazy {
                 queue_new_savable(
-                    v, alive, work_rows, false_rows, inter_deg, falive_deg, k, priority, queued,
-                    heap, scratch,
+                    v, alive, work_rows, inter_deg, falive_deg, k, queued, candidates, scratch,
                 );
             }
             stack.push(v);
@@ -330,22 +419,15 @@ pub fn combined_color_in(
         let mut chosen: Option<(usize, usize)> = None;
         match config.edge_policy {
             EdgeRemovalPolicy::LeastBenefit => {
-                // Discard stale heap entries until the top one still names
-                // a live, savable-endpoint false edge; the minimum valid
-                // key is exactly what the full scan would have picked.
-                while let Some(&Reverse(entry)) = heap.peek() {
-                    let (a, b) = unpack_edge(entry);
-                    if alive.contains(a)
-                        && alive.contains(b)
-                        && false_rows[a].contains(b)
-                        && (savable(a, inter_deg, falive_deg) || savable(b, inter_deg, falive_deg))
-                    {
-                        chosen = Some((a, b));
-                        heap.pop();
-                        break;
+                if !candidates.built {
+                    // The run's first block: sort the candidates and mark
+                    // the nodes that are savable by now.
+                    candidates.build(pig.false_only(), priority);
+                    for v in (0..n).filter(|&v| queued[v]) {
+                        candidates.mark(v);
                     }
-                    heap.pop();
                 }
+                chosen = candidates.pick(alive, false_rows);
             }
             EdgeRemovalPolicy::Pseudorandom { .. } => {
                 let mut eligible: Vec<(usize, usize)> = Vec::new();
@@ -449,8 +531,7 @@ pub fn combined_color_in(
         );
         if lazy {
             queue_new_savable(
-                victim, alive, work_rows, false_rows, inter_deg, falive_deg, k, priority, queued,
-                heap, scratch,
+                victim, alive, work_rows, inter_deg, falive_deg, k, queued, candidates, scratch,
             );
         }
         if telemetry.enabled() {
@@ -468,8 +549,10 @@ pub fn combined_color_in(
     // Select (only meaningful when nothing spilled, matching the paper;
     // still performed so callers can inspect partial colorings).
     let mut colors = vec![u32::MAX; n];
+    let used = &mut ws.used;
     for &v in stack.iter().rev() {
-        let mut used = vec![false; k as usize];
+        used.clear();
+        used.resize(k as usize, false);
         for u in work_rows[v].iter() {
             if colors[u] != u32::MAX {
                 used[colors[u] as usize] = true;
@@ -496,36 +579,21 @@ pub fn combined_color_in(
     }
 }
 
-/// Packs a least-benefit candidate edge as `(key, a, b)` in one `u128`:
-/// numeric order equals the lexicographic order of the tuple, so the heap
-/// compares a single word pair instead of three fields. Node ids fit u32
-/// (blocks are bounded far below that).
-fn pack_edge(key: u32, a: usize, b: usize) -> u128 {
-    debug_assert!(a <= u32::MAX as usize && b <= u32::MAX as usize);
-    ((key as u128) << 64) | ((a as u128) << 32) | b as u128
-}
-
-fn unpack_edge(x: u128) -> (usize, usize) {
-    (((x >> 32) as u32) as usize, (x as u32) as usize)
-}
-
-/// After `v`'s removal dropped its neighbors' degree counters, pushes the
-/// false edges of any neighbor that just became savable (interference
-/// degree below `k` for the first time) into the least-benefit candidate
-/// heap. Degrees only decrease, so each node passes this threshold at most
-/// once and `queued` guarantees a single push per node.
+/// After `v`'s removal dropped its neighbors' degree counters, makes the
+/// candidate edges of any neighbor that just became savable (interference
+/// degree below `k` for the first time) eligible. Degrees only decrease,
+/// so each node passes this threshold at most once and `queued` guarantees
+/// a single marking per node.
 #[allow(clippy::too_many_arguments)]
 fn queue_new_savable(
     v: usize,
     alive: &BitSet,
     work_rows: &[BitSet],
-    false_rows: &[BitSet],
     inter_deg: &[usize],
     falive_deg: &[usize],
     k: u32,
-    priority: &[u32],
     queued: &mut [bool],
-    heap: &mut BinaryHeap<Reverse<u128>>,
+    candidates: &mut Candidates,
     scratch: &mut BitSet,
 ) {
     scratch.clone_from(&work_rows[v]);
@@ -533,14 +601,7 @@ fn queue_new_savable(
     for u in scratch.iter() {
         if !queued[u] && inter_deg[u] < k as usize && falive_deg[u] > 0 {
             queued[u] = true;
-            for w in false_rows[u].iter() {
-                let (a, b) = (u.min(w), u.max(w));
-                heap.push(Reverse(pack_edge(
-                    priority[a].saturating_add(priority[b]),
-                    a,
-                    b,
-                )));
-            }
+            candidates.mark(u);
         }
     }
 }

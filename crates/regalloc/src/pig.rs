@@ -8,19 +8,32 @@
 //! Theorem 2: `G` is minimal with that property.
 
 use crate::problem::BlockAllocProblem;
-use parsched_graph::{BitMatrix, UnGraph};
+use parsched_graph::{BitMatrix, BitSet, UnGraph};
 use parsched_machine::MachineDesc;
 use parsched_sched::falsedep::false_dependence_graph;
 use parsched_sched::DepGraph;
+use std::sync::OnceLock;
 
 /// A PIG: the combined graph plus bookkeeping about which edges came from
 /// where (needed by the combined allocator's heuristics, Lemmas 2/3).
+///
+/// Everything the allocator reads is a bit row: `G = Er ∪ Ef` and the three
+/// edge classes, with degrees taken by popcount. The neighbor-list graph
+/// [`Pig::graph`] is a view derived on first use (DOT output, figures,
+/// exact coloring, tests); the spill loop never builds it.
 #[derive(Debug, Clone)]
 pub struct Pig {
-    graph: UnGraph,
+    /// `Er`, kept for the view's neighbor order.
+    er: UnGraph,
+    /// The `Ef` handed to [`Pig::from_parts`], kept for the view's edge
+    /// order; `None` when `Ef` was accumulated in ascending edge order.
+    ef: Option<UnGraph>,
+    adjacency: BitMatrix,
     interference_only: BitMatrix,
     false_only: BitMatrix,
     shared: BitMatrix,
+    edge_count: usize,
+    view: OnceLock<UnGraph>,
 }
 
 impl Pig {
@@ -44,7 +57,7 @@ impl Pig {
     /// let deps = DepGraph::build(f.block(BlockId(0)), &NullTelemetry);
     /// let pig = Pig::build(&problem, &deps, &presets::paper_machine(8), &NullTelemetry);
     /// // The PIG contains at least the interference edges.
-    /// assert!(pig.graph().edge_count() >= problem.interference().edge_count());
+    /// assert!(pig.edge_count() >= problem.interference().edge_count());
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     ///
@@ -75,22 +88,37 @@ impl Pig {
             }
         }
         let pig = Pig::from_parts(er.clone(), false_edges);
-        pig.report(n, telemetry);
+        pig.report(telemetry);
         pig
     }
 
-    pub(crate) fn report(&self, n: usize, telemetry: &dyn parsched_telemetry::Telemetry) {
+    pub(crate) fn report(&self, telemetry: &dyn parsched_telemetry::Telemetry) {
         if telemetry.enabled() {
+            let n = self.node_count();
             telemetry.counter("pig.nodes", n as u64);
-            telemetry.counter("pig.edges", self.graph.edge_count() as u64);
+            telemetry.counter("pig.edges", self.edge_count as u64);
             telemetry.counter(
                 "pig.interference_only_edges",
                 (self.interference_only.count() / 2) as u64,
             );
             telemetry.counter("pig.false_only_edges", (self.false_only.count() / 2) as u64);
             telemetry.counter("pig.shared_edges", (self.shared.count() / 2) as u64);
-            let max_degree = (0..n).map(|v| self.graph.degree(v)).max().unwrap_or(0);
+            let max_degree = (0..n).map(|v| self.degree(v)).max().unwrap_or(0);
             telemetry.gauge("pig.max_degree", max_degree as u64);
+        }
+    }
+
+    /// An empty PIG, the starting point of an in-place rebuild.
+    pub(crate) fn empty() -> Pig {
+        Pig {
+            er: UnGraph::new(0),
+            ef: None,
+            adjacency: BitMatrix::new(0),
+            interference_only: BitMatrix::new(0),
+            false_only: BitMatrix::new(0),
+            shared: BitMatrix::new(0),
+            edge_count: 0,
+            view: OnceLock::new(),
         }
     }
 
@@ -101,45 +129,54 @@ impl Pig {
     /// # Panics
     /// Panics if node counts differ.
     pub fn from_parts(er: UnGraph, false_edges: UnGraph) -> Pig {
-        let mut pig = Pig {
-            graph: UnGraph::new(0),
-            interference_only: BitMatrix::new(0),
-            false_only: BitMatrix::new(0),
-            shared: BitMatrix::new(0),
-        };
-        pig.assemble_from(&er, &false_edges);
-        pig
-    }
-
-    /// Rebuilds `self` as the PIG of `er` ∪ `false_edges` in place, reusing
-    /// the previous round's buffers. Produces exactly the same graphs (same
-    /// neighbor orders) as [`Pig::from_parts`] on the same inputs; the spill
-    /// loop calls this once per round, so avoiding the four-graph
-    /// reallocation is worth the in-place contract.
-    ///
-    /// # Panics
-    /// Panics if node counts differ.
-    pub fn assemble_from(&mut self, er: &UnGraph, false_edges: &UnGraph) {
         assert_eq!(
             er.node_count(),
             false_edges.node_count(),
             "Er and Ef must share a vertex set"
         );
-        let n = er.node_count();
-        self.graph.clone_from(er);
-        for (u, v) in false_edges.edges() {
-            self.graph.add_edge(u, v);
-        }
+        let mut pig = Pig::empty();
+        pig.classify(&er, |v| false_edges.row(v));
+        pig.er = er;
+        pig.ef = Some(false_edges);
+        pig
+    }
 
-        self.interference_only.reset(n);
-        self.false_only.reset(n);
-        self.shared.reset(n);
-        // The three classes are row-wise boolean combinations of the two
-        // adjacency relations, so classification runs a word at a time with
-        // no per-edge probes.
+    /// Rebuilds `self` in place as the PIG of `er` ∪ `ef`, where `ef` is a
+    /// symmetric adjacency matrix over the same vertices, reusing the
+    /// previous round's buffers. The spill loop calls this once per round.
+    ///
+    /// # Panics
+    /// Panics if the sizes differ.
+    pub(crate) fn assemble(&mut self, er: &UnGraph, ef: &BitMatrix) {
+        assert_eq!(
+            er.node_count(),
+            ef.size(),
+            "Er and Ef must share a vertex set"
+        );
+        self.classify(er, |v| ef.row(v));
+        self.er.clone_from(er);
+        self.ef = None;
+    }
+
+    /// Fills the rows of `G` and of the three edge classes from `Er` and
+    /// `Ef`'s rows. The classes are row-wise boolean combinations of the
+    /// two adjacency relations, so this runs a word at a time with no
+    /// per-edge probes.
+    fn classify<'a>(&mut self, er: &UnGraph, ef_row: impl Fn(usize) -> &'a BitSet) {
+        let n = er.node_count();
+        for m in [
+            &mut self.adjacency,
+            &mut self.interference_only,
+            &mut self.false_only,
+            &mut self.shared,
+        ] {
+            m.reset(n);
+        }
         for v in 0..n {
-            let er_row = er.row(v);
-            let ef_row = false_edges.row(v);
+            let (er_row, ef_row) = (er.row(v), ef_row(v));
+            let row = self.adjacency.row_mut(v);
+            row.clone_from(er_row);
+            row.union_with(ef_row);
             let row = self.shared.row_mut(v);
             row.clone_from(er_row);
             row.intersect_with(ef_row);
@@ -150,11 +187,47 @@ impl Pig {
             row.clone_from(ef_row);
             row.difference_with(er_row);
         }
+        self.edge_count = er.edge_count() + self.false_only.count() / 2;
+        self.view = OnceLock::new();
     }
 
-    /// The combined graph `G`.
+    /// The combined graph `G` as neighbor lists, derived on first use:
+    /// `Er`'s neighbor lists, then each `Ef` edge added in `Ef`'s edge
+    /// order (ascending for session-built PIGs), so DOT output and exact
+    /// coloring see the same neighbor order on every path.
     pub fn graph(&self) -> &UnGraph {
-        &self.graph
+        self.view.get_or_init(|| {
+            let mut g = self.er.clone();
+            match &self.ef {
+                Some(ef) => ef.edges().for_each(|(u, v)| {
+                    g.add_edge(u, v);
+                }),
+                None => self.false_only.edges().for_each(|(u, v)| {
+                    g.add_edge(u, v);
+                }),
+            }
+            g
+        })
+    }
+
+    /// Number of vertices.
+    pub fn node_count(&self) -> usize {
+        self.adjacency.size()
+    }
+
+    /// Number of edges of `G`.
+    pub fn edge_count(&self) -> usize {
+        self.edge_count
+    }
+
+    /// Adjacency rows of `G`.
+    pub fn adjacency(&self) -> &BitMatrix {
+        &self.adjacency
+    }
+
+    /// Degree of `v` in `G`.
+    pub fn degree(&self, v: usize) -> usize {
+        self.adjacency.row(v).count()
     }
 
     /// Adjacency of edges in `Er` only (pure interference; removing one may

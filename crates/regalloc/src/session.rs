@@ -16,7 +16,7 @@
 use crate::limits::BudgetExceeded;
 use crate::pig::Pig;
 use crate::problem::BlockAllocProblem;
-use parsched_graph::{BitSet, ClosureMode, UnGraph, DEADLINE_STRIDE};
+use parsched_graph::{BitMatrix, BitSet, ClosureMode, DEADLINE_STRIDE};
 use parsched_ir::Block;
 use parsched_machine::{MachineDesc, OpClass};
 use parsched_sched::{BlockRemap, DeadlineExceeded, DepGraph, SchedSession};
@@ -44,10 +44,24 @@ fn deadline_budget(e: DeadlineExceeded) -> BudgetExceeded {
 #[derive(Debug)]
 pub struct AllocSession {
     sched: SchedSession,
+    buf: PigBuffers,
+}
+
+/// [`AllocSession::build_pig_into`]'s per-round tables, pooled so the spill
+/// loop rebuilds them in place instead of reallocating them every round.
+#[derive(Debug, Default)]
+struct PigBuffers {
+    def_node: Vec<Option<usize>>,
+    def_mask: BitSet,
+    /// The distinct op classes of the block, in first-seen order.
+    classes: Vec<OpClass>,
+    /// Index into `classes` of each body position's class.
+    class_of: Vec<usize>,
+    class_positions: Vec<BitSet>,
+    conflict_rows: Vec<BitSet>,
     scratch: BitSet,
-    // Pooled Ef accumulator for `build_pig_into`, reset each round so the
-    // spill loop does not reallocate a graph per round.
-    false_edges: UnGraph,
+    /// The `Ef` accumulator over allocation vertices.
+    false_edges: BitMatrix,
 }
 
 impl Default for AllocSession {
@@ -61,8 +75,7 @@ impl AllocSession {
     pub fn new() -> AllocSession {
         AllocSession {
             sched: SchedSession::new(),
-            scratch: BitSet::new(0),
-            false_edges: UnGraph::new(0),
+            buf: PigBuffers::default(),
         }
     }
 
@@ -174,66 +187,59 @@ impl AllocSession {
         }
         let _span = parsched_telemetry::span(telemetry, "pig.build");
         let reach = self.sched.reachability();
+        let buf = &mut self.buf;
 
         // def_node[i] = allocation vertex defined at body position i.
-        let mut def_node: Vec<Option<usize>> = vec![None; n];
-        let mut def_mask = BitSet::new(n);
+        buf.def_node.clear();
+        buf.def_node.resize(n, None);
+        buf.def_mask.reset(n);
         for node in 0..problem.len() {
             if let Some(i) = problem.def_site(node) {
                 if i < n {
-                    def_node[i] = Some(node);
-                    def_mask.insert(i);
+                    buf.def_node[i] = Some(node);
+                    buf.def_mask.insert(i);
                 }
             }
         }
 
         // Positions grouped by op class, and per-class conflict rows:
-        // conflict_row(c) = ⋃ { positions of class d : c conflicts with d }.
-        let classes = deps.classes();
-        let mut class_positions: Vec<(OpClass, BitSet)> = Vec::new();
-        for (i, &c) in classes.iter().enumerate() {
-            match class_positions.iter_mut().find(|(d, _)| *d == c) {
-                Some((_, set)) => {
-                    set.insert(i);
-                }
+        // conflict_rows[c] = ⋃ { positions of class d : c conflicts with d }.
+        // class_of[i] indexes position i's class in both, hoisting the
+        // per-row class lookup out of the walk below.
+        buf.classes.clear();
+        buf.class_of.clear();
+        for &c in deps.classes() {
+            let idx = match buf.classes.iter().position(|&d| d == c) {
+                Some(idx) => idx,
                 None => {
-                    let mut set = BitSet::new(n);
-                    set.insert(i);
-                    class_positions.push((c, set));
+                    buf.classes.push(c);
+                    buf.classes.len() - 1
+                }
+            };
+            buf.class_of.push(idx);
+        }
+        let n_classes = buf.classes.len();
+        buf.class_positions.resize_with(n_classes, BitSet::default);
+        buf.conflict_rows.resize_with(n_classes, BitSet::default);
+        for set in buf.class_positions.iter_mut().chain(&mut buf.conflict_rows) {
+            set.reset(n);
+        }
+        for (i, &idx) in buf.class_of.iter().enumerate() {
+            buf.class_positions[idx].insert(i);
+        }
+        for (c, row) in buf.classes.iter().zip(&mut buf.conflict_rows) {
+            for (d, set) in buf.classes.iter().zip(&buf.class_positions) {
+                if machine.pairwise_conflict(*c, *d) {
+                    row.union_with(set);
                 }
             }
         }
-        let conflict_rows: Vec<BitSet> = class_positions
-            .iter()
-            .map(|(c, _)| {
-                let mut row = BitSet::new(n);
-                for (d, set) in &class_positions {
-                    if machine.pairwise_conflict(*c, *d) {
-                        row.union_with(set);
-                    }
-                }
-                row
-            })
-            .collect();
-        // conflict_idx[i] = index of position i's class in conflict_rows,
-        // hoisting the per-row class lookup out of the walk below.
-        let conflict_idx: Vec<usize> = classes
-            .iter()
-            .map(|c| {
-                class_positions
-                    .iter()
-                    .position(|(d, _)| d == c)
-                    .unwrap_or(0)
-            })
-            .collect();
 
         let _ef_span = parsched_telemetry::span(telemetry, "pig.ef_rows");
         let deadline = self.sched.deadline();
-        if self.scratch.capacity() != n {
-            self.scratch = BitSet::new(n);
-        }
-        self.false_edges.reset(problem.len());
-        for (processed, i) in def_mask.iter().enumerate() {
+        buf.scratch.reset(n);
+        buf.false_edges.reset(problem.len());
+        for (processed, i) in buf.def_mask.iter().enumerate() {
             if processed % DEADLINE_STRIDE == DEADLINE_STRIDE - 1
                 && deadline.is_some_and(|d| Instant::now() >= d)
             {
@@ -245,25 +251,26 @@ impl AllocSession {
             }
             // ef_row(i) = defs \ reach(i) \ reach⁻¹(i) \ conflicts(i) \ {i};
             // the engine answers the first three in one query.
-            reach.unordered_into(i, &def_mask, &mut self.scratch);
-            self.scratch
-                .difference_with(&conflict_rows[conflict_idx[i]]);
-            for j in self.scratch.iter() {
+            reach.unordered_into(i, &buf.def_mask, &mut buf.scratch);
+            buf.scratch
+                .difference_with(&buf.conflict_rows[buf.class_of[i]]);
+            for j in buf.scratch.iter() {
                 // Each unordered pair once: Ef is symmetric.
                 if j <= i {
                     continue;
                 }
-                if let (Some(u), Some(v)) = (def_node[i], def_node[j]) {
-                    self.false_edges.add_edge(u, v);
+                if let (Some(u), Some(v)) = (buf.def_node[i], buf.def_node[j]) {
+                    buf.false_edges.set(u, v);
+                    buf.false_edges.set(v, u);
                 }
             }
         }
 
         drop(_ef_span);
         let _asm_span = parsched_telemetry::span(telemetry, "pig.assemble");
-        let mut pig = donor.unwrap_or_else(|| Pig::from_parts(UnGraph::new(0), UnGraph::new(0)));
-        pig.assemble_from(problem.interference(), &self.false_edges);
-        pig.report(problem.len(), telemetry);
+        let mut pig = donor.unwrap_or_else(Pig::empty);
+        pig.assemble(problem.interference(), &buf.false_edges);
+        pig.report(telemetry);
         if telemetry.enabled() {
             telemetry.counter("pig.rounds", 1);
         }
@@ -275,6 +282,7 @@ impl AllocSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parsched_graph::UnGraph;
     use parsched_ir::liveness::Liveness;
     use parsched_ir::{parse_function, BlockId};
     use parsched_machine::presets;

@@ -51,18 +51,22 @@ pub fn refined_ep_numbers(deps: &DepGraph, machine: &MachineDesc) -> Result<Vec<
     // operations are postponed.
     let mut level = 0u32;
     let mut guard = 0usize;
+    // One level check's buffers, reused by every check.
+    let mut scratch = timing.overflow_scratch();
+    let mut at_level = Vec::new();
     while level <= ep.iter().copied().max().unwrap_or(0) {
         guard += 1;
         assert!(guard <= 4 * n * n + 16, "EP refinement failed to converge");
-        let mut at_level: Vec<usize> = (0..n).filter(|&i| ep[i] == level).collect();
+        at_level.clear();
+        at_level.extend((0..n).filter(|&i| ep[i] == level));
         // Can they all issue in one cycle? Postpone what does not fit.
         at_level.sort_by_key(|&i| (std::cmp::Reverse(timing.heights()[i]), i));
-        let postponed = timing.overflow(&at_level);
+        let postponed = timing.overflow(&at_level, &mut scratch);
         if postponed.is_empty() {
             level += 1;
             continue;
         }
-        for i in postponed {
+        for &i in postponed {
             ep[i] += 1;
         }
         // Re-propagate the partial order: EP(v) ≥ EP(u) + latency(u→v).

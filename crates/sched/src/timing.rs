@@ -107,10 +107,13 @@ impl<'m> BlockTiming<'m> {
         }
     }
 
-    /// The `nodes` that do not fit in one cycle after those before them.
-    pub(crate) fn overflow(&self, nodes: &[usize]) -> Vec<usize> {
-        let mut rt = self.machine.reservation_table();
-        let mut out = Vec::new();
+    /// The `nodes` that do not fit in one cycle after those before them,
+    /// booked in `scratch` (see [`BlockTiming::overflow_scratch`]) so that
+    /// repeated checks reuse one table and one output buffer.
+    pub(crate) fn overflow<'s>(&self, nodes: &[usize], scratch: &'s mut Overflow) -> &'s [usize] {
+        let Overflow { fresh, rt, out } = scratch;
+        rt.clone_from(fresh);
+        out.clear();
         for &i in nodes {
             if rt.can_issue(self.machine, self.classes[i], 0) {
                 rt.issue(self.machine, self.classes[i], 0);
@@ -119,6 +122,16 @@ impl<'m> BlockTiming<'m> {
             }
         }
         out
+    }
+
+    /// Empty buffers for [`BlockTiming::overflow`].
+    pub(crate) fn overflow_scratch(&self) -> Overflow {
+        let fresh = self.machine.reservation_table();
+        Overflow {
+            rt: fresh.clone(),
+            fresh,
+            out: Vec::new(),
+        }
     }
 
     /// A fresh issue clock at cycle 0.
@@ -132,6 +145,15 @@ impl<'m> BlockTiming<'m> {
             term_release: 0,
         }
     }
+}
+
+/// [`BlockTiming::overflow`]'s reusable buffers: an empty table of the
+/// machine, the table being booked, and the nodes that did not fit.
+#[derive(Debug)]
+pub(crate) struct Overflow {
+    fresh: ReservationTable,
+    rt: ReservationTable,
+    out: Vec<usize>,
 }
 
 /// In-order issue on one block: unit bookings, dependence releases, the
