@@ -74,6 +74,32 @@ if [ -n "$json_hits" ]; then
     exit 1
 fi
 
+echo "==> Ef ownership (one false-dependence kernel)"
+# Every PIG takes its false-dependence edges (Pinter's Ef) from
+# parsched_sched::falsedep::for_each_ef_pair: outside
+# crates/sched/src/falsedep.rs no code may combine the closure's unordered
+# rows or the machine's pairwise conflicts itself. crates/machine defines
+# the conflict table, crates/graph the closure query, and crates/verify is
+# the deliberately independent re-derivation. Comment lines and the
+# trailing #[cfg(test)] module of each file are exempt.
+ef_hits=$(
+    find crates/*/src -name '*.rs' ! -path 'crates/machine/*' \
+        ! -path 'crates/graph/*' ! -path 'crates/verify/*' \
+        ! -path crates/sched/src/falsedep.rs | sort |
+    while read -r f; do
+        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+            !/^[[:space:]]*\/\// { print f ":" FNR ": " $0 }' "$f"
+    done |
+    grep -E 'pairwise_conflict\(|unordered_into\(' ||
+    true
+)
+if [ -n "$ef_hits" ]; then
+    echo "$ef_hits" >&2
+    echo "Ef ownership FAILED: derive false-dependence edges with" >&2
+    echo "parsched_sched::falsedep::for_each_ef_pair instead" >&2
+    exit 1
+fi
+
 echo "==> tier-1: cargo build --release"
 cargo build --release --offline
 

@@ -331,10 +331,21 @@ impl Pipeline {
         strategy: &Strategy,
         telemetry: &dyn Telemetry,
     ) -> Result<CompileResult, PipelineError> {
-        self.compile_budgeted(func, strategy, &Budget::unlimited(), telemetry)
+        let mut session = AllocSession::new();
+        self.compile_budgeted_in(
+            &mut session,
+            func,
+            strategy,
+            &Budget::unlimited(),
+            telemetry,
+        )
     }
 
-    /// [`Pipeline::compile`] under a resource [`Budget`].
+    /// [`Pipeline::compile`] under a resource [`Budget`], running inside a
+    /// caller-owned [`AllocSession`]: the dependence graph and transitive
+    /// closure of the combined strategy persist across spill rounds
+    /// (updated incrementally) and across calls, which is how the batch
+    /// driver amortizes PIG construction over a whole module.
     ///
     /// Budget caps are checked at the super-linear choke points (PIG
     /// construction, transitive closure, spill iteration); the deadline is
@@ -345,25 +356,6 @@ impl Pipeline {
     /// # Errors
     /// Returns [`PipelineError::Budget`] when a cap or the deadline trips,
     /// and the other variants as [`Pipeline::compile`] does.
-    pub fn compile_budgeted(
-        &self,
-        func: &Function,
-        strategy: &Strategy,
-        budget: &Budget,
-        telemetry: &dyn Telemetry,
-    ) -> Result<CompileResult, PipelineError> {
-        let mut session = AllocSession::new();
-        self.compile_budgeted_in(&mut session, func, strategy, budget, telemetry)
-    }
-
-    /// [`Pipeline::compile_budgeted`] running inside a caller-owned
-    /// [`AllocSession`]: the dependence graph and transitive closure of the
-    /// combined strategy persist across spill rounds (updated
-    /// incrementally) and across calls, which is how the batch driver
-    /// amortizes PIG construction over a whole module.
-    ///
-    /// # Errors
-    /// Same contract as [`Pipeline::compile_budgeted`].
     pub fn compile_budgeted_in(
         &self,
         session: &mut AllocSession,

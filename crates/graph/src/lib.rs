@@ -41,7 +41,6 @@ mod dominators;
 pub mod dot;
 pub mod hash;
 mod reachability;
-mod scc;
 mod topo;
 mod ungraph;
 
@@ -52,7 +51,6 @@ pub use digraph::{DiGraph, DEADLINE_STRIDE};
 pub use dominators::{DominatorTree, Dominators};
 pub use hash::{FastMap, FastSet};
 pub use reachability::{ClosureMode, Reachability, Rebuilt};
-pub use scc::strongly_connected_components;
 pub use topo::{topological_sort, CycleError};
 pub use ungraph::UnGraph;
 

@@ -235,18 +235,9 @@ impl Reachability {
         self.bwd.row(i).iter()
     }
 
-    /// Calls `f` for every node `j ≠ i` with no path between `i` and `j` in
-    /// either direction — the pairs Pinter's Ef graph connects.
-    pub fn for_each_unreachable(&self, i: NodeId, mut f: impl FnMut(NodeId)) {
-        for j in 0..self.len() {
-            if j != i && !self.fwd.get(i, j) && !self.bwd.get(i, j) {
-                f(j);
-            }
-        }
-    }
-
-    /// Word-level variant of [`Reachability::for_each_unreachable`]: sets
-    /// `out` to `universe ∩ {j : unordered with i, j ≠ i}`.
+    /// Sets `out` to `universe ∩ {j ≠ i : no path between i and j in either
+    /// direction}`, a word at a time — the row query of the `Ef` kernel,
+    /// `parsched_sched::falsedep::for_each_ef_pair`.
     ///
     /// # Panics
     /// Panics if `universe` or `out` does not have capacity `len()`.
@@ -429,9 +420,6 @@ mod tests {
                 "rrow {i}"
             );
             let unordered: Vec<NodeId> = (0..n).filter(|&j| j != i && !fwd[j] && !bwd[j]).collect();
-            let mut each = Vec::new();
-            r.for_each_unreachable(i, |j| each.push(j));
-            assert_eq!(each, unordered, "unordered {i}");
             r.unordered_into(i, &universe, &mut out);
             assert_eq!(
                 out.iter().collect::<Vec<_>>(),
@@ -455,10 +443,11 @@ mod tests {
             g.add_edge(i - 1, i);
         }
         let r = build(&g);
+        let (mut universe, mut out) = (BitSet::new(6), BitSet::new(6));
+        universe.fill();
         for i in 0..6 {
-            let mut unordered = Vec::new();
-            r.for_each_unreachable(i, |j| unordered.push(j));
-            assert!(unordered.is_empty(), "node {i} is totally ordered");
+            r.unordered_into(i, &universe, &mut out);
+            assert_eq!(out.count(), 0, "node {i} is totally ordered");
         }
         assert_matches_reference(&r, &g);
     }
@@ -468,12 +457,13 @@ mod tests {
         // No edges: every pair is unordered.
         let g = DiGraph::new(5);
         let r = build(&g);
+        let (mut universe, mut out) = (BitSet::new(5), BitSet::new(5));
+        universe.fill();
         for i in 0..5 {
             assert_eq!(r.row_iter(i).count(), 0);
             assert_eq!(r.rrow_iter(i).count(), 0);
-            let mut unordered = Vec::new();
-            r.for_each_unreachable(i, |j| unordered.push(j));
-            assert_eq!(unordered.len(), 4);
+            r.unordered_into(i, &universe, &mut out);
+            assert_eq!(out.count(), 4);
         }
         assert_matches_reference(&r, &g);
     }

@@ -159,23 +159,6 @@ impl UnGraph {
         g
     }
 
-    /// Returns the subgraph induced by `keep`, together with the mapping from
-    /// new ids to original ids.
-    pub fn induced_subgraph(&self, keep: &BitSet) -> (UnGraph, Vec<NodeId>) {
-        let old_ids: Vec<NodeId> = keep.iter().collect();
-        let mut new_of_old = vec![usize::MAX; self.node_count()];
-        for (new, &old) in old_ids.iter().enumerate() {
-            new_of_old[old] = new;
-        }
-        let mut g = UnGraph::new(old_ids.len());
-        for (u, v) in self.edges() {
-            if keep.contains(u) && keep.contains(v) {
-                g.add_edge(new_of_old[u], new_of_old[v]);
-            }
-        }
-        (g, old_ids)
-    }
-
     /// Checks whether `coloring[v]` assigns distinct values across every edge.
     ///
     /// `coloring` must have one entry per node.
@@ -239,21 +222,6 @@ mod tests {
         // complement of complement is the original
         let cc = c.complement();
         assert!(cc.has_edge(0, 1) && cc.has_edge(1, 2) && !cc.has_edge(0, 2));
-    }
-
-    #[test]
-    fn induced_subgraph_remaps() {
-        let mut g = UnGraph::new(5);
-        g.add_edge(0, 4);
-        g.add_edge(1, 4);
-        g.add_edge(2, 3);
-        let keep: crate::BitSet = [0, 2, 3, 4].into_iter().collect();
-        let (sub, ids) = g.induced_subgraph(&keep);
-        assert_eq!(ids, vec![0, 2, 3, 4]);
-        assert_eq!(sub.node_count(), 4);
-        assert!(sub.has_edge(0, 3)); // 0-4
-        assert!(sub.has_edge(1, 2)); // 2-3
-        assert_eq!(sub.edge_count(), 2);
     }
 
     #[test]

@@ -4,9 +4,7 @@
 use parsched_graph::coloring::{
     dsatur_coloring, exact_coloring, max_clique_lower_bound, ExactLimits,
 };
-use parsched_graph::{
-    strongly_connected_components, BitSet, ClosureMode, DiGraph, Reachability, Rebuilt, UnGraph,
-};
+use parsched_graph::{BitSet, ClosureMode, DiGraph, Reachability, Rebuilt, UnGraph};
 use std::collections::VecDeque;
 
 /// SplitMix64 — enough randomness for structural graph tests.
@@ -170,17 +168,6 @@ fn topological_sort_respects_edges() {
 }
 
 #[test]
-fn scc_of_dag_is_all_singletons() {
-    let mut rng = Rng::new(9);
-    for _ in 0..CASES {
-        let g = random_dag(&mut rng, 20);
-        let sccs = strongly_connected_components(&g);
-        assert_eq!(sccs.len(), g.node_count());
-        assert!(sccs.iter().all(|c| c.len() == 1));
-    }
-}
-
-#[test]
 fn clique_is_actually_a_clique() {
     let mut rng = Rng::new(10);
     for _ in 0..CASES {
@@ -215,7 +202,7 @@ fn members(set: &[bool]) -> Vec<usize> {
 
 /// Asserts `reach` answers every query surface of `g`'s reachability as the
 /// BFS reference does: `reaches`, sorted `row_iter`/`rrow_iter`,
-/// `for_each_unreachable`, `unordered_into`, and `to_dense`.
+/// `unordered_into`, and `to_dense`.
 fn assert_matches_bfs(reach: &Reachability, g: &DiGraph) {
     let n = g.node_count();
     assert_eq!(reach.len(), n);
@@ -237,10 +224,6 @@ fn assert_matches_bfs(reach: &Reachability, g: &DiGraph) {
         rrow.sort_unstable();
         assert_eq!(rrow, members(&bwd), "rrow_iter({i})");
         let unordered: Vec<usize> = (0..n).filter(|&j| j != i && !fwd[j] && !bwd[j]).collect();
-        let mut each = Vec::new();
-        reach.for_each_unreachable(i, |j| each.push(j));
-        each.sort_unstable();
-        assert_eq!(each, unordered, "for_each_unreachable({i})");
         reach.unordered_into(i, &universe, &mut out);
         assert_eq!(
             out.iter().collect::<Vec<_>>(),

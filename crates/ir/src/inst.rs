@@ -427,6 +427,16 @@ pub enum InstKind {
     Nop,
 }
 
+/// Whether a register occurrence is read or written; see
+/// [`Inst::map_regs_by_role`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RegRole {
+    /// The instruction reads the register.
+    Use,
+    /// The instruction writes the register.
+    Def,
+}
+
 /// An instruction: an [`InstKind`] plus derived def/use accessors.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Inst {
@@ -548,50 +558,60 @@ impl Inst {
 
     /// Rewrites every register (defs and uses) through `f`.
     pub fn map_regs(&mut self, mut f: impl FnMut(Reg) -> Reg) {
-        let map_operand = |op: &mut Operand, f: &mut dyn FnMut(Reg) -> Reg| {
+        self.map_regs_by_role(|r, _| f(r));
+    }
+
+    /// Rewrites every register through `f`, telling it whether the
+    /// occurrence is read or written, so a register that is both
+    /// (`s1 = add s1, 1`, or a call result that is also an argument) can
+    /// take a different name in each role. Uses are visited before defs,
+    /// each in [`Inst::uses`] / [`Inst::defs`] order.
+    pub fn map_regs_by_role(&mut self, mut f: impl FnMut(Reg, RegRole) -> Reg) {
+        use RegRole::{Def, Use};
+        let map_operand = |op: &mut Operand, f: &mut dyn FnMut(Reg, RegRole) -> Reg| {
             if let Operand::Reg(r) = op {
-                *r = f(*r);
+                *r = f(*r, Use);
             }
         };
-        let map_addr = |addr: &mut MemAddr, f: &mut dyn FnMut(Reg) -> Reg| {
+        let map_addr = |addr: &mut MemAddr, f: &mut dyn FnMut(Reg, RegRole) -> Reg| {
             if let AddrBase::Reg(r) = &mut addr.base {
-                *r = f(*r);
+                *r = f(*r, Use);
             }
         };
         match &mut self.kind {
-            InstKind::LoadImm { dst, .. } => *dst = f(*dst),
+            InstKind::LoadImm { dst, .. } => *dst = f(*dst, Def),
             InstKind::Binary { dst, lhs, rhs, .. } => {
                 map_operand(lhs, &mut f);
                 map_operand(rhs, &mut f);
-                *dst = f(*dst);
+                *dst = f(*dst, Def);
             }
             InstKind::Unary { dst, src, .. } | InstKind::Copy { dst, src } => {
-                *src = f(*src);
-                *dst = f(*dst);
+                *src = f(*src, Use);
+                *dst = f(*dst, Def);
             }
             InstKind::Load { dst, addr, .. } => {
                 map_addr(addr, &mut f);
-                *dst = f(*dst);
+                *dst = f(*dst, Def);
             }
             InstKind::Store { src, addr, .. } => {
-                *src = f(*src);
+                *src = f(*src, Use);
                 map_addr(addr, &mut f);
             }
             InstKind::Branch { lhs, rhs, .. } => {
-                *lhs = f(*lhs);
+                *lhs = f(*lhs, Use);
                 map_operand(rhs, &mut f);
             }
             InstKind::Call { dsts, args, .. } => {
                 for a in args.iter_mut() {
-                    *a = f(*a);
+                    *a = f(*a, Use);
                 }
                 for d in dsts.iter_mut() {
-                    *d = f(*d);
+                    *d = f(*d, Def);
                 }
             }
             InstKind::Ret { value } => {
                 if let Some(v) = value {
-                    *v = f(*v);
+                    *v = f(*v, Use);
                 }
             }
             InstKind::Jump { .. } | InstKind::Nop => {}
@@ -711,6 +731,29 @@ mod tests {
             p => p,
         });
         assert_eq!(i.uses(), vec![Reg::phys(10), Reg::phys(20)]);
+
+        // One register read and written: each role takes its own name.
+        let by_role = |r: Reg, role: RegRole| {
+            let n = r.as_sym().map_or(0, |s| s.0) * 10;
+            Reg::phys(if role == RegRole::Use { n } else { n + 1 })
+        };
+        let mut inc = Inst::new(InstKind::Binary {
+            op: BinOp::Add,
+            dst: Reg::sym(1),
+            lhs: Reg::sym(1).into(),
+            rhs: Operand::Imm(1),
+        });
+        inc.map_regs_by_role(by_role);
+        assert_eq!(inc.uses(), vec![Reg::phys(10)]);
+        assert_eq!(inc.defs(), vec![Reg::phys(11)]);
+        let mut call = Inst::new(InstKind::Call {
+            name: "f".into(),
+            dsts: vec![Reg::sym(2), Reg::sym(3)],
+            args: vec![Reg::sym(3), Reg::sym(4)],
+        });
+        call.map_regs_by_role(by_role);
+        assert_eq!(call.uses(), vec![Reg::phys(30), Reg::phys(40)]);
+        assert_eq!(call.defs(), vec![Reg::phys(21), Reg::phys(31)]);
     }
 
     #[test]

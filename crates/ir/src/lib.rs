@@ -72,7 +72,7 @@ pub mod webs;
 pub use block::{Block, BlockId};
 pub use builder::FunctionBuilder;
 pub use func::Function;
-pub use inst::{AddrBase, BinOp, Cond, Inst, InstId, InstKind, MemAddr, Operand, UnOp};
+pub use inst::{AddrBase, BinOp, Cond, Inst, InstId, InstKind, MemAddr, Operand, RegRole, UnOp};
 pub use parser::{parse_function, parse_module, ParseError};
 pub use printer::{print_function, print_inst, print_module};
 pub use reg::{PhysReg, Reg, SymReg};

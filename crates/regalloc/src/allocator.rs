@@ -223,7 +223,6 @@ pub fn allocate_single_block_in(
             *current.block_mut(block_id) = reordered;
         }
     }
-    let reference = current.clone();
     // Registers introduced by spill rewriting (reload temporaries) must
     // never be spilled again — their live ranges are already minimal and
     // re-spilling them loops forever. Protect them with a prohibitive cost.
@@ -292,15 +291,8 @@ pub fn allocate_single_block_in(
                     None => session.begin(current.block(block_id), telemetry)?,
                 }
                 session.build_pig_into(&problem, machine, telemetry, &mut pig_slot)?;
-                if pig_slot.is_none() {
-                    // Unreachable after begin/rebuild, but fall back to
-                    // the from-scratch construction rather than panic.
-                    let deps = DepGraph::build(current.block(block_id), telemetry);
-                    pig_slot = Some(Pig::build(&problem, &deps, machine, telemetry));
-                }
-                let pig = match pig_slot.as_ref() {
-                    Some(pig) => pig,
-                    None => unreachable!("slot filled above"),
+                let Some(pig) = pig_slot.as_ref() else {
+                    unreachable!("the session was begun or rebuilt above")
                 };
                 last_pig_edges = pig.edge_count() as u64;
                 limits.check_pig_edges("pig.edges", last_pig_edges)?;
@@ -378,9 +370,6 @@ pub fn allocate_single_block_in(
                     ),
                 );
             }
-            // The reference (pre-spill, post-prepass) function is what the
-            // caller compares schedules against; return the allocated form.
-            let _ = &reference;
             return Ok(BlockAllocation {
                 function: allocated,
                 colors_used,

@@ -14,16 +14,17 @@ use crate::assignment::AllocCheckError;
 use crate::combined::PinterConfig;
 use crate::pig::Pig;
 use crate::spill::SPILL_REGION;
-use parsched_graph::UnGraph;
+use parsched_graph::{BitSet, ClosureMode, Reachability, UnGraph};
 use parsched_ir::cfg::Cfg;
 use parsched_ir::defuse::{DefId, DefSite, DefUse, UseSite};
 use parsched_ir::liveness::Liveness;
 use parsched_ir::loops::Loops;
 use parsched_ir::webs::{WebId, Webs};
-use parsched_ir::{Block, BlockId, Function, Inst, InstId, InstKind, MemAddr, Reg};
+use parsched_ir::{Block, BlockId, Function, InstId, InstKind, MemAddr, Reg, RegRole};
 use parsched_machine::MachineDesc;
+use parsched_sched::falsedep::{for_each_ef_pair, EfScratch};
 use parsched_sched::region::form_regions;
-use parsched_sched::{falsedep, DepGraph};
+use parsched_sched::DepGraph;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -135,20 +136,28 @@ impl GlobalAllocProblem {
         let regions = form_regions(func, &cfg);
         let mut false_edges = UnGraph::new(nw);
         let mut priority = vec![0u32; nw];
+        let mut kernel = EfScratch::default();
         for region in &regions {
-            // Concatenate member bodies (dominance order); remember the
-            // original instruction of each concatenated position.
-            let mut concat = Block::new("region");
-            let mut origin: Vec<InstId> = Vec::new();
-            for &bid in region.blocks() {
-                let block = func.block(bid);
-                for (i, inst) in block.body().iter().enumerate() {
-                    concat.push(inst.clone());
-                    origin.push(InstId::new(bid, i));
-                }
-            }
-            if origin.is_empty() || origin.len() > region_cap {
+            let len: usize = region
+                .blocks()
+                .iter()
+                .map(|&b| func.block(b).body().len())
+                .sum();
+            if len == 0 || len > region_cap {
                 continue;
+            }
+            // Concatenate member bodies (dominance order); remember the
+            // webs each concatenated position defines, in result order.
+            let mut concat = Block::new("region");
+            let mut webs_at: Vec<Vec<WebId>> = Vec::with_capacity(len);
+            for &bid in region.blocks() {
+                for (i, inst) in func.block(bid).body().iter().enumerate() {
+                    let id = InstId::new(bid, i);
+                    let ws =
+                        (0..inst.defs().len()).map(|nth| webs.web_of(def_id_at(&defuse, id, nth)));
+                    webs_at.push(ws.collect());
+                    concat.push(inst.clone());
+                }
             }
             let deps = DepGraph::build(&concat, &parsched_telemetry::NullTelemetry);
             // Built dependence graphs are DAGs by construction; if that ever
@@ -156,32 +165,37 @@ impl GlobalAllocProblem {
             let Ok(heights) = deps.heights(machine) else {
                 continue;
             };
-            let ef = falsedep::false_dependence_graph(
-                &deps,
-                machine,
-                &parsched_telemetry::NullTelemetry,
-            );
-            // Web of the (first) def of a concatenated position, if any.
-            let web_at = |pos: usize| -> Option<WebId> {
-                let id = origin[pos];
-                let inst = func.inst(id);
-                if inst.defs().is_empty() {
-                    None
-                } else {
-                    Some(webs.web_of(def_id_at(&defuse, id, 0)))
+            let mut defining = BitSet::new(webs_at.len());
+            for (pos, (ws, &h)) in webs_at.iter().zip(&heights).enumerate() {
+                if !ws.is_empty() {
+                    defining.insert(pos);
                 }
-            };
-            for (pos, &h) in heights.iter().enumerate() {
-                if let Some(w) = web_at(pos) {
+                for w in ws {
                     priority[w.0] = priority[w.0].max(h);
                 }
             }
-            for (i, j) in ef.edges() {
-                if let (Some(u), Some(v)) = (web_at(i), web_at(j)) {
-                    if u != v {
-                        false_edges.add_edge(u.0, v.0);
+            let Some(reach) = Reachability::build(deps.graph(), ClosureMode::Auto, None) else {
+                unreachable!("a closure without a deadline cannot trip")
+            };
+            // Every web one position defines pairs with every web the other
+            // defines.
+            let walked = for_each_ef_pair(
+                &deps,
+                &reach,
+                machine,
+                &defining,
+                &mut kernel,
+                None,
+                |i, j| {
+                    for &u in &webs_at[i] {
+                        for &v in webs_at[j].iter().filter(|&&v| v != u) {
+                            false_edges.add_edge(u.0, v.0);
+                        }
                     }
-                }
+                },
+            );
+            if walked.is_err() {
+                unreachable!("an Ef walk without a deadline cannot trip");
             }
         }
         // Interference edges dominate: a pair that interferes must stay
@@ -592,17 +606,18 @@ pub enum GlobalScope {
 /// ```
 /// use parsched_ir::parse_function;
 /// use parsched_machine::presets;
-/// use parsched_regalloc::global::{allocate_global, GlobalStrategy};
+/// use parsched_regalloc::global::{allocate_global_scoped, GlobalScope, GlobalStrategy};
 ///
 /// let f = parse_function(
 ///     "func @abs(s0) {\nentry:\n    blt s0, 0, neg\npos:\n    ret s0\nneg:\n    s1 = neg s0\n    ret s1\n}",
 /// )?;
 /// use parsched_regalloc::AllocLimits;
 /// use parsched_telemetry::NullTelemetry;
-/// let out = allocate_global(
+/// let out = allocate_global_scoped(
 ///     &f,
 ///     &presets::paper_machine(4),
 ///     GlobalStrategy::Chaitin,
+///     GlobalScope::Function,
 ///     true,
 ///     &AllocLimits::default(),
 ///     &NullTelemetry,
@@ -610,6 +625,12 @@ pub enum GlobalScope {
 /// assert_eq!(out.function.num_sym_regs(), 0, "fully physical");
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+///
+/// [`GlobalScope::Function`] is the paper's model: one color per web over
+/// the whole function. [`GlobalScope::PerBlockBaseline`] dedicates a
+/// register to every cross-block web before coloring (reported per round
+/// as a `global.dedicated_webs` counter) — the measurement baseline that
+/// global allocation is compared against.
 ///
 /// Per-round progress is reported to `telemetry`: a `global.round` span
 /// wraps each round (containing `global.problem`, `global.coalesce`, the
@@ -625,35 +646,6 @@ pub enum GlobalScope {
 /// # Errors
 /// Returns [`GlobalAllocError`] if spilling fails to converge, or
 /// [`GlobalAllocError::Budget`] when a limit trips.
-pub fn allocate_global(
-    func: &Function,
-    machine: &MachineDesc,
-    strategy: GlobalStrategy,
-    coalesce: bool,
-    limits: &crate::limits::AllocLimits,
-    telemetry: &dyn parsched_telemetry::Telemetry,
-) -> Result<GlobalAllocation, GlobalAllocError> {
-    allocate_global_scoped(
-        func,
-        machine,
-        strategy,
-        GlobalScope::Function,
-        coalesce,
-        limits,
-        telemetry,
-    )
-}
-
-/// [`allocate_global`] with an explicit [`GlobalScope`].
-///
-/// [`GlobalScope::Function`] is the paper's model: one color per web over
-/// the whole function. [`GlobalScope::PerBlockBaseline`] dedicates a
-/// register to every cross-block web before coloring (reported per round
-/// as a `global.dedicated_webs` counter) — the measurement baseline that
-/// global allocation is compared against.
-///
-/// # Errors
-/// Same contract as [`allocate_global`].
 pub fn allocate_global_scoped(
     func: &Function,
     machine: &MachineDesc,
@@ -827,86 +819,31 @@ fn rewrite_with_webs(func: &Function, problem: &GlobalAllocProblem, colors: &[u3
     for (b, block) in out.blocks_mut().iter_mut().enumerate() {
         for (i, inst) in block.insts_mut().iter_mut().enumerate() {
             let id = InstId::new(BlockId(b), i);
-            let orig = func.inst(id);
-            // Resolve replacement per operand role.
-            let defs = orig.defs();
-            let uses = orig.uses();
-            let mut def_map: HashMap<Reg, Reg> = HashMap::new();
-            for (nth, d) in defs.iter().enumerate() {
-                let w = problem.webs.web_of(def_id_at(&problem.defuse, id, nth));
-                def_map.insert(*d, phys_of_web(w));
-            }
-            let mut use_map: HashMap<Reg, Reg> = HashMap::new();
-            for (nth, u) in uses.iter().enumerate() {
-                let site = UseSite { inst: id, nth };
-                if let Some(&d) = problem.defuse.reaching_defs(site).first() {
-                    use_map.insert(*u, phys_of_web(problem.webs.web_of(d)));
-                }
-            }
-            // A register may appear as both use and def (e.g. `s1 = add s1, 1`).
-            // map_regs visits each occurrence; uses are reads, defs writes —
-            // but map_regs cannot distinguish role. Within one web they agree
-            // (the use's reaching def and the new def share the web only if
-            // merged); when they disagree we rewrite by role explicitly.
-            rewrite_inst_by_role(inst, &def_map, &use_map);
+            // A register may be both read and written (`s1 = add s1, 1`),
+            // each occurrence in its own web, so rewrite every operand by
+            // role: a use through its reaching definition's web, a def
+            // through its own.
+            let (mut nth_use, mut nth_def) = (0, 0);
+            inst.map_regs_by_role(|r, role| {
+                let def = match role {
+                    RegRole::Use => {
+                        nth_use += 1;
+                        let site = UseSite {
+                            inst: id,
+                            nth: nth_use - 1,
+                        };
+                        problem.defuse.reaching_defs(site).first().copied()
+                    }
+                    RegRole::Def => {
+                        nth_def += 1;
+                        Some(def_id_at(&problem.defuse, id, nth_def - 1))
+                    }
+                };
+                def.map_or(r, |d| phys_of_web(problem.webs.web_of(d)))
+            });
         }
     }
     Function::new(func.name(), new_params, out.blocks().to_vec())
-}
-
-/// Rewrites an instruction's defs via `def_map` and uses via `use_map`.
-fn rewrite_inst_by_role(inst: &mut Inst, def_map: &HashMap<Reg, Reg>, use_map: &HashMap<Reg, Reg>) {
-    let remap_use = |r: Reg| *use_map.get(&r).unwrap_or(&r);
-    match inst.kind_mut() {
-        InstKind::LoadImm { dst, .. } => {
-            *dst = *def_map.get(dst).unwrap_or(dst);
-        }
-        InstKind::Binary { dst, lhs, rhs, .. } => {
-            if let parsched_ir::Operand::Reg(r) = lhs {
-                *r = remap_use(*r);
-            }
-            if let parsched_ir::Operand::Reg(r) = rhs {
-                *r = remap_use(*r);
-            }
-            *dst = *def_map.get(dst).unwrap_or(dst);
-        }
-        InstKind::Unary { dst, src, .. } | InstKind::Copy { dst, src } => {
-            *src = remap_use(*src);
-            *dst = *def_map.get(dst).unwrap_or(dst);
-        }
-        InstKind::Load { dst, addr, .. } => {
-            if let parsched_ir::AddrBase::Reg(r) = &mut addr.base {
-                *r = remap_use(*r);
-            }
-            *dst = *def_map.get(dst).unwrap_or(dst);
-        }
-        InstKind::Store { src, addr, .. } => {
-            *src = remap_use(*src);
-            if let parsched_ir::AddrBase::Reg(r) = &mut addr.base {
-                *r = remap_use(*r);
-            }
-        }
-        InstKind::Branch { lhs, rhs, .. } => {
-            *lhs = remap_use(*lhs);
-            if let parsched_ir::Operand::Reg(r) = rhs {
-                *r = remap_use(*r);
-            }
-        }
-        InstKind::Call { dsts, args, .. } => {
-            for a in args.iter_mut() {
-                *a = remap_use(*a);
-            }
-            for d in dsts.iter_mut() {
-                *d = *def_map.get(d).unwrap_or(d);
-            }
-        }
-        InstKind::Ret { value } => {
-            if let Some(v) = value {
-                *v = remap_use(*v);
-            }
-        }
-        InstKind::Jump { .. } | InstKind::Nop => {}
-    }
 }
 
 /// Spills whole webs: every member definition is followed by a store,
@@ -966,8 +903,10 @@ fn insert_global_spill_code(
             let mut rewritten = inst.clone();
             if !replacement.is_empty() {
                 // Only uses are replaced by role-aware rewriting.
-                let empty: HashMap<Reg, Reg> = HashMap::new();
-                rewrite_inst_by_role(&mut rewritten, &empty, &replacement);
+                rewritten.map_regs_by_role(|r, role| match role {
+                    RegRole::Use => *replacement.get(&r).unwrap_or(&r),
+                    RegRole::Def => r,
+                });
             }
             let defs = rewritten.defs();
             nb.push(rewritten);
@@ -1021,10 +960,11 @@ mod tests {
         strategy: GlobalStrategy,
         coalesce: bool,
     ) -> Result<GlobalAllocation, GlobalAllocError> {
-        allocate_global(
+        allocate_global_scoped(
             f,
             m,
             strategy,
+            GlobalScope::Function,
             coalesce,
             &crate::limits::AllocLimits::default(),
             &parsched_telemetry::NullTelemetry,

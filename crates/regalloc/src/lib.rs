@@ -42,6 +42,6 @@ pub use allocator::{
 };
 pub use combined::{EdgeRemovalPolicy, PinterConfig, SpillMetric};
 pub use limits::{AllocLimits, BudgetExceeded, DEFAULT_MAX_ROUNDS};
-pub use pig::{AugmentedPig, Pig};
+pub use pig::Pig;
 pub use problem::{BlockAllocProblem, ProblemError};
 pub use session::AllocSession;

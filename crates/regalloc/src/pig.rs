@@ -8,11 +8,12 @@
 //! Theorem 2: `G` is minimal with that property.
 
 use crate::problem::BlockAllocProblem;
-use parsched_graph::{BitMatrix, BitSet, UnGraph};
+use parsched_graph::{BitMatrix, BitSet, ClosureMode, Reachability, UnGraph};
 use parsched_machine::MachineDesc;
-use parsched_sched::falsedep::false_dependence_graph;
-use parsched_sched::DepGraph;
+use parsched_sched::falsedep::{for_each_ef_pair, EfScratch};
+use parsched_sched::{DeadlineExceeded, DepGraph};
 use std::sync::OnceLock;
+use std::time::Instant;
 
 /// A PIG: the combined graph plus bookkeeping about which edges came from
 /// where (needed by the combined allocator's heuristics, Lemmas 2/3).
@@ -34,6 +35,57 @@ pub struct Pig {
     shared: BitMatrix,
     edge_count: usize,
     view: OnceLock<UnGraph>,
+}
+
+/// The pooled tables of one `Ef` walk over a block's allocation vertices.
+#[derive(Debug, Default)]
+pub(crate) struct EfBuffers {
+    kernel: EfScratch,
+    /// The body positions that define a vertex.
+    defining: BitSet,
+    /// `Ef` over the vertices.
+    edges: BitMatrix,
+}
+
+impl EfBuffers {
+    /// `Ef` over `problem`'s vertices, from `reach`, the closure of `deps`:
+    /// every pair of defining instructions the kernel yields becomes an
+    /// edge between every vertex one defines and every vertex the other
+    /// defines, so each result of a multi-result call carries its
+    /// instruction's edges (Theorem 1).
+    pub(crate) fn fill(
+        &mut self,
+        problem: &BlockAllocProblem,
+        deps: &DepGraph,
+        reach: &Reachability,
+        machine: &MachineDesc,
+        deadline: Option<Instant>,
+    ) -> Result<&BitMatrix, DeadlineExceeded> {
+        let n = deps.len();
+        self.defining.reset(n);
+        for i in (0..n).filter(|&i| !problem.nodes_defined_at(i).is_empty()) {
+            self.defining.insert(i);
+        }
+        let edges = &mut self.edges;
+        edges.reset(problem.len());
+        for_each_ef_pair(
+            deps,
+            reach,
+            machine,
+            &self.defining,
+            &mut self.kernel,
+            deadline,
+            |i, j| {
+                for u in problem.nodes_defined_at(i) {
+                    for v in problem.nodes_defined_at(j) {
+                        edges.set(u, v);
+                        edges.set(v, u);
+                    }
+                }
+            },
+        )?;
+        Ok(edges)
+    }
 }
 
 impl Pig {
@@ -63,10 +115,12 @@ impl Pig {
     ///
     /// `deps` must be the dependence graph of the same block built from
     /// *symbolic* code. An `Ef` edge between two defining instructions
-    /// becomes an edge between their definition vertices; `Ef` edges
-    /// touching non-defining instructions (stores, branch inputs) have no
-    /// allocation counterpart and are dropped, per the paper's `u, v ∈ V`
-    /// restriction.
+    /// becomes an edge between every vertex one defines and every vertex
+    /// the other defines; `Ef` edges touching non-defining instructions
+    /// (stores, branch inputs) have no allocation counterpart and are
+    /// dropped, per the paper's `u, v ∈ V` restriction. This is the
+    /// allocator's own construction ([`crate::AllocSession::build_pig_into`])
+    /// with a closure built from scratch.
     ///
     /// Construction statistics are reported to `telemetry`: node/edge
     /// counts per class (`pig.*`) and the maximum PIG degree.
@@ -77,17 +131,15 @@ impl Pig {
         telemetry: &dyn parsched_telemetry::Telemetry,
     ) -> Pig {
         let _span = parsched_telemetry::span(telemetry, "pig.build");
-        let ef = false_dependence_graph(deps, machine, &parsched_telemetry::NullTelemetry);
-        let n = problem.len();
-        let er = problem.interference();
-
-        let mut false_edges = UnGraph::new(n);
-        for (i, j) in ef.edges() {
-            if let (Some(u), Some(v)) = (problem.node_defined_at(i), problem.node_defined_at(j)) {
-                false_edges.add_edge(u, v);
-            }
-        }
-        let pig = Pig::from_parts(er.clone(), false_edges);
+        let Some(reach) = Reachability::build(deps.graph(), ClosureMode::Auto, None) else {
+            unreachable!("a closure without a deadline cannot trip")
+        };
+        let mut buf = EfBuffers::default();
+        let Ok(ef) = buf.fill(problem, deps, &reach, machine, None) else {
+            unreachable!("an Ef walk without a deadline cannot trip")
+        };
+        let mut pig = Pig::empty();
+        pig.assemble(problem.interference(), ef);
         pig.report(telemetry);
         pig
     }
@@ -256,71 +308,6 @@ impl Pig {
     }
 }
 
-/// The paper's *augmented* parallelizable interference graph: vertices are
-/// **all** body instructions (`V = Vs`), not just definitions, with both
-/// interference edges (lifted to the defining instructions) and
-/// false-dependence edges. The augmentation does not take part in coloring;
-/// its purpose is the scheduler-facing query the paper describes — "at each
-/// node v the edges {v, u} ∈ Ef provide the list of available instructions
-/// (with v) as used in list scheduling algorithms".
-#[derive(Debug, Clone)]
-pub struct AugmentedPig {
-    ef: UnGraph,
-    interference_insts: UnGraph,
-}
-
-impl AugmentedPig {
-    /// Builds the augmented graph for a block, reporting `Ef` construction
-    /// statistics to `telemetry`.
-    pub fn build(
-        problem: &BlockAllocProblem,
-        deps: &DepGraph,
-        machine: &MachineDesc,
-        telemetry: &dyn parsched_telemetry::Telemetry,
-    ) -> AugmentedPig {
-        let n = deps.len();
-        let ef = false_dependence_graph(deps, machine, telemetry);
-        // Lift Er onto instructions: an interference edge between two
-        // in-block definitions becomes an edge between their instructions.
-        let mut interference_insts = UnGraph::new(n);
-        for (u, v) in problem.interference().edges() {
-            if let (Some(i), Some(j)) = (problem.def_site(u), problem.def_site(v)) {
-                interference_insts.add_edge(i, j);
-            }
-        }
-        AugmentedPig {
-            ef,
-            interference_insts,
-        }
-    }
-
-    /// Number of instruction vertices.
-    pub fn len(&self) -> usize {
-        self.ef.node_count()
-    }
-
-    /// Whether the block body is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The combined edge set over instructions (`Er` lifted ∪ `Ef`).
-    pub fn graph(&self) -> UnGraph {
-        self.interference_insts.union(&self.ef)
-    }
-
-    /// The instructions that may issue in the same cycle as `v` — the
-    /// paper's available list for list scheduling.
-    pub fn available_with(&self, v: usize) -> &[usize] {
-        self.ef.neighbors(v)
-    }
-
-    /// Whether instructions `u` and `v` may share an issue cycle.
-    pub fn can_pair(&self, u: usize, v: usize) -> bool {
-        self.ef.has_edge(u, v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,6 +315,7 @@ mod tests {
     use parsched_ir::liveness::Liveness;
     use parsched_ir::{parse_function, BlockId, Reg};
     use parsched_machine::presets;
+    use parsched_sched::falsedep::false_dependence_graph;
 
     fn setup(src: &str) -> (parsched_ir::Function, BlockAllocProblem, DepGraph) {
         let f = parse_function(src).unwrap();
@@ -416,18 +404,18 @@ mod tests {
 
     #[test]
     fn augmented_pig_available_lists_match_figure2() {
-        // Example 1's available pairs are the three Ef edges.
-        let (_f, p, d) = setup(EXAMPLE1);
+        // The paper's augmented PIG gives each instruction its list of
+        // available partners: `Ef`'s neighbors. Example 1's available pairs
+        // are the three Ef edges.
+        let (_f, _p, d) = setup(EXAMPLE1);
         let m = presets::paper_machine(8);
-        let aug = AugmentedPig::build(&p, &d, &m, &parsched_telemetry::NullTelemetry);
-        assert_eq!(aug.len(), 5);
-        assert!(aug.can_pair(0, 1), "load z ∥ s2");
-        assert!(aug.can_pair(1, 3), "s2 ∥ add");
-        assert!(aug.can_pair(2, 3), "load a[i] ∥ add");
-        assert!(!aug.can_pair(0, 2), "loads share the fetch unit");
-        assert_eq!(aug.available_with(3).len(), 2);
-        // Interference lifts onto instructions: s1 (inst 0) vs s3 (inst 2).
-        assert!(aug.graph().has_edge(0, 2));
+        let ef = false_dependence_graph(&d, &m, &parsched_telemetry::NullTelemetry);
+        assert_eq!(ef.node_count(), 5);
+        assert!(ef.has_edge(0, 1), "load z ∥ s2");
+        assert!(ef.has_edge(1, 3), "s2 ∥ add");
+        assert!(ef.has_edge(2, 3), "load a[i] ∥ add");
+        assert!(!ef.has_edge(0, 2), "loads share the fetch unit");
+        assert_eq!(ef.neighbors(3), &[1, 2]);
     }
 
     #[test]
@@ -435,9 +423,9 @@ mod tests {
         // Any two instructions the list scheduler issues in one cycle must
         // be in each other's available lists.
         use parsched_sched::list_schedule;
-        let (f, p, d) = setup(EXAMPLE1);
+        let (f, _p, d) = setup(EXAMPLE1);
         let m = presets::paper_machine(8);
-        let aug = AugmentedPig::build(&p, &d, &m, &parsched_telemetry::NullTelemetry);
+        let ef = false_dependence_graph(&d, &m, &parsched_telemetry::NullTelemetry);
         let s = list_schedule(
             &f.blocks()[0],
             &d,
@@ -450,7 +438,7 @@ mod tests {
             for (a, &u) in group.iter().enumerate() {
                 for &v in &group[a + 1..] {
                     assert!(
-                        aug.can_pair(u, v),
+                        ef.neighbors(u).contains(&v),
                         "scheduler paired {u} and {v} outside Ef"
                     );
                 }

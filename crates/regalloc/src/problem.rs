@@ -5,6 +5,7 @@ use parsched_ir::liveness::Liveness;
 use parsched_ir::{BlockId, Function, Reg};
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// "Not a node" in [`BlockAllocProblem`]'s rank table.
 const NONE: usize = usize::MAX;
@@ -32,8 +33,9 @@ pub struct BlockAllocProblem {
     /// The node of each rank, or [`NONE`].
     node_of_rank: Vec<usize>,
     def_site: Vec<Option<usize>>,
-    /// The first node each body instruction defines.
-    def_node: Vec<Option<usize>>,
+    /// The nodes body instruction `i` defines are
+    /// `def_start[i]..def_start[i + 1]`.
+    def_start: Vec<usize>,
     uses_count: Vec<u32>,
     interference: UnGraph,
 }
@@ -107,13 +109,14 @@ impl BlockAllocProblem {
         let mut nodes: Vec<Reg> = Vec::new();
         let mut node_of_rank = vec![NONE; regs.len()];
         let mut def_site: Vec<Option<usize>> = Vec::new();
-        let mut def_node: Vec<Option<usize>> = vec![None; body.len()];
+        let mut def_start: Vec<usize> = Vec::with_capacity(body.len() + 1);
         for r in live_in {
             node_of_rank[rank(r)] = nodes.len();
             nodes.push(*r);
             def_site.push(None);
         }
         for (i, inst) in body.iter().enumerate() {
+            def_start.push(nodes.len());
             for d in inst.defs() {
                 let k = rank(&d);
                 let existing = node_of_rank[k];
@@ -125,11 +128,11 @@ impl BlockAllocProblem {
                     });
                 }
                 node_of_rank[k] = nodes.len();
-                def_node[i].get_or_insert(nodes.len());
                 nodes.push(d);
                 def_site.push(Some(i));
             }
         }
+        def_start.push(nodes.len());
 
         // Count uses for spill costs (terminator uses count too).
         let mut uses_count = vec![0u32; nodes.len()];
@@ -201,7 +204,7 @@ impl BlockAllocProblem {
             regs,
             node_of_rank,
             def_site,
-            def_node,
+            def_start,
             uses_count,
             interference,
         })
@@ -239,9 +242,12 @@ impl BlockAllocProblem {
         self.def_site[n]
     }
 
-    /// The node defined by body instruction `i`, if any.
-    pub fn node_defined_at(&self, i: usize) -> Option<usize> {
-        self.def_node.get(i).copied().flatten()
+    /// The nodes defined by body instruction `i`, in result order: empty
+    /// for an instruction that defines nothing (or `i` past the body),
+    /// several for a multi-result call. One instruction's definitions are
+    /// numbered consecutively.
+    pub fn nodes_defined_at(&self, i: usize) -> Range<usize> {
+        self.def_start.get(i..i + 2).map_or(0..0, |w| w[0]..w[1])
     }
 
     /// Number of uses of node `n` within the block (terminator included).
@@ -341,7 +347,8 @@ mod tests {
         let s1 = p.node_of(Reg::sym(1)).unwrap();
         assert_eq!(p.def_site(s0), None);
         assert_eq!(p.def_site(s1), Some(0));
-        assert_eq!(p.node_defined_at(0), Some(s1));
+        assert_eq!(p.nodes_defined_at(0), s1..s1 + 1);
+        assert!(p.nodes_defined_at(2).is_empty(), "past the body");
         assert_eq!(p.uses_count(s0), 2);
         assert_eq!(p.uses_count(s1), 2);
         assert!(p.spill_cost(s0) > 2.9);

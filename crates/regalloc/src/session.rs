@@ -1,12 +1,11 @@
 //! Reusable allocation sessions.
 //!
 //! An [`AllocSession`] wraps a [`SchedSession`] (the dependence graph and
-//! its incrementally-maintained transitive closure) and derives the PIG
-//! from the closure *rows* directly, without ever materializing the dense
-//! `Et`/`Ef` graphs that [`crate::Pig::build`] constructs from scratch.
-//! Across a spill loop this replaces the per-round `O(n³)` closure plus
-//! `O(n²)` complement with an incremental closure update and a row walk
-//! restricted to defining instructions — the tentpole of making the
+//! its incrementally-maintained transitive closure) and derives the PIG's
+//! `Ef` edges from the closure rows with the one `Ef` kernel,
+//! [`parsched_sched::falsedep::for_each_ef_pair`], restricted to defining
+//! instructions. Across a spill loop this replaces a per-round closure
+//! build with an incremental closure update, which is what makes the
 //! combined strategy competitive in compile time.
 //!
 //! The session is reusable across functions: [`AllocSession::begin`] fully
@@ -14,11 +13,11 @@
 //! the batch driver's per-worker sessions rely on.
 
 use crate::limits::BudgetExceeded;
-use crate::pig::Pig;
+use crate::pig::{EfBuffers, Pig};
 use crate::problem::BlockAllocProblem;
-use parsched_graph::{BitMatrix, BitSet, ClosureMode, DEADLINE_STRIDE};
+use parsched_graph::ClosureMode;
 use parsched_ir::Block;
-use parsched_machine::{MachineDesc, OpClass};
+use parsched_machine::MachineDesc;
 use parsched_sched::{BlockRemap, DeadlineExceeded, DepGraph, SchedSession};
 use std::time::Instant;
 
@@ -39,29 +38,15 @@ fn deadline_budget(e: DeadlineExceeded) -> BudgetExceeded {
 ///
 /// Telemetry: closure maintenance reports `pig.full_rebuilds` /
 /// `pig.incremental_nodes` (see [`SchedSession`]); every
-/// [`AllocSession::build_pig`] call bumps `pig.rounds` and reports the
+/// [`AllocSession::build_pig_into`] call bumps `pig.rounds` and reports the
 /// usual `pig.*` construction statistics.
 #[derive(Debug)]
 pub struct AllocSession {
     sched: SchedSession,
-    buf: PigBuffers,
-}
-
-/// [`AllocSession::build_pig_into`]'s per-round tables, pooled so the spill
-/// loop rebuilds them in place instead of reallocating them every round.
-#[derive(Debug, Default)]
-struct PigBuffers {
-    def_node: Vec<Option<usize>>,
-    def_mask: BitSet,
-    /// The distinct op classes of the block, in first-seen order.
-    classes: Vec<OpClass>,
-    /// Index into `classes` of each body position's class.
-    class_of: Vec<usize>,
-    class_positions: Vec<BitSet>,
-    conflict_rows: Vec<BitSet>,
-    scratch: BitSet,
-    /// The `Ef` accumulator over allocation vertices.
-    false_edges: BitMatrix,
+    /// [`AllocSession::build_pig_into`]'s `Ef` tables, pooled so the spill
+    /// loop rebuilds them in place instead of reallocating them every
+    /// round.
+    buf: EfBuffers,
 }
 
 impl Default for AllocSession {
@@ -75,13 +60,13 @@ impl AllocSession {
     pub fn new() -> AllocSession {
         AllocSession {
             sched: SchedSession::new(),
-            buf: PigBuffers::default(),
+            buf: EfBuffers::default(),
         }
     }
 
     /// Sets (or clears) the wall-clock deadline polled cooperatively inside
-    /// closure maintenance and [`AllocSession::build_pig`]'s row walk, every
-    /// ~[`DEADLINE_STRIDE`] units of work.
+    /// closure maintenance and [`AllocSession::build_pig_into`]'s row walk,
+    /// every ~[`parsched_graph::DEADLINE_STRIDE`] units of work.
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
         self.sched.set_deadline(deadline);
     }
@@ -131,43 +116,25 @@ impl AllocSession {
         &self.sched
     }
 
-    /// Builds the PIG for `problem` from the session's closure rows.
+    /// Builds the PIG for `problem` from the session's closure rows into
+    /// `slot`.
     ///
     /// Edge-identical to [`Pig::build`] on the same inputs (the property
-    /// suite in `tests/sessions.rs` checks this across seeded spill loops),
-    /// but touches only the rows of *defining* instructions: a pair of
-    /// definition vertices gets an `Ef` edge exactly when neither
-    /// instruction reaches the other in the closure and their op classes
-    /// have no pairwise machine conflict.
-    ///
-    /// Returns `Ok(None)` if no block has been built or the stored closure
-    /// does not cover `deps` — callers should fall back to [`Pig::build`].
-    ///
-    /// # Errors
-    /// Returns [`BudgetExceeded`] if the session deadline passes during the
-    /// `Ef` row walk (polled every ~[`DEADLINE_STRIDE`] rows).
-    pub fn build_pig(
-        &mut self,
-        problem: &BlockAllocProblem,
-        machine: &MachineDesc,
-        telemetry: &dyn parsched_telemetry::Telemetry,
-    ) -> Result<Option<Pig>, BudgetExceeded> {
-        let mut slot = None;
-        self.build_pig_into(problem, machine, telemetry, &mut slot)?;
-        Ok(slot)
-    }
-
-    /// [`AllocSession::build_pig`], but rebuilding into `slot` in place.
+    /// suite in `tests/sessions.rs` checks this across seeded spill loops):
+    /// both walk `Ef` with the same kernel, over the *defining*
+    /// instructions only, and give every vertex an instruction defines its
+    /// instruction's edges.
     ///
     /// On success `slot` holds the PIG; a previous round's PIG left in the
     /// slot donates its buffers, making the per-round rebuild allocation-
-    /// free once sizes stabilize. Sets `slot` to `None` (the
-    /// fall-back-to-[`Pig::build`] signal) in the same cases `build_pig`
-    /// returns `Ok(None)`.
+    /// free once sizes stabilize. `slot` is left `None` if no block has
+    /// been built or the stored closure does not cover the dependence
+    /// graph.
     ///
     /// # Errors
-    /// Returns [`BudgetExceeded`] under the same conditions as
-    /// [`AllocSession::build_pig`]; `slot` is cleared.
+    /// Returns [`BudgetExceeded`] (phase `"pig.ef_rows"`) if the session
+    /// deadline passes during the `Ef` row walk (polled every
+    /// ~[`parsched_graph::DEADLINE_STRIDE`] rows); `slot` is cleared.
     pub fn build_pig_into(
         &mut self,
         problem: &BlockAllocProblem,
@@ -181,95 +148,24 @@ impl AllocSession {
         let Some(deps) = self.sched.deps() else {
             return Ok(());
         };
-        let n = deps.len();
-        if self.sched.reachability().len() != n {
+        let reach = self.sched.reachability();
+        if reach.len() != deps.len() {
             return Ok(());
         }
         let _span = parsched_telemetry::span(telemetry, "pig.build");
-        let reach = self.sched.reachability();
-        let buf = &mut self.buf;
-
-        // def_node[i] = allocation vertex defined at body position i.
-        buf.def_node.clear();
-        buf.def_node.resize(n, None);
-        buf.def_mask.reset(n);
-        for node in 0..problem.len() {
-            if let Some(i) = problem.def_site(node) {
-                if i < n {
-                    buf.def_node[i] = Some(node);
-                    buf.def_mask.insert(i);
-                }
-            }
-        }
-
-        // Positions grouped by op class, and per-class conflict rows:
-        // conflict_rows[c] = ⋃ { positions of class d : c conflicts with d }.
-        // class_of[i] indexes position i's class in both, hoisting the
-        // per-row class lookup out of the walk below.
-        buf.classes.clear();
-        buf.class_of.clear();
-        for &c in deps.classes() {
-            let idx = match buf.classes.iter().position(|&d| d == c) {
-                Some(idx) => idx,
-                None => {
-                    buf.classes.push(c);
-                    buf.classes.len() - 1
-                }
-            };
-            buf.class_of.push(idx);
-        }
-        let n_classes = buf.classes.len();
-        buf.class_positions.resize_with(n_classes, BitSet::default);
-        buf.conflict_rows.resize_with(n_classes, BitSet::default);
-        for set in buf.class_positions.iter_mut().chain(&mut buf.conflict_rows) {
-            set.reset(n);
-        }
-        for (i, &idx) in buf.class_of.iter().enumerate() {
-            buf.class_positions[idx].insert(i);
-        }
-        for (c, row) in buf.classes.iter().zip(&mut buf.conflict_rows) {
-            for (d, set) in buf.classes.iter().zip(&buf.class_positions) {
-                if machine.pairwise_conflict(*c, *d) {
-                    row.union_with(set);
-                }
-            }
-        }
-
-        let _ef_span = parsched_telemetry::span(telemetry, "pig.ef_rows");
-        let deadline = self.sched.deadline();
-        buf.scratch.reset(n);
-        buf.false_edges.reset(problem.len());
-        for (processed, i) in buf.def_mask.iter().enumerate() {
-            if processed % DEADLINE_STRIDE == DEADLINE_STRIDE - 1
-                && deadline.is_some_and(|d| Instant::now() >= d)
-            {
-                return Err(BudgetExceeded {
-                    phase: "pig.ef_rows",
-                    limit: 0,
-                    actual: 0,
-                });
-            }
-            // ef_row(i) = defs \ reach(i) \ reach⁻¹(i) \ conflicts(i) \ {i};
-            // the engine answers the first three in one query.
-            reach.unordered_into(i, &buf.def_mask, &mut buf.scratch);
-            buf.scratch
-                .difference_with(&buf.conflict_rows[buf.class_of[i]]);
-            for j in buf.scratch.iter() {
-                // Each unordered pair once: Ef is symmetric.
-                if j <= i {
-                    continue;
-                }
-                if let (Some(u), Some(v)) = (buf.def_node[i], buf.def_node[j]) {
-                    buf.false_edges.set(u, v);
-                    buf.false_edges.set(v, u);
-                }
-            }
-        }
-
-        drop(_ef_span);
+        let ef_span = parsched_telemetry::span(telemetry, "pig.ef_rows");
+        let ef = self
+            .buf
+            .fill(problem, deps, reach, machine, self.sched.deadline())
+            .map_err(|_| BudgetExceeded {
+                phase: "pig.ef_rows",
+                limit: 0,
+                actual: 0,
+            })?;
+        drop(ef_span);
         let _asm_span = parsched_telemetry::span(telemetry, "pig.assemble");
         let mut pig = donor.unwrap_or_else(Pig::empty);
-        pig.assemble(problem.interference(), &buf.false_edges);
+        pig.assemble(problem.interference(), ef);
         pig.report(telemetry);
         if telemetry.enabled() {
             telemetry.counter("pig.rounds", 1);
@@ -326,7 +222,11 @@ mod tests {
 
             let mut sess = AllocSession::new();
             assert!(sess.begin(&f.blocks()[0], &NullTelemetry).is_ok());
-            let Ok(Some(pig)) = sess.build_pig(&problem, &m, &NullTelemetry) else {
+            let mut slot = None;
+            assert!(sess
+                .build_pig_into(&problem, &m, &NullTelemetry, &mut slot)
+                .is_ok());
+            let Some(pig) = slot else {
                 unreachable!("session was begun, PIG must build")
             };
 
@@ -350,10 +250,14 @@ mod tests {
         let lv = Liveness::compute(&f, &[]);
         let problem = must(BlockAllocProblem::build(&f, BlockId(0), &lv));
         let mut sess = AllocSession::new();
-        assert!(matches!(
-            sess.build_pig(&problem, &presets::paper_machine(4), &NullTelemetry),
-            Ok(None)
-        ));
+        let mut slot = None;
+        let built = sess.build_pig_into(
+            &problem,
+            &presets::paper_machine(4),
+            &NullTelemetry,
+            &mut slot,
+        );
+        assert!(built.is_ok() && slot.is_none());
     }
 
     #[test]

@@ -11,17 +11,29 @@
 //! * `Ef` = the complement of `Et`: exactly the pairs that *can* be
 //!   scheduled together (**Lemma 1** — an edge `(u,v)` of a post-allocation
 //!   scheduling graph is a false dependence iff `{u,v} ∈ Ef`).
+//!
+//! [`for_each_ef_pair`] is the one `Ef` kernel: it walks the closure's
+//! rows over a universe of positions and never builds `Et`. Every PIG
+//! takes its false-dependence edges from it — the allocator's session,
+//! `Pig::build`, [`false_dependence_graph`] and the global region loop —
+//! and [`et_graph`] keeps the paper's literal construction as the
+//! reference.
 
 use crate::deps::{mem_dep, touches_memory, DepEdge, DepGraph};
-use parsched_graph::{ClosureMode, FastMap, Reachability, UnGraph, DEADLINE_STRIDE};
-use parsched_ir::{Block, Inst, MemAddr, Reg};
-use parsched_machine::MachineDesc;
+use crate::session::DeadlineExceeded;
+use parsched_graph::{BitSet, ClosureMode, FastMap, Reachability, UnGraph, DEADLINE_STRIDE};
+use parsched_ir::{Block, MemAddr, Reg, RegRole};
+use parsched_machine::{MachineDesc, OpClass};
 use std::collections::HashMap;
 use std::time::Instant;
 
 /// Builds `Et` for a block body: undirected transitive closure of the
 /// dependence graph plus pairwise machine constraints, reporting its edge
 /// count to `telemetry`.
+///
+/// This is the paper's literal construction, kept for the `Et` DOT dump,
+/// the figures and as the tests' reference; every PIG takes `Ef` from
+/// [`for_each_ef_pair`] instead.
 ///
 /// `deps` should be built from *symbolic* code (the paper's `Gs`); building
 /// it from allocated code would bake the allocation's false dependences
@@ -32,35 +44,12 @@ pub fn et_graph(
     telemetry: &dyn parsched_telemetry::Telemetry,
 ) -> UnGraph {
     let _span = parsched_telemetry::span(telemetry, "ef.et_build");
-    let Some(et) = et_graph_until(deps, machine, None) else {
-        unreachable!("et_graph_until without a deadline cannot trip")
+    let Some(reach) = Reachability::build(deps.graph(), ClosureMode::Auto, None) else {
+        unreachable!("a closure without a deadline cannot trip")
     };
-    if telemetry.enabled() {
-        telemetry.counter("ef.et_edges", et.edge_count() as u64);
-    }
-    et
-}
-
-/// [`et_graph`] with a cooperative deadline: both the transitive closure
-/// and the O(n²) row loops poll `deadline` and return `None` once it
-/// passes, bounding overshoot to a row of work rather than the whole
-/// quadratic build.
-pub fn et_graph_until(
-    deps: &DepGraph,
-    machine: &MachineDesc,
-    deadline: Option<Instant>,
-) -> Option<UnGraph> {
-    let reach = Reachability::build(deps.graph(), ClosureMode::Auto, deadline)?;
     let n = deps.len();
     let mut et = UnGraph::new(n);
     for u in 0..n {
-        // Unlike the closure's cheap label/row propagation (polled every
-        // DEADLINE_STRIDE units of work), each row here enumerates the
-        // closure row and makes O(n) pairwise_conflict calls, so one
-        // clock read per row is already invisible.
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return None;
-        }
         for v in reach.row_iter(u) {
             if v != u && !et.has_edge(u, v) {
                 et.add_edge(u.min(v), u.max(v));
@@ -72,12 +61,99 @@ pub fn et_graph_until(
             }
         }
     }
-    Some(et)
+    if telemetry.enabled() {
+        telemetry.counter("ef.et_edges", et.edge_count() as u64);
+    }
+    et
 }
 
-/// Builds the false-dependence graph `Ef`: the complement of [`et_graph`].
-/// Its edges are exactly the instruction pairs that can issue in the same
-/// cycle given the symbolic code and the machine.
+/// [`for_each_ef_pair`]'s per-call tables, pooled so a caller that walks
+/// `Ef` every spill round rebuilds them in place.
+#[derive(Debug, Default)]
+pub struct EfScratch {
+    /// The distinct op classes of the block, in first-seen order.
+    classes: Vec<OpClass>,
+    /// Index into `classes` of each body position's class.
+    class_of: Vec<usize>,
+    class_positions: Vec<BitSet>,
+    /// `conflict_rows[c]`: the positions whose class conflicts with
+    /// `classes[c]` on the machine.
+    conflict_rows: Vec<BitSet>,
+    row: BitSet,
+}
+
+/// The one `Ef` kernel: calls `emit(i, j)` for every pair `i < j` of
+/// `universe` that lies in `Ef`, in ascending `(i, j)` order. A pair is in
+/// `Ef` when neither position reaches the other in `reach` (the closure of
+/// `deps`) and the machine has no pairwise conflict between their op
+/// classes (Lemma 1). Each row is one closure query minus the row's class
+/// conflicts, a word at a time; no `Et` is built.
+///
+/// `universe` must have capacity `deps.len()`; callers restrict it to the
+/// positions they can map, e.g. a PIG's defining instructions.
+///
+/// # Errors
+/// Returns [`DeadlineExceeded`] (phase `"ef.rows"`) once `deadline`
+/// passes, polled every ~[`DEADLINE_STRIDE`] rows.
+pub fn for_each_ef_pair(
+    deps: &DepGraph,
+    reach: &Reachability,
+    machine: &MachineDesc,
+    universe: &BitSet,
+    s: &mut EfScratch,
+    deadline: Option<Instant>,
+    mut emit: impl FnMut(usize, usize),
+) -> Result<(), DeadlineExceeded> {
+    let n = deps.len();
+    s.classes.clear();
+    s.class_of.clear();
+    for &c in deps.classes() {
+        let idx = s.classes.iter().position(|&d| d == c);
+        s.class_of.push(idx.unwrap_or(s.classes.len()));
+        if idx.is_none() {
+            s.classes.push(c);
+        }
+    }
+    let n_classes = s.classes.len();
+    s.class_positions.resize_with(n_classes, BitSet::default);
+    s.conflict_rows.resize_with(n_classes, BitSet::default);
+    for set in s.class_positions.iter_mut().chain(&mut s.conflict_rows) {
+        set.reset(n);
+    }
+    for (i, &idx) in s.class_of.iter().enumerate() {
+        s.class_positions[idx].insert(i);
+    }
+    for (&c, row) in s.classes.iter().zip(&mut s.conflict_rows) {
+        for (&d, set) in s.classes.iter().zip(&s.class_positions) {
+            if machine.pairwise_conflict(c, d) {
+                row.union_with(set);
+            }
+        }
+    }
+
+    s.row.reset(n);
+    for (processed, i) in universe.iter().enumerate() {
+        if processed % DEADLINE_STRIDE == DEADLINE_STRIDE - 1
+            && deadline.is_some_and(|d| Instant::now() >= d)
+        {
+            return Err(DeadlineExceeded { phase: "ef.rows" });
+        }
+        // row(i) = universe \ reach(i) \ reach⁻¹(i) \ conflicts(i) \ {i};
+        // the closure answers the first three in one query.
+        reach.unordered_into(i, universe, &mut s.row);
+        s.row.difference_with(&s.conflict_rows[s.class_of[i]]);
+        // Each unordered pair once: Ef is symmetric.
+        for j in s.row.iter().filter(|&j| j > i) {
+            emit(i, j);
+        }
+    }
+    Ok(())
+}
+
+/// Builds the false-dependence graph `Ef` over every position of `deps`
+/// with [`for_each_ef_pair`]. Its edges are exactly the instruction pairs
+/// that can issue in the same cycle given the symbolic code and the
+/// machine — the complement of [`et_graph`], with the same neighbor order.
 ///
 /// # Examples
 ///
@@ -104,7 +180,27 @@ pub fn false_dependence_graph(
     telemetry: &dyn parsched_telemetry::Telemetry,
 ) -> UnGraph {
     let _span = parsched_telemetry::span(telemetry, "ef.build");
-    let ef = et_graph(deps, machine, telemetry).complement();
+    let n = deps.len();
+    let Some(reach) = Reachability::build(deps.graph(), ClosureMode::Auto, None) else {
+        unreachable!("a closure without a deadline cannot trip")
+    };
+    let mut all = BitSet::new(n);
+    all.fill();
+    let mut ef = UnGraph::new(n);
+    let walked = for_each_ef_pair(
+        deps,
+        &reach,
+        machine,
+        &all,
+        &mut EfScratch::default(),
+        None,
+        |i, j| {
+            ef.add_edge(i, j);
+        },
+    );
+    if walked.is_err() {
+        unreachable!("an Ef walk without a deadline cannot trip");
+    }
     if telemetry.enabled() {
         telemetry.counter("ef.edges", ef.edge_count() as u64);
     }
@@ -138,89 +234,28 @@ pub fn rename_apart(block: &Block) -> Block {
     let mut fresh: u32 = 0;
     let mut current: HashMap<Reg, Reg> = HashMap::new();
     for inst in block.insts() {
+        // Uses read the incoming names, then defs bind new ones: the walk
+        // visits uses first, and the new bindings take effect after it, so
+        // a register both read and written (`r1 = add r1, 1`) reads its
+        // old name.
         let mut renamed = inst.clone();
-        // Uses first (they read the incoming names) …
-        let use_map: HashMap<Reg, Reg> = inst
-            .uses()
-            .into_iter()
-            .map(|u| {
-                let name = *current.entry(u).or_insert_with(|| {
-                    let r = Reg::sym(fresh);
-                    fresh += 1;
-                    r
-                });
-                (u, name)
-            })
-            .collect();
-        // … then defs (they bind new names); the rewrite below is
-        // role-aware because a register may be both read and written by
-        // one instruction (e.g. `r1 = add r1, 1`).
-        let mut def_map: HashMap<Reg, Reg> = HashMap::new();
-        for d in inst.defs() {
-            let r = Reg::sym(fresh);
+        let mut bound = Vec::new();
+        renamed.map_regs_by_role(|r, role| {
+            if let (RegRole::Use, Some(&name)) = (role, current.get(&r)) {
+                return name;
+            }
+            let name = Reg::sym(fresh);
             fresh += 1;
-            def_map.insert(d, r);
-        }
-        rewrite_roles(&mut renamed, &def_map, &use_map);
-        for (d, r) in def_map {
-            current.insert(d, r);
-        }
+            match role {
+                RegRole::Use => _ = current.insert(r, name),
+                RegRole::Def => bound.push((r, name)),
+            }
+            name
+        });
+        current.extend(bound);
         out.push(renamed);
     }
     out
-}
-
-fn rewrite_roles(inst: &mut Inst, def_map: &HashMap<Reg, Reg>, use_map: &HashMap<Reg, Reg>) {
-    use parsched_ir::{AddrBase, InstKind, Operand};
-    let u = |r: Reg| *use_map.get(&r).unwrap_or(&r);
-    match inst.kind_mut() {
-        InstKind::LoadImm { dst, .. } => *dst = *def_map.get(dst).unwrap_or(dst),
-        InstKind::Binary { dst, lhs, rhs, .. } => {
-            if let Operand::Reg(r) = lhs {
-                *r = u(*r);
-            }
-            if let Operand::Reg(r) = rhs {
-                *r = u(*r);
-            }
-            *dst = *def_map.get(dst).unwrap_or(dst);
-        }
-        InstKind::Unary { dst, src, .. } | InstKind::Copy { dst, src } => {
-            *src = u(*src);
-            *dst = *def_map.get(dst).unwrap_or(dst);
-        }
-        InstKind::Load { dst, addr, .. } => {
-            if let AddrBase::Reg(r) = &mut addr.base {
-                *r = u(*r);
-            }
-            *dst = *def_map.get(dst).unwrap_or(dst);
-        }
-        InstKind::Store { src, addr, .. } => {
-            *src = u(*src);
-            if let AddrBase::Reg(r) = &mut addr.base {
-                *r = u(*r);
-            }
-        }
-        InstKind::Branch { lhs, rhs, .. } => {
-            *lhs = u(*lhs);
-            if let Operand::Reg(r) = rhs {
-                *r = u(*r);
-            }
-        }
-        InstKind::Call { dsts, args, .. } => {
-            for a in args.iter_mut() {
-                *a = u(*a);
-            }
-            for d in dsts.iter_mut() {
-                *d = *def_map.get(d).unwrap_or(d);
-            }
-        }
-        InstKind::Ret { value } => {
-            if let Some(v) = value {
-                *v = u(*v);
-            }
-        }
-        InstKind::Jump { .. } | InstKind::Nop => {}
-    }
 }
 
 /// Counts the false dependences of `block` intrinsically: the block is
@@ -543,6 +578,30 @@ mod tests {
         let past = Some(Instant::now());
         assert_eq!(count_false_deps_in(&bad, &own, &m, past), None);
         assert_eq!(count_false_deps_until(&bad, &m, past), None);
+    }
+
+    #[test]
+    fn ef_walk_polls_its_deadline() {
+        // One poll per DEADLINE_STRIDE rows: a past deadline trips a
+        // universe of more rows than that, and no deadline never trips.
+        let mut src = String::from("func @wide() {\nentry:\n");
+        for i in 0..DEADLINE_STRIDE + 8 {
+            src.push_str(&format!("    s{i} = li {i}\n"));
+        }
+        src.push_str("    ret s0\n}");
+        let deps = DepGraph::build(&block(&src), &Q);
+        let Some(reach) = Reachability::build(deps.graph(), ClosureMode::Auto, None) else {
+            unreachable!("no deadline set")
+        };
+        let mut all = BitSet::new(deps.len());
+        all.fill();
+        let walk = |deadline| {
+            let mut s = EfScratch::default();
+            for_each_ef_pair(&deps, &reach, &machine(), &all, &mut s, deadline, |_, _| {})
+        };
+        let past = Some(Instant::now());
+        assert_eq!(walk(past), Err(DeadlineExceeded { phase: "ef.rows" }));
+        assert_eq!(walk(None), Ok(()));
     }
 
     #[test]

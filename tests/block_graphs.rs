@@ -405,7 +405,7 @@ fn reference_interference(func: &Function, problem: &BlockAllocProblem) -> UnGra
 }
 
 /// Runs the combined spill loop on `func`, checking the interference graph
-/// (neighbor order included) and `node_defined_at` every round.
+/// (neighbor order included) and `nodes_defined_at` every round.
 fn check_interference_rounds(func: &Function, machine: &MachineDesc, context: &str) -> usize {
     let block_id = BlockId(0);
     let mut current = func.clone();
@@ -425,8 +425,11 @@ fn check_interference_rounds(func: &Function, machine: &MachineDesc, context: &s
             );
         }
         for i in 0..current.block(block_id).body().len() + 1 {
-            let scan = (0..problem.len()).find(|&n| problem.def_site(n) == Some(i));
-            assert_eq!(problem.node_defined_at(i), scan, "{context}, round {round}");
+            let scan: Vec<usize> = (0..problem.len())
+                .filter(|&n| problem.def_site(n) == Some(i))
+                .collect();
+            let got: Vec<usize> = problem.nodes_defined_at(i).collect();
+            assert_eq!(got, scan, "{context}, round {round}");
         }
 
         let deps = DepGraph::build(current.block(block_id), &NullTelemetry);

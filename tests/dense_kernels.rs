@@ -10,14 +10,22 @@
 //!   neighbor-list construction (`Er` cloned, then one `add_edge` per `Ef`
 //!   edge): same neighbor order, edge count and edge classes, for the
 //!   session path, [`Pig::build`], [`Pig::from_parts`] and the global web
-//!   PIG;
+//!   PIG, with the block paths' `Ef` taken from the literal complement of
+//!   `Et`;
+//! * [`for_each_ef_pair`], the one `Ef` kernel, against the literal
+//!   complement of `Et` on random universes, and the global web false
+//!   edges it builds against the per-region complement-and-remap
+//!   construction it replaced;
 //! * [`ReservationTable`], whose booked cycles are flat counter rows,
 //!   against a hash-map model, on random operation sequences over every
 //!   preset and a parsed multi-instance machine.
 
-use parsched::graph::{BitSet, UnGraph};
+use parsched::graph::{BitSet, ClosureMode, Reachability, UnGraph};
+use parsched::ir::cfg::Cfg;
+use parsched::ir::defuse::{DefId, DefSite, DefUse};
 use parsched::ir::liveness::Liveness;
-use parsched::ir::{BlockId, Function, Reg};
+use parsched::ir::webs::Webs;
+use parsched::ir::{Block, BlockId, Function, InstId, Reg};
 use parsched::machine::{parse_machine_spec, presets, MachineDesc, OpClass, ReservationTable};
 use parsched::regalloc::combined::{
     combined_color_in, CombinedOutcome, CombinedWorkspace, EdgeRemovalPolicy, SpillMetric,
@@ -25,7 +33,8 @@ use parsched::regalloc::combined::{
 use parsched::regalloc::global::GlobalAllocProblem;
 use parsched::regalloc::spill::insert_spill_code;
 use parsched::regalloc::{AllocSession, BlockAllocProblem, Pig, PinterConfig};
-use parsched::sched::falsedep::false_dependence_graph;
+use parsched::sched::falsedep::{et_graph, for_each_ef_pair, EfScratch};
+use parsched::sched::region::form_regions;
 use parsched::sched::{BlockRemap, DepGraph};
 use parsched::telemetry::NullTelemetry;
 use parsched_workload::{
@@ -454,27 +463,19 @@ fn combined_color_matches_heap_reference_on_saturated_priorities() {
 // Spill loops on benchmark-shaped DAGs.
 // ---------------------------------------------------------------------------
 
-/// The `Ef` edges of the session path in the order it accumulated them
-/// before rows: defining positions ascending, partners ascending, each
-/// position standing for the last vertex it defines.
-fn session_ef_order(
+/// The reference `Ef` over `problem`'s vertices, in the order the kernel
+/// yields it: the literal complement of `Et`, each position pair mapped
+/// onto every vertex defined at one × every vertex defined at the other.
+fn reference_ef_order(
     problem: &BlockAllocProblem,
     deps: &DepGraph,
     machine: &MachineDesc,
 ) -> Vec<(usize, usize)> {
-    let ef = false_dependence_graph(deps, machine, &NullTelemetry);
-    let mut def_node = vec![None; deps.len()];
-    for node in 0..problem.len() {
-        if let Some(i) = problem.def_site(node) {
-            def_node[i] = Some(node);
-        }
-    }
+    let ef = et_graph(deps, machine, &NullTelemetry).complement();
     let mut order = Vec::new();
-    for i in 0..deps.len() {
-        for j in i + 1..deps.len() {
-            if let (true, Some(u), Some(v)) = (ef.has_edge(i, j), def_node[i], def_node[j]) {
-                order.push((u, v));
-            }
+    for (i, j) in ef.edges() {
+        for u in problem.nodes_defined_at(i) {
+            order.extend(problem.nodes_defined_at(j).map(|v| (u, v)));
         }
     }
     order
@@ -520,26 +521,12 @@ fn check_spill_rounds(
         let pig = slot.as_ref().expect("session was begun, PIG must build");
 
         let deps = DepGraph::build(block, &NullTelemetry);
-        let order = session_ef_order(&problem, &deps, machine);
+        let order = reference_ef_order(&problem, &deps, machine);
         let ef = ungraph_of(problem.len(), &order);
         let er = problem.interference();
         assert_pig_matches(pig, er, &ef, &order, &format!("session, {ctx}"));
         let built = Pig::build(&problem, &deps, machine, &NullTelemetry);
-        let mut built_ef = UnGraph::new(problem.len());
-        let ef_insts = false_dependence_graph(&deps, machine, &NullTelemetry);
-        for (i, j) in ef_insts.edges() {
-            if let (Some(u), Some(v)) = (problem.node_defined_at(i), problem.node_defined_at(j)) {
-                built_ef.add_edge(u, v);
-            }
-        }
-        let built_order: Vec<(usize, usize)> = built_ef.edges().collect();
-        assert_pig_matches(
-            &built,
-            er,
-            &built_ef,
-            &built_order,
-            &format!("Pig::build, {ctx}"),
-        );
+        assert_pig_matches(&built, er, &ef, &order, &format!("Pig::build, {ctx}"));
 
         let costs: Vec<f64> = (0..problem.len())
             .map(|n| match problem.nodes()[n] {
@@ -630,10 +617,53 @@ fn spill_tight_shaped_rounds_match_references() {
     assert!(removed >= 10_000, "only {removed} false edges removed");
 }
 
+/// The global region loop's false edges as they were built before the
+/// kernel: per region, the complement of `Et` remapped onto the web of
+/// each position's first definition, in `Ef`'s edge order.
+fn reference_web_false_edges(func: &Function, machine: &MachineDesc) -> UnGraph {
+    let defuse = DefUse::compute(func);
+    let webs = Webs::compute(func, &defuse);
+    let def_id_at = |id: InstId, nth: usize| {
+        let mut defs = defuse.defs().iter();
+        DefId(
+            defs.position(|&(site, _)| site == DefSite::Inst(id, nth))
+                .expect("enumerated"),
+        )
+    };
+    let mut false_edges = UnGraph::new(webs.len());
+    for region in &form_regions(func, &Cfg::new(func)) {
+        let mut concat = Block::new("region");
+        let mut origin = Vec::new();
+        for &bid in region.blocks() {
+            for (i, inst) in func.block(bid).body().iter().enumerate() {
+                concat.push(inst.clone());
+                origin.push(InstId::new(bid, i));
+            }
+        }
+        if origin.is_empty() || origin.len() > 400 {
+            continue;
+        }
+        let deps = DepGraph::build(&concat, &NullTelemetry);
+        let ef = et_graph(&deps, machine, &NullTelemetry).complement();
+        let web_at = |pos: usize| {
+            let id = origin[pos];
+            (!func.inst(id).defs().is_empty()).then(|| webs.web_of(def_id_at(id, 0)))
+        };
+        for (i, j) in ef.edges() {
+            if let (Some(u), Some(v)) = (web_at(i), web_at(j)) {
+                if u != v {
+                    false_edges.add_edge(u.0, v.0);
+                }
+            }
+        }
+    }
+    false_edges
+}
+
 #[test]
 fn web_pigs_match_references() {
     let mut ws = CombinedWorkspace::default();
-    let mut checked = 0;
+    let (mut checked, mut false_edges) = (0, 0);
     for seed in 0..40u64 {
         let params = CfgParams {
             segments: 3 + (seed as usize % 4),
@@ -643,9 +673,15 @@ fn web_pigs_match_references() {
         for machine in [presets::paper_machine(4), presets::wide(4, 6)] {
             let problem = GlobalAllocProblem::build(&func, &machine);
             let (er, ef) = (problem.interference(), problem.false_edges());
+            let ctx = format!("web PIG of seed {seed} on {}", machine.name());
+            let expected = reference_web_false_edges(&func, &machine);
+            assert_eq!(ef.node_count(), expected.node_count(), "{ctx}");
+            for w in 0..ef.node_count() {
+                assert_eq!(ef.neighbors(w), expected.neighbors(w), "web {w}, {ctx}");
+            }
+            false_edges += ef.edge_count();
             let order: Vec<(usize, usize)> = ef.edges().collect();
             let pig = problem.pig();
-            let ctx = format!("web PIG of seed {seed} on {}", machine.name());
             assert_pig_matches(&pig, er, ef, &order, &ctx);
             let n = pig.node_count();
             let costs: Vec<f64> = (0..n).map(|w| 1.0 + (w % 5) as f64).collect();
@@ -664,6 +700,66 @@ fn web_pigs_match_references() {
         }
     }
     assert_eq!(checked, 80);
+    assert!(false_edges >= 1_000, "only {false_edges} web false edges");
+}
+
+// ---------------------------------------------------------------------------
+// The `Ef` kernel against the literal complement of `Et`.
+// ---------------------------------------------------------------------------
+
+/// [`for_each_ef_pair`] over random universes, against
+/// `et_graph(..).complement()` restricted to the universe: the same pairs
+/// in the same order, on every preset and a parsed machine whose
+/// single-instance memory unit makes loads and stores conflict pairwise.
+#[test]
+fn ef_kernel_matches_literal_complement() {
+    let mut machines: Vec<MachineDesc> = ["single", "paper", "mips", "rs6000", "wide4"]
+        .map(|m| presets::by_name(m, 8).expect("preset exists"))
+        .into();
+    machines.push(parse_machine_spec(MULTI_SPEC).expect("spec parses"));
+    let mut rng = SplitMix64::seed_from_u64(0xef);
+    let mut scratch = EfScratch::default();
+    let mut pairs = 0;
+    for seed in 0..24u64 {
+        let params = DagParams {
+            size: 4 + (seed as usize * 7) % 60,
+            load_fraction: 0.3,
+            float_fraction: 0.4,
+            window: 2 + seed as usize % 12,
+        };
+        let func = random_dag_function(seed, &params);
+        let deps = DepGraph::build(func.block(BlockId(0)), &NullTelemetry);
+        let reach =
+            Reachability::build(deps.graph(), ClosureMode::Auto, None).expect("no deadline set");
+        for machine in &machines {
+            let literal = et_graph(&deps, machine, &NullTelemetry).complement();
+            for density in [1.0, 0.7, 0.3] {
+                let mut universe = BitSet::new(deps.len());
+                for i in (0..deps.len()).filter(|_| rng.gen_bool(density)) {
+                    universe.insert(i);
+                }
+                let expected: Vec<(usize, usize)> = literal
+                    .edges()
+                    .filter(|&(i, j)| universe.contains(i) && universe.contains(j))
+                    .collect();
+                let mut got = Vec::new();
+                for_each_ef_pair(
+                    &deps,
+                    &reach,
+                    machine,
+                    &universe,
+                    &mut scratch,
+                    None,
+                    |i, j| got.push((i, j)),
+                )
+                .expect("no deadline set");
+                let ctx = format!("seed {seed} on {}, density {density}", machine.name());
+                assert_eq!(got, expected, "{ctx}");
+                pairs += got.len();
+            }
+        }
+    }
+    assert!(pairs >= 10_000, "only {pairs} pairs checked");
 }
 
 // ---------------------------------------------------------------------------

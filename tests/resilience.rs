@@ -6,6 +6,7 @@
 use parsched::ir::interp::{Interpreter, Memory};
 use parsched::ir::{parse_function, Function};
 use parsched::machine::presets;
+use parsched::regalloc::AllocSession;
 use parsched::telemetry::NullTelemetry;
 use parsched::telemetry::Telemetry;
 use parsched::{BatchDriver, Budget, DegradationLevel, Driver, ParschedError, Pipeline, Strategy};
@@ -131,7 +132,8 @@ fn strict_budget_without_ladder_is_a_typed_error() {
     let pipeline = Pipeline::new(presets::paper_machine(6));
     let budget = Budget::unlimited().with_max_block_insts(16);
     let err = pipeline
-        .compile_budgeted(
+        .compile_budgeted_in(
+            &mut AllocSession::new(),
             &func,
             &Strategy::combined(),
             &budget,

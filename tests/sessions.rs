@@ -1,8 +1,11 @@
 //! Session contracts: the incremental PIG an [`AllocSession`] maintains
-//! across spill rounds is **edge-identical** to the from-scratch
-//! [`Pig::build`] construction at every round, and a session reused
-//! across functions produces byte-identical output to fresh sessions.
+//! across spill rounds is **edge-identical** to the PIG of the literal
+//! construction (`Er` plus the complement of `Et` on every vertex of each
+//! defining instruction) at every round, as is the from-scratch
+//! [`Pig::build`], and a session reused across functions produces
+//! byte-identical output to fresh sessions.
 
+use parsched::graph::UnGraph;
 use parsched::ir::liveness::Liveness;
 use parsched::ir::{print_function, BlockId, Reg};
 use parsched::machine::{presets, MachineDesc};
@@ -12,11 +15,12 @@ use parsched::regalloc::{
     allocate_single_block, allocate_single_block_in, AllocLimits, AllocSession, BlockAllocProblem,
     BlockStrategy, Pig, PinterConfig,
 };
+use parsched::sched::falsedep::et_graph;
 use parsched::sched::{BlockRemap, DepGraph};
 use parsched::telemetry::NullTelemetry;
 use parsched_workload::{random_dag_function, DagParams};
 
-fn edge_set(g: &parsched::graph::UnGraph) -> Vec<(usize, usize)> {
+fn edge_set(g: &UnGraph) -> Vec<(usize, usize)> {
     let mut edges: Vec<(usize, usize)> = g.edges().collect();
     edges.sort_unstable();
     edges
@@ -44,9 +48,24 @@ fn assert_pigs_identical(session: &Pig, reference: &Pig, context: &str) {
     );
 }
 
+/// The PIG of the literal construction: `Er`, plus an edge between every
+/// vertex two instructions define whenever the pair is in the complement
+/// of [`et_graph`].
+fn literal_pig(problem: &BlockAllocProblem, deps: &DepGraph, machine: &MachineDesc) -> Pig {
+    let mut false_edges = UnGraph::new(problem.len());
+    for (i, j) in et_graph(deps, machine, &NullTelemetry).complement().edges() {
+        for u in problem.nodes_defined_at(i) {
+            problem
+                .nodes_defined_at(j)
+                .for_each(|v| _ = false_edges.add_edge(u, v));
+        }
+    }
+    Pig::from_parts(problem.interference().clone(), false_edges)
+}
+
 /// Mirrors the allocator's Pinter spill loop on one function, asserting
 /// after **every** round that the session's incrementally-maintained PIG
-/// matches the from-scratch construction. Returns how many spill rounds
+/// matches the literal construction. Returns how many spill rounds
 /// actually exercised the incremental path.
 fn check_spill_loop(func: &parsched::ir::Function, machine: &MachineDesc, case: &str) -> usize {
     let block_id = BlockId(0);
@@ -75,14 +94,18 @@ fn check_spill_loop(func: &parsched::ir::Function, machine: &MachineDesc, case: 
                 .begin(current.block(block_id), &NullTelemetry)
                 .expect("no deadline set, build cannot trip"),
         }
-        let pig = session
-            .build_pig(&problem, machine, &NullTelemetry)
-            .expect("no deadline set, PIG walk cannot trip")
-            .expect("session was begun, PIG must build");
+        let mut slot = None;
+        session
+            .build_pig_into(&problem, machine, &NullTelemetry, &mut slot)
+            .expect("no deadline set, PIG walk cannot trip");
+        let pig = slot.expect("session was begun, PIG must build");
 
         let deps = DepGraph::build(current.block(block_id), &NullTelemetry);
-        let reference = Pig::build(&problem, &deps, machine, &NullTelemetry);
-        assert_pigs_identical(&pig, &reference, &format!("{case}, round {round}"));
+        let reference = literal_pig(&problem, &deps, machine);
+        let context = format!("{case}, round {round}");
+        assert_pigs_identical(&pig, &reference, &context);
+        let built = Pig::build(&problem, &deps, machine, &NullTelemetry);
+        assert_pigs_identical(&built, &reference, &format!("Pig::build, {context}"));
 
         // Drive the next spill round exactly as the allocator would.
         let costs: Vec<f64> = (0..problem.len())

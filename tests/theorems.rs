@@ -1,16 +1,20 @@
 //! Empirical validation of the paper's theorems and lemmas over random
-//! basic blocks, driven by a deterministic seeded parameter sweep.
+//! basic blocks, driven by a deterministic seeded parameter sweep, plus
+//! Theorem 1 on the multi-result calls no generator emits.
 
 use parsched::graph::coloring::{exact_coloring, ExactLimits};
-use parsched::graph::UnGraph;
+use parsched::graph::{BitMatrix, UnGraph};
 use parsched::ir::liveness::Liveness;
-use parsched::ir::BlockId;
+use parsched::ir::{parse_module, print_function, BlockId};
+use parsched::machine::presets;
 use parsched::regalloc::assignment::{apply_coloring, check_function_allocation};
-use parsched::regalloc::{BlockAllocProblem, Pig};
+use parsched::regalloc::{AllocSession, BlockAllocProblem, Pig};
 use parsched::sched::falsedep::count_false_deps;
 use parsched::sched::DepGraph;
 use parsched::sched::SchedPriority;
 use parsched::telemetry::NullTelemetry;
+use parsched::{AllocScope, Pipeline, Strategy};
+use parsched_verify::Verifier;
 use parsched_workload::{random_dag_function, DagParams, SplitMix64};
 
 const CASES: u64 = 64;
@@ -240,6 +244,58 @@ fn edge_classes_are_consistent() {
         }
         for (u, v) in pig.shared().edges() {
             assert!(p.interference().has_edge(u, v));
+        }
+    }
+}
+
+/// **Theorem 1 on multi-result instructions**: every vertex a call defines
+/// carries the call's `Ef` edges, so with registers to spare the combined
+/// strategy introduces no false dependence whichever result is dead, on
+/// the block path and on the web path, and the independent checkers
+/// agree. The allocator's session PIG is the one [`Pig::build`] draws.
+/// The inputs are `ci/fuzz-corpus/multi_result_call.psc` and the same
+/// functions with the call's results swapped.
+#[test]
+fn multi_result_calls_give_every_result_its_false_edges() {
+    let corpus = include_str!("../ci/fuzz-corpus/multi_result_call.psc");
+    let swapped = corpus
+        .replace("s3, s4 =", "<swap>")
+        .replace("s4, s3 =", "s3, s4 =")
+        .replace("<swap>", "s4, s3 =");
+    let strategy = Strategy::combined();
+    for func in [corpus, &swapped]
+        .map(|src| parse_module(src).unwrap())
+        .concat()
+    {
+        for name in ["paper", "rs6000", "wide4"] {
+            let machine = presets::by_name(name, 8).unwrap();
+            for scope in [AllocScope::Auto, AllocScope::Global] {
+                let ctx = format!("{}on {name}, {scope:?}", print_function(&func));
+                let pipeline = Pipeline::new(machine.clone()).with_scope(scope);
+                let result = pipeline.compile(&func, &strategy, &NullTelemetry).unwrap();
+                assert_eq!(result.stats.introduced_false_deps, 0, "{ctx}");
+                let verifier = Verifier::new(&machine).strategy(strategy);
+                assert!(verifier.expects_theorem1(&result), "{ctx}");
+                let report = verifier.verify(&func, &result, &NullTelemetry);
+                assert!(report.ok(), "{ctx}: {:#?}", report.violations);
+            }
+            if func.block_count() > 1 {
+                continue;
+            }
+            let block = func.block(BlockId(0));
+            let lv = Liveness::compute(&func, &[]);
+            let problem = BlockAllocProblem::build(&func, BlockId(0), &lv).unwrap();
+            let deps = DepGraph::build(block, &NullTelemetry);
+            let built = Pig::build(&problem, &deps, &machine, &NullTelemetry);
+            let (mut session, mut slot) = (AllocSession::new(), None);
+            session.begin(block, &NullTelemetry).unwrap();
+            session
+                .build_pig_into(&problem, &machine, &NullTelemetry, &mut slot)
+                .unwrap();
+            let edges = |m: &BitMatrix| m.edges().collect::<Vec<_>>();
+            let pig = slot.unwrap();
+            assert_eq!(edges(pig.adjacency()), edges(built.adjacency()), "{name}");
+            assert_eq!(edges(pig.false_only()), edges(built.false_only()), "{name}");
         }
     }
 }
