@@ -112,6 +112,9 @@ timeout 600 cargo test -q --offline
 echo "==> doc tests"
 timeout 300 cargo test -q --doc --offline --workspace
 
+echo "==> rustdoc (warnings are errors: no dangling intra-doc links)"
+RUSTDOCFLAGS="-D warnings" timeout 600 cargo doc --no-deps --workspace --offline
+
 echo "==> fuzz smoke (corpus replay + seeded sweep over every rung)"
 # Replay previously-found bugs first, then a fixed-seed fresh sweep.
 # Both are deterministic and together stay well under 30 seconds.

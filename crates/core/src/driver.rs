@@ -20,7 +20,7 @@ use crate::error::ParschedError;
 use crate::pipeline::{CompileResult, Pipeline, Strategy};
 use parsched_ir::verify::verify_function;
 use parsched_ir::Function;
-use parsched_regalloc::AllocSession;
+use parsched_regalloc::{AllocSession, BudgetExceeded};
 use parsched_telemetry::Telemetry;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -203,11 +203,7 @@ impl Driver {
                         &format!("{}: deadline passed before rung {}", func.name(), rung),
                     );
                 });
-                return Err(first_err.unwrap_or(ParschedError::BudgetExceeded {
-                    phase: "driver.deadline",
-                    limit: 0,
-                    actual: 0,
-                }));
+                return Err(first_err.unwrap_or_else(deadline_passed));
             }
             let budget = if matches!(strategy, Strategy::SpillEverything) {
                 // The floor must not fail on a round cap meant for the
@@ -240,7 +236,7 @@ impl Driver {
                     });
                     return Ok(result);
                 }
-                Ok(Err(e)) => e.into(),
+                Ok(Err(e)) => e,
                 Err(payload) => ParschedError::Panicked {
                     context: format!("{} with {}", func.name(), strategy.label()),
                     message: panic_message(payload.as_ref()),
@@ -252,12 +248,13 @@ impl Driver {
             });
             first_err.get_or_insert(err);
         }
-        Err(first_err.unwrap_or(ParschedError::BudgetExceeded {
-            phase: "driver.deadline",
-            limit: 0,
-            actual: 0,
-        }))
+        Err(first_err.unwrap_or_else(deadline_passed))
     }
+}
+
+/// The error of a ladder that ran out of clock before any rung failed.
+fn deadline_passed() -> ParschedError {
+    BudgetExceeded::deadline("driver.deadline").into()
 }
 
 /// The `driver.fallback.<class>` counter key for a rung failure.

@@ -14,8 +14,6 @@ use parsched_sched::SchedError;
 use std::error::Error;
 use std::fmt;
 
-use crate::pipeline::PipelineError;
-
 /// Any failure the `parsched` pipeline can report.
 ///
 /// Invariant-violation panics inside a compilation are caught by the
@@ -220,17 +218,6 @@ impl From<GlobalAllocError> for ParschedError {
 impl From<SchedError> for ParschedError {
     fn from(e: SchedError) -> Self {
         ParschedError::Sched(e)
-    }
-}
-
-impl From<PipelineError> for ParschedError {
-    fn from(e: PipelineError) -> Self {
-        match e {
-            PipelineError::Alloc(e) => e.into(),
-            PipelineError::Global(e) => e.into(),
-            PipelineError::Sched(e) => e.into(),
-            PipelineError::Budget(b) => b.into(),
-        }
     }
 }
 

@@ -21,7 +21,7 @@
 //! let combined = pipeline.compile(&func, &Strategy::combined(), &NullTelemetry)?;
 //! let naive = pipeline.compile(&func, &Strategy::AllocThenSched, &NullTelemetry)?;
 //! assert!(combined.stats.cycles <= naive.stats.cycles);
-//! # Ok::<(), parsched::PipelineError>(())
+//! # Ok::<(), parsched::ParschedError>(())
 //! ```
 //!
 //! Every phase entry point takes a `&dyn Telemetry` last argument; pass
@@ -67,7 +67,7 @@ pub mod report;
 /// let out = pipeline
 ///     .compile(&parsched::paper::example1(), &Strategy::combined(), &NullTelemetry)?;
 /// assert!(out.stats.cycles > 0);
-/// # Ok::<(), parsched::PipelineError>(())
+/// # Ok::<(), parsched::ParschedError>(())
 /// ```
 pub mod prelude {
     pub use crate::batch::{BatchDriver, BatchOutput};
@@ -75,13 +75,11 @@ pub mod prelude {
     pub use crate::driver::{DegradationLevel, Driver};
     pub use crate::error::ParschedError;
     pub use crate::pipeline::{
-        AllocScope, CompileResult, CompileStats, Pipeline, PipelineError, Strategy,
-        StrategyParseError,
+        AllocScope, CompileResult, CompileStats, Pipeline, Strategy, StrategyParseError,
     };
     pub use parsched_exact::ExactConfig;
     pub use parsched_graph::Reachability;
     pub use parsched_regalloc::AllocSession;
-    pub use parsched_sched::{BlockRemap, SchedSession};
     pub use parsched_telemetry::{NullTelemetry, Recorder, Telemetry};
 }
 
@@ -91,7 +89,7 @@ pub use driver::{DegradationLevel, Driver};
 pub use error::ParschedError;
 pub use parsched_graph::Reachability;
 pub use pipeline::{
-    AllocScope, CompileResult, CompileStats, Pipeline, PipelineError, Strategy, StrategyParseError,
+    AllocScope, CompileResult, CompileStats, Pipeline, Strategy, StrategyParseError,
 };
 
 pub use parsched_exact as exact;

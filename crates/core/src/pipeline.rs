@@ -3,14 +3,13 @@
 
 use crate::budget::Budget;
 use crate::driver::DegradationLevel;
+use crate::error::ParschedError;
 use parsched_exact::{ExactConfig, ExactError};
 use parsched_ir::{BlockId, Function};
 use parsched_machine::MachineDesc;
 use parsched_regalloc::allocator::{allocate_single_block_in, AllocError, BlockStrategy};
-use parsched_regalloc::global::{
-    allocate_global_scoped, GlobalAllocError, GlobalScope, GlobalStrategy,
-};
-use parsched_regalloc::{AllocSession, BudgetExceeded, PinterConfig};
+use parsched_regalloc::global::{allocate_global_scoped, GlobalScope, GlobalStrategy};
+use parsched_regalloc::{AllocSession, PinterConfig};
 use parsched_sched::falsedep::count_false_deps_in;
 use parsched_sched::{list_schedule, DepGraph, SchedError};
 use parsched_telemetry::Telemetry;
@@ -190,74 +189,6 @@ pub struct CompileResult {
     pub degradation: DegradationLevel,
 }
 
-/// Pipeline failures.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PipelineError {
-    /// Block-level allocation failed.
-    Alloc(AllocError),
-    /// Global allocation failed.
-    Global(GlobalAllocError),
-    /// Scheduling failed (cyclic dependence graph or invalid schedule).
-    Sched(SchedError),
-    /// A resource budget was exhausted before compilation finished.
-    Budget(BudgetExceeded),
-}
-
-impl fmt::Display for PipelineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PipelineError::Alloc(e) => e.fmt(f),
-            PipelineError::Global(e) => e.fmt(f),
-            PipelineError::Sched(e) => e.fmt(f),
-            PipelineError::Budget(e) => e.fmt(f),
-        }
-    }
-}
-
-impl Error for PipelineError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            PipelineError::Alloc(e) => Some(e),
-            PipelineError::Global(e) => Some(e),
-            PipelineError::Sched(e) => Some(e),
-            PipelineError::Budget(e) => Some(e),
-        }
-    }
-}
-
-impl From<AllocError> for PipelineError {
-    fn from(e: AllocError) -> Self {
-        // Surface budget trips uniformly regardless of which allocator hit
-        // them, so the driver can distinguish "out of budget" from "cannot
-        // allocate".
-        match e {
-            AllocError::Budget(b) => PipelineError::Budget(b),
-            other => PipelineError::Alloc(other),
-        }
-    }
-}
-
-impl From<GlobalAllocError> for PipelineError {
-    fn from(e: GlobalAllocError) -> Self {
-        match e {
-            GlobalAllocError::Budget(b) => PipelineError::Budget(b),
-            other => PipelineError::Global(other),
-        }
-    }
-}
-
-impl From<SchedError> for PipelineError {
-    fn from(e: SchedError) -> Self {
-        PipelineError::Sched(e)
-    }
-}
-
-impl From<BudgetExceeded> for PipelineError {
-    fn from(e: BudgetExceeded) -> Self {
-        PipelineError::Budget(e)
-    }
-}
-
 /// The compilation pipeline for one machine.
 #[derive(Debug, Clone)]
 pub struct Pipeline {
@@ -323,14 +254,14 @@ impl Pipeline {
     /// needed.
     ///
     /// # Errors
-    /// Returns [`PipelineError`] when allocation fails (e.g. spilling does
+    /// Returns [`ParschedError`] when allocation fails (e.g. spilling does
     /// not converge on a pathological input).
     pub fn compile(
         &self,
         func: &Function,
         strategy: &Strategy,
         telemetry: &dyn Telemetry,
-    ) -> Result<CompileResult, PipelineError> {
+    ) -> Result<CompileResult, ParschedError> {
         let mut session = AllocSession::new();
         self.compile_budgeted_in(
             &mut session,
@@ -354,8 +285,8 @@ impl Pipeline {
     /// instruction cap, with a `pipeline.false_dep_count.skipped` event.
     ///
     /// # Errors
-    /// Returns [`PipelineError::Budget`] when a cap or the deadline trips,
-    /// and the other variants as [`Pipeline::compile`] does.
+    /// Returns [`ParschedError::BudgetExceeded`] when a cap or the deadline
+    /// trips, and the other variants as [`Pipeline::compile`] does.
     pub fn compile_budgeted_in(
         &self,
         session: &mut AllocSession,
@@ -363,7 +294,7 @@ impl Pipeline {
         strategy: &Strategy,
         budget: &Budget,
         telemetry: &dyn Telemetry,
-    ) -> Result<CompileResult, PipelineError> {
+    ) -> Result<CompileResult, ParschedError> {
         let _compile_span = parsched_telemetry::span(telemetry, "pipeline.compile");
         let limits = budget.alloc_limits();
         let merged;
@@ -422,7 +353,7 @@ impl Pipeline {
 
     /// The [`Strategy::Exact`] path: one joint branch-and-bound search
     /// replaces the allocate → schedule phase pair. The solver's typed
-    /// refusals map onto the same [`PipelineError`] variants the heuristic
+    /// refusals map onto the same [`ParschedError`] variants the heuristic
     /// rungs produce, so the driver ladder degrades through them
     /// identically.
     fn compile_exact(
@@ -431,23 +362,23 @@ impl Pipeline {
         cfg: &ExactConfig,
         limits: &parsched_regalloc::AllocLimits,
         telemetry: &dyn Telemetry,
-    ) -> Result<CompileResult, PipelineError> {
+    ) -> Result<CompileResult, ParschedError> {
         let sol = parsched_exact::solve(func, &self.machine, cfg, limits.deadline, telemetry)
             .map_err(|e| match e {
                 ExactError::NotSingleBlock { blocks } => {
-                    PipelineError::Alloc(AllocError::NotSingleBlock { blocks })
+                    ParschedError::Alloc(AllocError::NotSingleBlock { blocks })
                 }
-                ExactError::TooLarge { insts, cap } => PipelineError::Budget(BudgetExceeded {
+                ExactError::TooLarge { insts, cap } => ParschedError::BudgetExceeded {
                     phase: "exact.max_insts",
                     limit: cap as u64,
                     actual: insts as u64,
-                }),
-                ExactError::Problem(p) => PipelineError::Alloc(AllocError::Problem(p)),
+                },
+                ExactError::Problem(p) => ParschedError::Alloc(AllocError::Problem(p)),
                 // Spilling cannot shrink the entry live set, so no round
                 // limit would ever converge; report what the allocators
                 // would after discovering the same thing the hard way.
                 ExactError::Infeasible { .. } => {
-                    PipelineError::Alloc(AllocError::TooManyRounds { limit: 0 })
+                    ParschedError::Alloc(AllocError::TooManyRounds { limit: 0 })
                 }
             })?;
         let mut stats = CompileStats {
@@ -562,7 +493,7 @@ impl Pipeline {
         strategy: &Strategy,
         limits: &parsched_regalloc::AllocLimits,
         telemetry: &dyn Telemetry,
-    ) -> Result<(Function, CompileStats), PipelineError> {
+    ) -> Result<(Function, CompileStats), ParschedError> {
         let mut stats = CompileStats::default();
         // Auto keeps single-block functions on the block-level allocators;
         // --global forces the web path everywhere, --per-block only changes

@@ -42,6 +42,9 @@ pub struct UseSite {
 #[derive(Debug)]
 pub struct DefUse {
     defs: Vec<(DefSite, Reg)>,
+    /// `first_def[b][i]`: the id of the first definition of instruction `i`
+    /// of block `b`; its `nth` result is that id plus `nth`.
+    first_def: Vec<Vec<usize>>,
     def_ids_of_reg: HashMap<Reg, Vec<DefId>>,
     /// For every use site, the set of definitions that reach it.
     reaching: HashMap<UseSite, Vec<DefId>>,
@@ -59,7 +62,9 @@ impl DefUse {
             def_ids_of_reg.entry(p).or_default().push(DefId(defs.len()));
             defs.push((DefSite::Param(i), p));
         }
+        let mut first_def: Vec<Vec<usize>> = vec![Vec::new(); func.block_count()];
         for (id, inst) in func.insts() {
+            first_def[id.block.0].push(defs.len());
             for (nth, d) in inst.defs().into_iter().enumerate() {
                 def_ids_of_reg.entry(d).or_default().push(DefId(defs.len()));
                 defs.push((DefSite::Inst(id, nth), d));
@@ -74,12 +79,7 @@ impl DefUse {
         for (b, block) in func.blocks().iter().enumerate() {
             for (i, inst) in block.insts().iter().enumerate() {
                 for (nth, d) in inst.defs().into_iter().enumerate() {
-                    let this = defs
-                        .iter()
-                        .position(|&(site, _)| {
-                            site == DefSite::Inst(InstId::new(BlockId(b), i), nth)
-                        })
-                        .expect("def enumerated");
+                    let this = first_def[b][i] + nth;
                     // This def kills every other def of the same register.
                     for &DefId(other) in &def_ids_of_reg[&d] {
                         if other != this {
@@ -141,11 +141,7 @@ impl DefUse {
                     reaching.insert(UseSite { inst: id, nth }, rs);
                 }
                 for (nth, d) in inst.defs().into_iter().enumerate() {
-                    let this = defs
-                        .iter()
-                        .position(|&(site, _)| site == DefSite::Inst(id, nth))
-                        .expect("def enumerated");
-                    current.insert(d, vec![DefId(this)]);
+                    current.insert(d, vec![DefId(first_def[b][i] + nth)]);
                 }
             }
         }
@@ -157,6 +153,7 @@ impl DefUse {
 
         DefUse {
             defs,
+            first_def,
             def_ids_of_reg,
             reaching,
             entry_reaching,
@@ -171,6 +168,17 @@ impl DefUse {
     /// All definition sites, indexed by [`DefId`].
     pub fn defs(&self) -> &[(DefSite, Reg)] {
         &self.defs
+    }
+
+    /// The definition of the `nth` register instruction `id` defines.
+    pub fn def_at(&self, id: InstId, nth: usize) -> DefId {
+        DefId(self.first_def[id.block.0][id.index] + nth)
+    }
+
+    /// The definition of the `i`-th function parameter: parameters are
+    /// enumerated first.
+    pub fn param_def(&self, i: usize) -> DefId {
+        DefId(i)
     }
 
     /// The register defined by `id`.

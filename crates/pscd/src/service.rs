@@ -4,11 +4,11 @@
 //! A [`Service`] owns a pool of worker threads behind one bounded queue.
 //! Admission happens at enqueue time: a full queue, an unmeetable client
 //! deadline (estimated from an EWMA of recent service times), or an
-//! in-progress drain all fast-fail the request with
-//! [`CODE_OVERLOADED`](crate::proto::CODE_OVERLOADED) instead of letting
-//! it rot in the queue. Under partial load the service *sheds* instead:
-//! the request is admitted but enters the driver's degradation ladder at
-//! a lower rung, trading code quality for latency before refusing work.
+//! in-progress drain all fast-fail the request with [`CODE_OVERLOADED`]
+//! instead of letting it rot in the queue. Under partial load the service
+//! *sheds* instead: the request is admitted but enters the driver's
+//! degradation ladder at a lower rung, trading code quality for latency
+//! before refusing work.
 //!
 //! Workers run each request inside `catch_unwind` (over and above the
 //! driver's per-rung isolation). A panic retries once at a lower rung

@@ -10,7 +10,6 @@
 //! issue in the same cycle. Claim 2 guarantees two definitions of one web
 //! never execute in parallel, so Theorems 1 and 2 carry over.
 
-use crate::assignment::AllocCheckError;
 use crate::combined::PinterConfig;
 use crate::pig::Pig;
 use crate::spill::SPILL_REGION;
@@ -58,7 +57,7 @@ impl GlobalAllocProblem {
     /// and an expired deadline aborts construction entirely.
     ///
     /// # Errors
-    /// Returns [`BudgetExceeded`] when `limits.deadline` has passed.
+    /// Returns [`crate::BudgetExceeded`] when `limits.deadline` has passed.
     pub fn build_limited(
         func: &Function,
         machine: &MachineDesc,
@@ -91,7 +90,7 @@ impl GlobalAllocProblem {
                 // other live-in values.
                 let live_in = liveness.live_in(bid);
                 for (pi, &p) in func.params().iter().enumerate() {
-                    let pweb = param_web(&defuse, &webs, pi);
+                    let pweb = webs.web_of(defuse.param_def(pi));
                     for &other in live_in {
                         if other != p {
                             if let Some(&od) = current.get(&other) {
@@ -110,11 +109,11 @@ impl GlobalAllocProblem {
                 // Update current with this instruction's defs first, so the
                 // def's own web is resolvable below.
                 for (nth, d) in inst.defs().into_iter().enumerate() {
-                    let did = def_id_at(&defuse, id, nth);
+                    let did = defuse.def_at(id, nth);
                     current.insert(d, did);
                 }
                 for (nth, d) in inst.defs().into_iter().enumerate() {
-                    let did = def_id_at(&defuse, id, nth);
+                    let did = defuse.def_at(id, nth);
                     let dweb = webs.web_of(did);
                     for &live in &per_inst[i] {
                         if live == d {
@@ -153,8 +152,7 @@ impl GlobalAllocProblem {
             for &bid in region.blocks() {
                 for (i, inst) in func.block(bid).body().iter().enumerate() {
                     let id = InstId::new(bid, i);
-                    let ws =
-                        (0..inst.defs().len()).map(|nth| webs.web_of(def_id_at(&defuse, id, nth)));
+                    let ws = (0..inst.defs().len()).map(|nth| webs.web_of(defuse.def_at(id, nth)));
                     webs_at.push(ws.collect());
                     concat.push(inst.clone());
                 }
@@ -194,7 +192,7 @@ impl GlobalAllocProblem {
                     }
                 },
             );
-            if walked.is_err() {
+            if walked.is_none() {
                 unreachable!("an Ef walk without a deadline cannot trip");
             }
         }
@@ -401,7 +399,7 @@ impl GlobalAllocProblem {
         let mut moves: Vec<(WebId, WebId)> = Vec::new();
         for (id, inst) in func.insts() {
             if let InstKind::Copy { .. } = inst.kind() {
-                let wd = self.webs.web_of(def_id_at(&self.defuse, id, 0));
+                let wd = self.webs.web_of(self.defuse.def_at(id, 0));
                 let site = UseSite { inst: id, nth: 0 };
                 if let Some(&d) = self.defuse.reaching_defs(site).first() {
                     moves.push((wd, self.webs.web_of(d)));
@@ -540,8 +538,6 @@ pub enum GlobalAllocError {
         /// Round limit.
         limit: u32,
     },
-    /// Internal validation failure.
-    Invalid(AllocCheckError),
     /// A resource budget (region size, deadline) was exhausted.
     Budget(crate::limits::BudgetExceeded),
 }
@@ -552,7 +548,6 @@ impl fmt::Display for GlobalAllocError {
             GlobalAllocError::TooManyRounds { limit } => {
                 write!(f, "global spilling did not converge within {limit} rounds")
             }
-            GlobalAllocError::Invalid(e) => write!(f, "global allocation failed validation: {e}"),
             GlobalAllocError::Budget(b) => b.fmt(f),
         }
     }
@@ -561,7 +556,6 @@ impl fmt::Display for GlobalAllocError {
 impl Error for GlobalAllocError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            GlobalAllocError::Invalid(e) => Some(e),
             GlobalAllocError::Budget(b) => Some(b),
             GlobalAllocError::TooManyRounds { .. } => None,
         }
@@ -813,7 +807,7 @@ fn rewrite_with_webs(func: &Function, problem: &GlobalAllocProblem, colors: &[u3
         .params()
         .iter()
         .enumerate()
-        .map(|(pi, _)| phys_of_web(param_web(&problem.defuse, &problem.webs, pi)))
+        .map(|(pi, _)| phys_of_web(problem.webs.web_of(problem.defuse.param_def(pi))))
         .collect();
 
     for (b, block) in out.blocks_mut().iter_mut().enumerate() {
@@ -836,7 +830,7 @@ fn rewrite_with_webs(func: &Function, problem: &GlobalAllocProblem, colors: &[u3
                     }
                     RegRole::Def => {
                         nth_def += 1;
-                        Some(def_id_at(&problem.defuse, id, nth_def - 1))
+                        Some(problem.defuse.def_at(id, nth_def - 1))
                     }
                 };
                 def.map_or(r, |d| phys_of_web(problem.webs.web_of(d)))
@@ -869,7 +863,7 @@ fn insert_global_spill_code(
         let mut nb = Block::new(block.label());
         if b == func.entry().0 {
             for (pi, &p) in func.params().iter().enumerate() {
-                let w = param_web(&problem.defuse, &problem.webs, pi);
+                let w = problem.webs.web_of(problem.defuse.param_def(pi));
                 if slot_of.contains_key(&w) {
                     nb.push(InstKind::Store {
                         src: p,
@@ -911,7 +905,7 @@ fn insert_global_spill_code(
             let defs = rewritten.defs();
             nb.push(rewritten);
             for (nth, d) in defs.into_iter().enumerate() {
-                let w = problem.webs.web_of(def_id_at(&problem.defuse, id, nth));
+                let w = problem.webs.web_of(problem.defuse.def_at(id, nth));
                 if slot_of.contains_key(&w) {
                     nb.push(InstKind::Store {
                         src: d,
@@ -930,24 +924,6 @@ fn insert_global_spill_code(
         Function::new(func.name(), func.params().to_vec(), new_blocks),
         inserted,
     )
-}
-
-fn def_id_at(du: &DefUse, id: InstId, nth: usize) -> DefId {
-    du.defs()
-        .iter()
-        .position(|&(site, _)| site == DefSite::Inst(id, nth))
-        .map(DefId)
-        .expect("definition enumerated by DefUse")
-}
-
-fn param_web(du: &DefUse, webs: &Webs, param_index: usize) -> WebId {
-    let d = du
-        .defs()
-        .iter()
-        .position(|&(site, _)| site == DefSite::Param(param_index))
-        .map(DefId)
-        .expect("parameter enumerated by DefUse");
-    webs.web_of(d)
 }
 
 #[cfg(test)]

@@ -18,9 +18,10 @@
 //!   validity checker;
 //! * [`global`] — the inter-block extension: webs as vertices, region-wide
 //!   false-dependence edges;
-//! * [`AllocSession`] — a reusable session holding the dependence graph and
-//!   incrementally-maintained closure across spill rounds and functions,
-//!   deriving the PIG from closure rows instead of rebuilding it.
+//! * [`AllocSession`] — the one reusable session: it owns the dependence
+//!   graph, the incrementally-maintained closure and the cooperative
+//!   deadline across spill rounds and functions, deriving the PIG from
+//!   closure rows instead of rebuilding it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -43,6 +43,17 @@ impl fmt::Display for BudgetExceeded {
     }
 }
 
+impl BudgetExceeded {
+    /// A wall-clock deadline that passed during `phase`.
+    pub fn deadline(phase: &'static str) -> BudgetExceeded {
+        BudgetExceeded {
+            phase,
+            limit: 0,
+            actual: 0,
+        }
+    }
+}
+
 impl Error for BudgetExceeded {}
 
 /// Resource limits observed by the block and global allocators.
@@ -74,11 +85,7 @@ impl AllocLimits {
     /// Returns [`BudgetExceeded`] naming `phase` once `deadline` is in the past.
     pub fn check_deadline(&self, phase: &'static str) -> Result<(), BudgetExceeded> {
         match self.deadline {
-            Some(d) if Instant::now() >= d => Err(BudgetExceeded {
-                phase,
-                limit: 0,
-                actual: 0,
-            }),
+            Some(d) if Instant::now() >= d => Err(BudgetExceeded::deadline(phase)),
             _ => Ok(()),
         }
     }

@@ -11,7 +11,7 @@ use crate::problem::BlockAllocProblem;
 use parsched_graph::{BitMatrix, BitSet, ClosureMode, Reachability, UnGraph};
 use parsched_machine::MachineDesc;
 use parsched_sched::falsedep::{for_each_ef_pair, EfScratch};
-use parsched_sched::{DeadlineExceeded, DepGraph};
+use parsched_sched::DepGraph;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -52,7 +52,7 @@ impl EfBuffers {
     /// every pair of defining instructions the kernel yields becomes an
     /// edge between every vertex one defines and every vertex the other
     /// defines, so each result of a multi-result call carries its
-    /// instruction's edges (Theorem 1).
+    /// instruction's edges (Theorem 1). `None` once `deadline` passes.
     pub(crate) fn fill(
         &mut self,
         problem: &BlockAllocProblem,
@@ -60,7 +60,7 @@ impl EfBuffers {
         reach: &Reachability,
         machine: &MachineDesc,
         deadline: Option<Instant>,
-    ) -> Result<&BitMatrix, DeadlineExceeded> {
+    ) -> Option<&BitMatrix> {
         let n = deps.len();
         self.defining.reset(n);
         for i in (0..n).filter(|&i| !problem.nodes_defined_at(i).is_empty()) {
@@ -84,7 +84,7 @@ impl EfBuffers {
                 }
             },
         )?;
-        Ok(edges)
+        Some(edges)
     }
 }
 
@@ -135,7 +135,7 @@ impl Pig {
             unreachable!("a closure without a deadline cannot trip")
         };
         let mut buf = EfBuffers::default();
-        let Ok(ef) = buf.fill(problem, deps, &reach, machine, None) else {
+        let Some(ef) = buf.fill(problem, deps, &reach, machine, None) else {
             unreachable!("an Ef walk without a deadline cannot trip")
         };
         let mut pig = Pig::empty();

@@ -18,8 +18,8 @@ pub const SPILL_REGION: &str = "__spill";
 /// given symbolic registers. Returns the rewritten function, the number of
 /// memory operations inserted, and a [`BlockRemap`] from old to new body
 /// positions (every original instruction survives the rewrite, so the map
-/// is total) that lets a [`parsched_sched::SchedSession`] update its
-/// closure incrementally instead of rebuilding from scratch.
+/// is total) that lets an [`crate::AllocSession`] update its closure
+/// incrementally instead of rebuilding from scratch.
 ///
 /// `next_slot` is the next free slot index; it is advanced so repeated
 /// spill rounds never reuse a slot.

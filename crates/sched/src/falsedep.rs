@@ -20,7 +20,6 @@
 //! reference.
 
 use crate::deps::{mem_dep, touches_memory, DepEdge, DepGraph};
-use crate::session::DeadlineExceeded;
 use parsched_graph::{BitSet, ClosureMode, FastMap, Reachability, UnGraph, DEADLINE_STRIDE};
 use parsched_ir::{Block, MemAddr, Reg, RegRole};
 use parsched_machine::{MachineDesc, OpClass};
@@ -92,9 +91,8 @@ pub struct EfScratch {
 /// `universe` must have capacity `deps.len()`; callers restrict it to the
 /// positions they can map, e.g. a PIG's defining instructions.
 ///
-/// # Errors
-/// Returns [`DeadlineExceeded`] (phase `"ef.rows"`) once `deadline`
-/// passes, polled every ~[`DEADLINE_STRIDE`] rows.
+/// Returns `None`, like the closure builds, once `deadline` passes,
+/// polled every ~[`DEADLINE_STRIDE`] rows.
 pub fn for_each_ef_pair(
     deps: &DepGraph,
     reach: &Reachability,
@@ -103,7 +101,7 @@ pub fn for_each_ef_pair(
     s: &mut EfScratch,
     deadline: Option<Instant>,
     mut emit: impl FnMut(usize, usize),
-) -> Result<(), DeadlineExceeded> {
+) -> Option<()> {
     let n = deps.len();
     s.classes.clear();
     s.class_of.clear();
@@ -136,7 +134,7 @@ pub fn for_each_ef_pair(
         if processed % DEADLINE_STRIDE == DEADLINE_STRIDE - 1
             && deadline.is_some_and(|d| Instant::now() >= d)
         {
-            return Err(DeadlineExceeded { phase: "ef.rows" });
+            return None;
         }
         // row(i) = universe \ reach(i) \ reach⁻¹(i) \ conflicts(i) \ {i};
         // the closure answers the first three in one query.
@@ -147,7 +145,7 @@ pub fn for_each_ef_pair(
             emit(i, j);
         }
     }
-    Ok(())
+    Some(())
 }
 
 /// Builds the false-dependence graph `Ef` over every position of `deps`
@@ -198,7 +196,7 @@ pub fn false_dependence_graph(
             ef.add_edge(i, j);
         },
     );
-    if walked.is_err() {
+    if walked.is_none() {
         unreachable!("an Ef walk without a deadline cannot trip");
     }
     if telemetry.enabled() {
@@ -600,8 +598,8 @@ mod tests {
             for_each_ef_pair(&deps, &reach, &machine(), &all, &mut s, deadline, |_, _| {})
         };
         let past = Some(Instant::now());
-        assert_eq!(walk(past), Err(DeadlineExceeded { phase: "ef.rows" }));
-        assert_eq!(walk(None), Ok(()));
+        assert_eq!(walk(past), None);
+        assert_eq!(walk(None), Some(()));
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!   plus non-precedence machine constraints), its complement `Ef` (the
 //!   false-dependence graph, Lemma 1), and detection of false dependences
 //!   introduced by a register allocation;
-//! * [`SchedSession`] — a reusable session owning the dependence graph and
-//!   closure bit-matrix across spill rounds, with exact incremental closure
-//!   maintenance guided by a [`BlockRemap`];
+//! * [`BlockRemap`] — the old → new body-position map of a spill rewrite,
+//!   which guides the allocator session's exact incremental closure
+//!   maintenance;
 //! * [`region`] — dominator/post-dominator *plausible pair* region
 //!   formation for inter-block scheduling;
 //! * [`cyclesim`] — a value-level schedule simulator (no latencies) used as
@@ -34,11 +34,11 @@ pub mod ep;
 pub mod falsedep;
 mod list;
 pub mod region;
+mod remap;
 mod schedule;
-mod session;
 pub mod timing;
 
 pub use deps::{op_class, DepEdge, DepGraph, DepKind};
 pub use list::{list_schedule, SchedPriority};
+pub use remap::BlockRemap;
 pub use schedule::{BlockSchedule, SchedError, ScheduleError};
-pub use session::{BlockRemap, DeadlineExceeded, SchedSession};

@@ -10,7 +10,7 @@
 //! events the passes reported.
 
 use crate::json::{Layout, Writer};
-use crate::{locked, Telemetry};
+use crate::{locked, OpenSpans, Telemetry};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -52,8 +52,8 @@ pub struct FlightEntry {
 
 #[derive(Debug, Default)]
 struct FlightState {
-    /// Open spans: (name, start offset ns).
-    open: Vec<(String, u128)>,
+    /// Open spans, with their start offsets in ns.
+    open: OpenSpans,
     ring: VecDeque<FlightEntry>,
     next_seq: u64,
 }
@@ -186,18 +186,12 @@ impl FlightRecorder {
 impl Telemetry for FlightRecorder {
     fn phase_start(&self, name: &str) {
         let t = self.now_ns();
-        locked(&self.state).open.push((name.to_string(), t));
+        locked(&self.state).open.start(name, t);
     }
 
     fn phase_end(&self, name: &str) {
         let t = self.now_ns();
-        let start = {
-            let mut st = locked(&self.state);
-            match st.open.iter().rposition(|(n, _)| n == name) {
-                Some(pos) => st.open.remove(pos).1,
-                None => t,
-            }
-        };
+        let start = locked(&self.state).open.end(name).unwrap_or(t);
         self.push(
             FlightKind::Span,
             name,
@@ -275,6 +269,25 @@ mod tests {
         let json = f.dump_json("budget tripped");
         assert!(json.contains("\"reason\":\"budget tripped\""));
         assert!(json.contains("\"dropped\":1"));
+    }
+
+    #[test]
+    fn spans_pair_per_thread() {
+        let f = FlightRecorder::new(8);
+        crate::tests::overlap_same_named_spans(&f);
+        // Start of each closed span: its end minus its duration. A's span
+        // closes first and started first.
+        let starts: Vec<Option<u128>> = f
+            .entries()
+            .iter()
+            .map(|e| {
+                let dur = e.detail.strip_suffix(" ns")?.parse::<u128>().ok()?;
+                e.at_ns.checked_sub(dur)
+            })
+            .collect();
+        assert_eq!(starts.len(), 2);
+        assert!(starts.iter().all(Option::is_some), "{}", f.dump("test"));
+        assert!(starts[0] < starts[1], "{}", f.dump("test"));
     }
 
     #[test]

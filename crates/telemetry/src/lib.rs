@@ -27,6 +27,7 @@
 
 use json::{Layout, Writer};
 use std::sync::{Mutex, MutexGuard};
+use std::thread::{self, ThreadId};
 use std::time::Instant;
 
 mod flight;
@@ -44,6 +45,27 @@ pub use profile::{fmt_ns, PhaseNode, PhaseTree};
 /// panic (already caught by the resilience ladder) into a second.
 fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// The open spans of a sink that worker threads share. Each span remembers
+/// the thread that opened it, so `phase_end` closes the calling thread's
+/// innermost span of that name even while another thread has a span of the
+/// same name open.
+#[derive(Debug, Default)]
+struct OpenSpans(Vec<(ThreadId, String, u128)>);
+
+impl OpenSpans {
+    fn start(&mut self, name: &str, at: u128) {
+        self.0.push((thread::current().id(), name.to_string(), at));
+    }
+
+    /// The start of the calling thread's innermost open span named `name`,
+    /// which is closed; `None` when that thread has no such span open.
+    fn end(&mut self, name: &str) -> Option<u128> {
+        let me = thread::current().id();
+        let pos = self.0.iter().rposition(|(t, n, _)| *t == me && n == name)?;
+        Some(self.0.remove(pos).2)
+    }
 }
 
 /// Sink for pipeline instrumentation. Object-safe: passes hold a
@@ -422,15 +444,38 @@ impl Telemetry for Recorder {
 
 #[derive(Debug, Default)]
 struct ChromeState {
-    /// Open spans: (name, start offset µs as f64-safe ns).
-    open: Vec<(String, u128)>,
+    /// Open spans, with their start offsets in µs.
+    open: OpenSpans,
+    /// The threads seen so far; a thread's `tid` is its index plus one, so
+    /// a single-threaded trace is all `"tid":1`.
+    threads: Vec<ThreadId>,
     /// Rendered trace_event objects.
     entries: Vec<String>,
+}
+
+impl ChromeState {
+    /// The calling thread's `tid`, numbered from 1 in order of first use.
+    fn tid(&mut self) -> usize {
+        let me = thread::current().id();
+        let i = self
+            .threads
+            .iter()
+            .position(|&t| t == me)
+            .unwrap_or_else(|| {
+                self.threads.push(me);
+                self.threads.len() - 1
+            });
+        i + 1
+    }
 }
 
 /// Streams spans/counters/events into the Chrome `trace_event` JSON format.
 /// Call [`render`](ChromeTraceSink::render) or
 /// [`write_to_file`](ChromeTraceSink::write_to_file) at the end of the run.
+///
+/// One sink may be shared by worker threads: each thread's spans pair up
+/// among themselves, and each thread gets its own `tid`, numbered from 1
+/// in order of first use.
 pub struct ChromeTraceSink {
     epoch: Instant,
     state: Mutex<ChromeState>,
@@ -475,8 +520,11 @@ impl ChromeTraceSink {
         std::fs::write(path, self.render())
     }
 
-    fn push(&self, entry: String) {
-        locked(&self.state).entries.push(entry);
+    /// Records one trace event built from the calling thread's `tid`.
+    fn push(&self, entry: impl FnOnce(usize) -> String) {
+        let mut st = locked(&self.state);
+        let tid = st.tid();
+        st.entries.push(entry(tid));
     }
 }
 
@@ -498,17 +546,18 @@ impl Telemetry for ChromeTraceSink {
     fn phase_start(&self, name: &str) {
         let t = self.now_us();
         let mut st = locked(&self.state);
-        st.open.push((name.to_string(), t));
+        st.tid(); // A thread is numbered at its first signal.
+        st.open.start(name, t);
     }
 
     fn phase_end(&self, name: &str) {
         let t = self.now_us();
         let mut st = locked(&self.state);
-        if let Some(pos) = st.open.iter().rposition(|(n, _)| n == name) {
-            let (n, start) = st.open.remove(pos);
-            let e = trace_event(&n, "X", start, |w| {
+        if let Some(start) = st.open.end(name) {
+            let tid = st.tid();
+            let e = trace_event(name, "X", start, |w| {
                 w.key("dur").num(t.saturating_sub(start));
-                w.key("pid").num(1).key("tid").num(1);
+                w.key("pid").num(1).key("tid").num(tid);
             });
             st.entries.push(e);
         }
@@ -516,12 +565,14 @@ impl Telemetry for ChromeTraceSink {
 
     fn counter(&self, name: &str, value: u64) {
         let t = self.now_us();
-        self.push(trace_event(name, "C", t, |w| {
-            w.key("pid").num(1).key("tid").num(1);
-            w.key("args").object(Layout::Line, |w| {
-                w.key("value").num(value);
-            });
-        }));
+        self.push(|tid| {
+            trace_event(name, "C", t, |w| {
+                w.key("pid").num(1).key("tid").num(tid);
+                w.key("args").object(Layout::Line, |w| {
+                    w.key("value").num(value);
+                });
+            })
+        });
     }
 
     fn gauge(&self, name: &str, value: u64) {
@@ -531,13 +582,15 @@ impl Telemetry for ChromeTraceSink {
 
     fn event(&self, name: &str, detail: &str) {
         let t = self.now_us();
-        self.push(trace_event(name, "i", t, |w| {
-            w.key("pid").num(1).key("tid").num(1);
-            w.key("s").str("t");
-            w.key("args").object(Layout::Line, |w| {
-                w.key("detail").str(detail);
-            });
-        }));
+        self.push(|tid| {
+            trace_event(name, "i", t, |w| {
+                w.key("pid").num(1).key("tid").num(tid);
+                w.key("s").str("t");
+                w.key("args").object(Layout::Line, |w| {
+                    w.key("detail").str(detail);
+                });
+            })
+        });
     }
 }
 
@@ -719,6 +772,45 @@ mod tests {
         // Exactly three event objects -> two separating commas.
         let objects = doc.matches("\"cat\":\"parsched\"").count();
         assert_eq!(objects, 3);
+    }
+
+    /// Thread A opens `alloc.round`; 2 ms later thread B opens a span of
+    /// the same name; A closes its span, then B closes its own.
+    pub(crate) fn overlap_same_named_spans(sink: &(dyn Telemetry + Sync)) {
+        let step = std::sync::Barrier::new(2);
+        thread::scope(|s| {
+            s.spawn(|| {
+                sink.phase_start("alloc.round");
+                step.wait();
+                step.wait();
+                sink.phase_end("alloc.round");
+                step.wait();
+            });
+            s.spawn(|| {
+                step.wait();
+                thread::sleep(std::time::Duration::from_millis(2));
+                sink.phase_start("alloc.round");
+                step.wait();
+                step.wait();
+                sink.phase_end("alloc.round");
+            });
+        });
+    }
+
+    #[test]
+    fn chrome_trace_pairs_spans_per_thread() {
+        let c = ChromeTraceSink::new();
+        overlap_same_named_spans(&c);
+        let doc = json::parse(&c.render()).unwrap_or_else(|e| unreachable!("{e:?}"));
+        let events = doc.get("traceEvents").and_then(json::Value::as_arr);
+        let field = |i: usize, key: &str| {
+            let e = events.and_then(|es| es.get(i)).and_then(|e| e.get(key));
+            e.and_then(json::Value::as_num)
+        };
+        // A closes first: its span starts first and is on tid 1, B's on 2.
+        assert_eq!((field(0, "tid"), field(1, "tid")), (Some(1.0), Some(2.0)));
+        assert!(field(0, "ts") < field(1, "ts"), "{}", c.render());
+        assert!(field(0, "ts").is_some());
     }
 
     #[test]

@@ -172,6 +172,57 @@ fn spill_rounds_rebuild_the_closure_incrementally() {
     );
 }
 
+/// The `(signal, kind)` rows of the "Observability" table in
+/// docs/REACHABILITY.md.
+fn reachability_observability_table() -> Vec<(String, String)> {
+    let doc = include_str!("../docs/REACHABILITY.md");
+    let section = doc.split("\n## Observability\n").nth(1).unwrap_or("");
+    section
+        .lines()
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .skip(2) // header and separator
+        .filter_map(|row| {
+            let mut cells = row.split('|').map(str::trim).skip(1);
+            let signal = cells.next()?.trim_matches('`').to_string();
+            Some((signal, cells.next()?.to_string()))
+        })
+        .collect()
+}
+
+#[test]
+fn reachability_doc_signals_are_emitted() {
+    let table = reachability_observability_table();
+    let names: Vec<&str> = table.iter().map(|(n, _)| n.as_str()).collect();
+    for name in [
+        "closure.build",
+        "pig.full_rebuilds",
+        "pig.incremental_nodes",
+    ] {
+        assert!(
+            names.contains(&name),
+            "{name} missing from the table: {names:?}"
+        );
+    }
+    let func = random_dag_function(3, &PRESSURE);
+    let recorder = Recorder::new();
+    let result = Pipeline::new(presets::paper_machine(6))
+        .compile(&func, &Strategy::combined(), &recorder)
+        .expect("combined compiles the pressure function");
+    assert!(result.stats.spilled_values > 0, "the function must spill");
+    for (name, kind) in &table {
+        let emitted = match kind.as_str() {
+            "span" => recorder.span_count(name) > 0,
+            "counter" => recorder.counter_value(name) > 0,
+            other => panic!("{name}: unknown signal kind `{other}`"),
+        };
+        assert!(
+            emitted,
+            "docs/REACHABILITY.md names {kind} {name}, never emitted"
+        );
+    }
+}
+
 #[test]
 fn one_failing_function_stays_in_its_own_slot() {
     // The middle function uses a value it never defines, so it fails

@@ -2,7 +2,7 @@
 //! model versus the per-block dedicated-register baseline, plus the
 //! webs-partition property both rest on. See `docs/GLOBAL.md`.
 
-use parsched::ir::defuse::DefUse;
+use parsched::ir::defuse::{DefSite, DefUse};
 use parsched::ir::interp::{Interpreter, Memory};
 use parsched::ir::webs::Webs;
 use parsched::ir::{parse_module, BlockId};
@@ -69,6 +69,45 @@ fn webs_partition_defs_and_uses_exactly() {
                 }
             }
         }
+    }
+}
+
+/// `DefUse`'s per-instruction and per-parameter index names the same
+/// definition as a scan of `defs()` in enumeration order, on seeded
+/// branchy/loopy CFGs and on a multi-result call past the entry block.
+#[test]
+fn defuse_index_agrees_with_defs() {
+    let call = parse_module(
+        "func @calls(s0, s1) {\nentry:\n    beq s0, 0, other\nthen:\n    \
+         s2 = add s0, s1\n    jmp join\nother:\n    s3, s4 = call @g(s0)\n    \
+         s2 = add s3, s4\njoin:\n    ret s2\n}\n",
+    )
+    .expect("fixed input parses")
+    .remove(0);
+    let mut rng = SplitMix64::seed_from_u64(0xDEF5);
+    let seeded = (0..40usize).map(|case| {
+        let params = CfgParams {
+            segments: 1 + case % 5,
+            ops_per_block: 2 + case % 4,
+        };
+        random_cfg_function(rng.next_u64(), &params)
+    });
+    for f in std::iter::once(call).chain(seeded) {
+        let du = DefUse::compute(&f);
+        let scan = |want: DefSite| du.defs().iter().position(|&(site, _)| site == want);
+        for (i, _) in f.params().iter().enumerate() {
+            assert_eq!(Some(du.param_def(i).0), scan(DefSite::Param(i)));
+        }
+        let mut inst_defs = 0;
+        for (id, inst) in f.insts() {
+            for (nth, r) in inst.defs().into_iter().enumerate() {
+                let d = du.def_at(id, nth);
+                assert_eq!(Some(d.0), scan(DefSite::Inst(id, nth)), "@{}", f.name());
+                assert_eq!(du.reg_of(d), r);
+                inst_defs += 1;
+            }
+        }
+        assert_eq!(f.params().len() + inst_defs, du.defs().len());
     }
 }
 

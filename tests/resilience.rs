@@ -131,7 +131,7 @@ fn strict_budget_without_ladder_is_a_typed_error() {
     let func = pathological(120, 6);
     let pipeline = Pipeline::new(presets::paper_machine(6));
     let budget = Budget::unlimited().with_max_block_insts(16);
-    let err = pipeline
+    let e = pipeline
         .compile_budgeted_in(
             &mut AllocSession::new(),
             &func,
@@ -140,7 +140,6 @@ fn strict_budget_without_ladder_is_a_typed_error() {
             &parsched::telemetry::NullTelemetry,
         )
         .unwrap_err();
-    let e = ParschedError::from(err);
     assert_eq!(e.exit_code(), 8, "budget trips map to exit code 8: {e}");
     assert!(e.to_string().contains("budget exceeded"), "{e}");
 }
