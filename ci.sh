@@ -19,7 +19,8 @@ baseline=$(cat ci/panic-baseline.txt)
 count=$(grep -rE 'unwrap\(\)|expect\(|panic!' \
     crates/ir/src crates/sched/src crates/regalloc/src crates/core/src \
     crates/exact/src crates/verify/src crates/telemetry/src \
-    crates/pscd/src crates/machine/src crates/graph/src | wc -l)
+    crates/pscd/src crates/machine/src crates/graph/src \
+    crates/workload/src | wc -l)
 echo "    panic-pattern sites: $count (baseline $baseline)"
 if [ "$count" -gt "$baseline" ]; then
     echo "panic audit FAILED: $count sites > baseline $baseline" >&2

@@ -189,7 +189,7 @@ fn figure6() {
     use parsched::ir::defuse::DefUse;
     use parsched::ir::webs::Webs;
     let du = DefUse::compute(&f);
-    let webs = Webs::compute(&f, &du);
+    let webs = Webs::compute(&du);
     println!("webs ({} total):", webs.len());
     for (w, members) in webs.iter() {
         let sites: Vec<String> = members

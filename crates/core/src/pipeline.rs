@@ -8,7 +8,7 @@ use parsched_exact::{ExactConfig, ExactError};
 use parsched_ir::{BlockId, Function};
 use parsched_machine::MachineDesc;
 use parsched_regalloc::allocator::{allocate_single_block_in, AllocError, BlockStrategy};
-use parsched_regalloc::global::{allocate_global_scoped, GlobalScope, GlobalStrategy};
+use parsched_regalloc::global::{allocate_global_scoped, GlobalScope};
 use parsched_regalloc::{AllocSession, PinterConfig};
 use parsched_sched::falsedep::count_false_deps_in;
 use parsched_sched::{list_schedule, DepGraph, SchedError};
@@ -494,7 +494,13 @@ impl Pipeline {
         limits: &parsched_regalloc::AllocLimits,
         telemetry: &dyn Telemetry,
     ) -> Result<(Function, CompileStats), ParschedError> {
-        let mut stats = CompileStats::default();
+        let s = match strategy {
+            Strategy::AllocThenSched | Strategy::SchedThenAlloc => BlockStrategy::Chaitin,
+            Strategy::LinearScanThenSched => BlockStrategy::LinearScan,
+            Strategy::Combined(cfg) => BlockStrategy::Pinter(*cfg),
+            Strategy::SpillEverything => BlockStrategy::SpillAll,
+            Strategy::Exact(_) => unreachable!("exact strategy bypasses allocate()"),
+        };
         // Auto keeps single-block functions on the block-level allocators;
         // --global forces the web path everywhere, --per-block only changes
         // multi-block behavior (a single block has no cross-block webs).
@@ -502,42 +508,23 @@ impl Pipeline {
             AllocScope::Global => true,
             AllocScope::Auto | AllocScope::PerBlock => func.block_count() > 1,
         };
-        let allocated = if !use_webs {
-            let s = match strategy {
-                Strategy::AllocThenSched | Strategy::SchedThenAlloc => BlockStrategy::Chaitin,
-                Strategy::LinearScanThenSched => BlockStrategy::LinearScan,
-                Strategy::Combined(cfg) => BlockStrategy::Pinter(*cfg),
-                Strategy::SpillEverything => BlockStrategy::SpillAll,
-                Strategy::Exact(_) => unreachable!("exact strategy bypasses allocate()"),
-            };
-            let out = allocate_single_block_in(session, func, &self.machine, s, limits, telemetry)?;
-            stats.registers_used = out.colors_used;
-            stats.spilled_values = out.spilled_values;
-            stats.inserted_mem_ops = out.inserted_mem_ops;
-            stats.removed_false_edges = out.removed_false_edges;
-            out.function
-        } else {
-            let s = match strategy {
-                Strategy::AllocThenSched
-                | Strategy::SchedThenAlloc
-                | Strategy::LinearScanThenSched => GlobalStrategy::Chaitin,
-                Strategy::Combined(cfg) => GlobalStrategy::Pinter(*cfg),
-                Strategy::SpillEverything => GlobalStrategy::SpillAll,
-                Strategy::Exact(_) => unreachable!("exact strategy bypasses allocate()"),
-            };
+        let out = if use_webs {
             let gscope = match self.scope {
                 AllocScope::PerBlock => GlobalScope::PerBlockBaseline,
                 AllocScope::Auto | AllocScope::Global => GlobalScope::Function,
             };
-            let out =
-                allocate_global_scoped(func, &self.machine, s, gscope, true, limits, telemetry)?;
-            stats.registers_used = out.colors_used;
-            stats.spilled_values = out.spilled_webs;
-            stats.inserted_mem_ops = out.inserted_mem_ops;
-            stats.removed_false_edges = out.removed_false_edges;
-            out.function
+            allocate_global_scoped(func, &self.machine, s, gscope, true, limits, telemetry)?
+        } else {
+            allocate_single_block_in(session, func, &self.machine, s, limits, telemetry)?
         };
-        Ok((allocated, stats))
+        let stats = CompileStats {
+            registers_used: out.colors_used,
+            spilled_values: out.spilled_values,
+            inserted_mem_ops: out.inserted_mem_ops,
+            removed_false_edges: out.removed_false_edges,
+            ..CompileStats::default()
+        };
+        Ok((out.function, stats))
     }
 }
 

@@ -2,7 +2,6 @@
 
 use crate::bitmatrix::BitMatrix;
 use crate::topo::{topological_sort, CycleError};
-use crate::ungraph::UnGraph;
 use crate::NodeId;
 use std::fmt;
 
@@ -57,18 +56,6 @@ impl DiGraph {
             self.succs[u].push(v);
             self.preds[v].push(u);
             self.edge_count += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Removes the edge `u -> v`; returns `true` if it was present.
-    pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> bool {
-        if self.adj.unset(u, v) {
-            self.succs[u].retain(|&x| x != v);
-            self.preds[v].retain(|&x| x != u);
-            self.edge_count -= 1;
             true
         } else {
             false
@@ -188,35 +175,6 @@ impl DiGraph {
         Some(reach)
     }
 
-    /// Computes the reachability (transitive-closure) relation as a new
-    /// directed graph: edge `u -> v` iff there is a non-empty directed path.
-    ///
-    /// This materializes [`DiGraph::reachability`] into adjacency lists; use
-    /// the bit-matrix form directly when only row queries are needed.
-    pub fn transitive_closure(&self) -> DiGraph {
-        let n = self.node_count();
-        let reach = self.reachability();
-        let mut g = DiGraph::new(n);
-        for u in 0..n {
-            for v in reach.row(u).iter() {
-                g.add_edge(u, v);
-            }
-        }
-        g
-    }
-
-    /// Drops edge directions, returning an undirected graph (self-loops are
-    /// discarded).
-    pub fn to_undirected(&self) -> UnGraph {
-        let mut g = UnGraph::new(self.node_count());
-        for (u, v) in self.edges() {
-            if u != v {
-                g.add_edge(u, v);
-            }
-        }
-        g
-    }
-
     /// Longest-path length (in edges) ending at each node, for a DAG.
     ///
     /// With unit edge weights this is the depth used for critical-path
@@ -267,18 +225,16 @@ mod tests {
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.succs(0), &[1]);
         assert_eq!(g.preds(1), &[0]);
-        assert!(g.remove_edge(0, 1));
-        assert!(!g.remove_edge(0, 1));
-        assert_eq!(g.edge_count(), 0);
+        assert!(g.has_edge(0, 1) && !g.has_edge(1, 0));
     }
 
     #[test]
     fn closure_of_chain_is_total_order() {
         let g = chain(5);
-        let c = g.transitive_closure();
+        let c = g.reachability();
         for i in 0..5 {
             for j in 0..5 {
-                assert_eq!(c.has_edge(i, j), i < j, "({i},{j})");
+                assert_eq!(c.get(i, j), i < j, "({i},{j})");
             }
         }
     }
@@ -291,31 +247,22 @@ mod tests {
         g.add_edge(0, 2);
         g.add_edge(1, 3);
         g.add_edge(2, 3);
-        let c = g.transitive_closure();
-        assert!(c.has_edge(0, 3));
-        assert!(!c.has_edge(1, 2) && !c.has_edge(2, 1));
-        assert_eq!(c.edge_count(), 5);
+        let c = g.reachability();
+        assert!(c.get(0, 3));
+        assert!(!c.get(1, 2) && !c.get(2, 1));
+        assert_eq!(c.count(), 5);
     }
 
     #[test]
     fn closure_of_cycle_is_complete_with_self_loops() {
         let mut g = chain(3);
         g.add_edge(2, 0);
-        let c = g.transitive_closure();
+        let c = g.reachability();
         for i in 0..3 {
             for j in 0..3 {
-                assert!(c.has_edge(i, j));
+                assert!(c.get(i, j));
             }
         }
-    }
-
-    #[test]
-    fn to_undirected_merges_antiparallel() {
-        let mut g = DiGraph::new(2);
-        g.add_edge(0, 1);
-        g.add_edge(1, 0);
-        let u = g.to_undirected();
-        assert_eq!(u.edge_count(), 1);
     }
 
     #[test]
@@ -335,6 +282,6 @@ mod tests {
         let g = DiGraph::new(0);
         assert_eq!(g.node_count(), 0);
         assert!(g.topological_sort().unwrap().is_empty());
-        assert_eq!(g.transitive_closure().edge_count(), 0);
+        assert_eq!(g.reachability().count(), 0);
     }
 }

@@ -97,43 +97,6 @@ impl Dominators {
             }
         }
     }
-
-    /// Builds the dominator tree as parent→children adjacency.
-    pub fn tree(&self) -> DominatorTree {
-        let n = self.idom.len();
-        let mut children = vec![Vec::new(); n];
-        for v in 0..n {
-            if v != self.root {
-                if let Some(d) = self.idom[v] {
-                    children[d].push(v);
-                }
-            }
-        }
-        DominatorTree {
-            root: self.root,
-            children,
-        }
-    }
-}
-
-/// Explicit dominator tree: each node's children are the nodes it
-/// immediately dominates.
-#[derive(Debug, Clone)]
-pub struct DominatorTree {
-    root: NodeId,
-    children: Vec<Vec<NodeId>>,
-}
-
-impl DominatorTree {
-    /// The tree root.
-    pub fn root(&self) -> NodeId {
-        self.root
-    }
-
-    /// Children of `v` in the dominator tree.
-    pub fn children(&self, v: NodeId) -> &[NodeId] {
-        &self.children[v]
-    }
 }
 
 fn intersect(idom: &[Option<NodeId>], rpo_index: &[usize], mut a: NodeId, mut b: NodeId) -> NodeId {
@@ -226,10 +189,7 @@ mod tests {
         let dom = Dominators::compute(&g, 0);
         assert_eq!(dom.idom(2), Some(1));
         assert!(dom.dominates(0, 2));
-        let tree = dom.tree();
-        assert_eq!(tree.children(0), &[1]);
-        assert_eq!(tree.children(1), &[2]);
-        assert_eq!(tree.root(), 0);
+        assert_eq!(dom.root(), 0);
     }
 
     #[test]

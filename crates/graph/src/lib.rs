@@ -16,18 +16,24 @@
 //! ```
 //! use parsched_graph::{DiGraph, UnGraph};
 //!
-//! // A tiny dependence DAG: 0 -> 1 -> 2 and 0 -> 2.
-//! let mut g = DiGraph::new(3);
+//! // A tiny dependence DAG: 0 -> 1 -> 2 and 0 -> 3.
+//! let mut g = DiGraph::new(4);
 //! g.add_edge(0, 1);
 //! g.add_edge(1, 2);
-//! g.add_edge(0, 2);
-//! let closure = g.transitive_closure();
-//! assert!(closure.has_edge(0, 2));
+//! g.add_edge(0, 3);
+//! let reach = g.reachability();
+//! assert!(reach.get(0, 2) && !reach.get(1, 3));
 //!
-//! // The undirected complement holds the pairs *not* ordered by the DAG.
-//! let undirected: UnGraph = closure.to_undirected();
-//! let comp = undirected.complement();
-//! assert_eq!(comp.edge_count(), 0); // the chain orders every pair
+//! // The pairs the DAG orders, undirected; their complement holds the
+//! // pairs that may run in parallel.
+//! let mut ordered = UnGraph::new(4);
+//! for u in 0..4 {
+//!     for v in reach.row(u).iter() {
+//!         ordered.add_edge(u, v);
+//!     }
+//! }
+//! let parallel = ordered.complement();
+//! assert_eq!(parallel.edges().collect::<Vec<_>>(), vec![(1, 3), (2, 3)]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,7 +54,7 @@ pub use bitmatrix::BitMatrix;
 pub use bitset::BitSet;
 pub use coloring::{Coloring, ColoringError};
 pub use digraph::{DiGraph, DEADLINE_STRIDE};
-pub use dominators::{DominatorTree, Dominators};
+pub use dominators::Dominators;
 pub use hash::{FastMap, FastSet};
 pub use reachability::{ClosureMode, Reachability, Rebuilt};
 pub use topo::{topological_sort, CycleError};

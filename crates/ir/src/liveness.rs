@@ -9,7 +9,7 @@
 use crate::block::BlockId;
 use crate::func::Function;
 use crate::reg::Reg;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Result of live-variable analysis over a [`Function`].
 ///
@@ -134,18 +134,6 @@ impl Liveness {
             .unwrap_or(0)
             .max(self.live_in[block.0].len())
     }
-
-    /// A map from register to the set of blocks where it is live-in —
-    /// convenience for cross-block live-range queries.
-    pub fn live_in_blocks(&self) -> HashMap<Reg, Vec<BlockId>> {
-        let mut map: HashMap<Reg, Vec<BlockId>> = HashMap::new();
-        for (b, set) in self.live_in.iter().enumerate() {
-            for &r in set {
-                map.entry(r).or_default().push(BlockId(b));
-            }
-        }
-        map
-    }
 }
 
 #[cfg(test)]
@@ -212,8 +200,6 @@ mod tests {
         }
         // s3 is consumed by the branch, dead after head.
         assert!(!lv.live_out(head).contains(&Reg::sym(3)));
-        let map = lv.live_in_blocks();
-        assert!(map[&Reg::sym(0)].len() >= 2);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! rest of the global pipeline is documented in `docs/GLOBAL.md`.
 
 use crate::defuse::{DefId, DefUse};
-use crate::func::Function;
 use crate::reg::Reg;
 use std::collections::HashMap;
 
@@ -40,7 +39,7 @@ impl Webs {
     ///     "func @f(s0) {\nentry:\n    s1 = add s0, 1\n    ret s1\n}",
     /// )?;
     /// let du = DefUse::compute(&f);
-    /// let webs = Webs::compute(&f, &du);
+    /// let webs = Webs::compute(&du);
     /// assert_eq!(webs.len(), 2, "one web per value here");
     /// # Ok::<(), parsched_ir::ParseError>(())
     /// ```
@@ -48,7 +47,7 @@ impl Webs {
     /// Two definitions are placed in the same web when some use is reached
     /// by both (closed transitively via union-find). Definitions of
     /// *different* registers are never merged.
-    pub fn compute(func: &Function, du: &DefUse) -> Webs {
+    pub fn compute(du: &DefUse) -> Webs {
         let nd = du.defs().len();
         let mut uf = UnionFind::new(nd);
         for (_site, reaching) in du.uses() {
@@ -63,7 +62,6 @@ impl Webs {
                 uf.union(pair[0].0, pair[1].0);
             }
         }
-        let _ = func; // function kept in the signature for future per-web spans
 
         // Assign dense web ids by first-seen root, deterministic over DefId.
         let mut id_of_root: HashMap<usize, WebId> = HashMap::new();
@@ -176,7 +174,7 @@ mod tests {
         )
         .unwrap();
         let du = DefUse::compute(&f);
-        let webs = Webs::compute(&f, &du);
+        let webs = Webs::compute(&du);
         assert_eq!(webs.len(), 3);
         for (w, m) in webs.iter() {
             assert_eq!(m.len(), 1, "web {w:?} should be a singleton");
@@ -204,7 +202,7 @@ mod tests {
         )
         .unwrap();
         let du = DefUse::compute(&f);
-        let webs = Webs::compute(&f, &du);
+        let webs = Webs::compute(&du);
         let s1_defs = du.defs_of_reg(Reg::sym(1));
         assert_eq!(s1_defs.len(), 2);
         assert_eq!(
@@ -236,7 +234,7 @@ mod tests {
         )
         .unwrap();
         let du = DefUse::compute(&f);
-        let webs = Webs::compute(&f, &du);
+        let webs = Webs::compute(&du);
         let s0_defs = du.defs_of_reg(Reg::sym(0));
         assert_eq!(s0_defs.len(), 2);
         assert_ne!(
@@ -263,7 +261,7 @@ mod tests {
         )
         .unwrap();
         let du = DefUse::compute(&f);
-        let webs = Webs::compute(&f, &du);
+        let webs = Webs::compute(&du);
         let s1_defs = du.defs_of_reg(Reg::sym(1));
         assert_eq!(webs.web_of(s1_defs[0]), webs.web_of(s1_defs[1]));
     }

@@ -10,7 +10,7 @@
 //! issue in the same cycle. Claim 2 guarantees two definitions of one web
 //! never execute in parallel, so Theorems 1 and 2 carry over.
 
-use crate::combined::PinterConfig;
+use crate::allocator::{BlockAllocation, BlockStrategy};
 use crate::pig::Pig;
 use crate::spill::SPILL_REGION;
 use parsched_graph::{BitSet, ClosureMode, Reachability, UnGraph};
@@ -72,7 +72,7 @@ impl GlobalAllocProblem {
 
     fn build_impl(func: &Function, machine: &MachineDesc, region_cap: usize) -> GlobalAllocProblem {
         let defuse = DefUse::compute(func);
-        let webs = Webs::compute(func, &defuse);
+        let webs = Webs::compute(&defuse);
         let liveness = Liveness::compute(func, &[]);
         let nw = webs.len();
 
@@ -297,82 +297,37 @@ impl GlobalAllocProblem {
         &self.false_edges
     }
 
+    /// Spill cost per vertex: defs + uses weighted by loop nesting.
+    pub fn costs(&self) -> &[f64] {
+        &self.costs
+    }
+
+    /// Scheduling-height priority per vertex, for false-edge removal.
+    pub fn priority(&self) -> &[u32] {
+        &self.priority
+    }
+
     /// The global PIG.
     pub fn pig(&self) -> Pig {
         Pig::from_parts(self.er.clone(), self.false_edges.clone())
     }
-}
 
-/// A quotient of the web set under copy coalescing: classes of webs that
-/// will share one register.
-#[derive(Debug)]
-pub struct WebQuotient {
-    class_of: Vec<usize>,
-    n_classes: usize,
-    er: UnGraph,
-    false_edges: UnGraph,
-    costs: Vec<f64>,
-    priority: Vec<u32>,
-    merged_moves: usize,
-}
-
-impl WebQuotient {
-    /// Number of classes.
-    pub fn len(&self) -> usize {
-        self.n_classes
-    }
-
-    /// Whether there are no classes.
-    pub fn is_empty(&self) -> bool {
-        self.n_classes == 0
-    }
-
-    /// The class of web `w`.
-    pub fn class_of(&self, w: WebId) -> usize {
-        self.class_of[w.0]
-    }
-
-    /// Copies whose source and destination were merged.
-    pub fn merged_moves(&self) -> usize {
-        self.merged_moves
-    }
-
-    /// Interference graph over classes.
-    pub fn interference(&self) -> &UnGraph {
-        &self.er
-    }
-
-    /// The PIG over classes.
-    pub fn pig(&self) -> Pig {
-        Pig::from_parts(self.er.clone(), self.false_edges.clone())
-    }
-
-    /// Expands per-class colors to per-web colors.
-    pub fn expand_colors(&self, class_colors: &[u32], n_webs: usize) -> Vec<u32> {
-        (0..n_webs)
-            .map(|w| class_colors[self.class_of[w]])
-            .collect()
-    }
-
-    /// Expands spilled class ids to their member webs.
-    pub fn expand_spills(&self, spilled_classes: &[usize], n_webs: usize) -> Vec<WebId> {
-        (0..n_webs)
-            .filter(|&w| spilled_classes.contains(&self.class_of[w]))
-            .map(WebId)
-            .collect()
-    }
-}
-
-impl GlobalAllocProblem {
-    /// Conservatively coalesces copy-related webs (Briggs criterion): the
-    /// source and destination of a `mov` are merged when they do not
-    /// interfere, share no false-dependence edge (merging would serialize a
-    /// parallel pair), and the merged node has fewer than `k` neighbors of
-    /// significant degree — so coalescing never turns a colorable graph
-    /// uncolorable. Copies whose ends land in one class become identity
-    /// moves after rewriting and are deleted by the peephole.
-    pub fn coalesced(&self, func: &Function, k: u32) -> WebQuotient {
+    /// Conservatively coalesces copy-related webs (Briggs criterion), in
+    /// place: the source and destination of a `mov` are merged when they do
+    /// not interfere, share no false-dependence edge (merging would
+    /// serialize a parallel pair), and the merged node has fewer than `k`
+    /// neighbors of significant degree — so coalescing never turns a
+    /// colorable graph uncolorable. Copies whose ends land in one class
+    /// become identity moves after rewriting and are deleted by the
+    /// peephole.
+    ///
+    /// Afterwards [`interference`](Self::interference),
+    /// [`false_edges`](Self::false_edges), [`pig`](Self::pig) and the cost
+    /// and priority tables are over classes of webs, not webs. Returns each
+    /// web's class and the number of copies whose ends share a class.
+    pub fn coalesce(&mut self, func: &Function, k: u32) -> (Vec<usize>, usize) {
         let nw = self.webs.len();
+        let k = k as usize;
         let mut parent: Vec<usize> = (0..nw).collect();
         fn find(parent: &mut [usize], mut x: usize) -> usize {
             while parent[x] != x {
@@ -381,153 +336,89 @@ impl GlobalAllocProblem {
             }
             x
         }
-        // Root-keyed adjacency sets.
-        let mut er_adj: Vec<std::collections::HashSet<usize>> =
-            (0..nw).map(|_| std::collections::HashSet::new()).collect();
-        let mut false_adj: Vec<std::collections::HashSet<usize>> =
-            (0..nw).map(|_| std::collections::HashSet::new()).collect();
-        for (u, v) in self.er.edges() {
-            er_adj[u].insert(v);
-            er_adj[v].insert(u);
-        }
-        for (u, v) in self.false_edges.edges() {
-            false_adj[u].insert(v);
-            false_adj[v].insert(u);
-        }
-
-        // Candidate moves: dst web / src web of every Copy.
-        let mut moves: Vec<(WebId, WebId)> = Vec::new();
-        for (id, inst) in func.insts() {
-            if let InstKind::Copy { .. } = inst.kind() {
-                let wd = self.webs.web_of(self.defuse.def_at(id, 0));
-                let site = UseSite { inst: id, nth: 0 };
-                if let Some(&d) = self.defuse.reaching_defs(site).first() {
-                    moves.push((wd, self.webs.web_of(d)));
-                }
-            }
-        }
-
+        // Working graphs over union-find roots: a merged web keeps no edges.
+        let mut er = self.er.clone();
+        let mut gf = self.false_edges.clone();
         let mut merged_moves = 0usize;
-        for (wd, ws) in moves {
-            let a = find(&mut parent, wd.0);
-            let b = find(&mut parent, ws.0);
+        for (id, inst) in func.insts() {
+            let InstKind::Copy { .. } = inst.kind() else {
+                continue;
+            };
+            let site = UseSite { inst: id, nth: 0 };
+            let Some(&src) = self.defuse.reaching_defs(site).first() else {
+                continue;
+            };
+            let a = find(&mut parent, self.webs.web_of(self.defuse.def_at(id, 0)).0);
+            let b = find(&mut parent, self.webs.web_of(src).0);
             if a == b {
                 merged_moves += 1;
                 continue;
             }
-            if er_adj[a].contains(&b) || false_adj[a].contains(&b) {
+            if er.has_edge(a, b) || gf.has_edge(a, b) {
                 continue;
             }
             // Briggs: neighbors of the merged node with degree >= k.
-            let combined: std::collections::HashSet<usize> =
-                er_adj[a].union(&er_adj[b]).copied().collect();
-            let significant = combined
+            let significant = er
+                .neighbors(a)
                 .iter()
-                .filter(|&&n| er_adj[n].len() >= k as usize)
+                .chain(er.neighbors(b).iter().filter(|&&n| !er.has_edge(a, n)))
+                .filter(|&&n| er.degree(n) >= k)
                 .count();
-            if significant >= k as usize {
+            if significant >= k {
                 continue;
             }
             // Merge b into a.
             parent[b] = a;
             merged_moves += 1;
-            let b_er: Vec<usize> = er_adj[b].drain().collect();
-            for n in b_er {
-                if n != a {
-                    er_adj[n].remove(&b);
-                    er_adj[n].insert(a);
-                    er_adj[a].insert(n);
+            for g in [&mut er, &mut gf] {
+                for n in g.neighbors(b).to_vec() {
+                    g.remove_edge(b, n);
+                    g.add_edge(a, n);
                 }
             }
-            er_adj[a].remove(&b);
-            let b_false: Vec<usize> = false_adj[b].drain().collect();
-            for n in b_false {
-                if n != a {
-                    false_adj[n].remove(&b);
-                    false_adj[n].insert(a);
-                    false_adj[a].insert(n);
-                }
-            }
-            false_adj[a].remove(&b);
         }
 
         // Densify classes.
         let mut class_of = vec![usize::MAX; nw];
-        let mut roots: Vec<usize> = Vec::new();
+        let mut n_classes = 0;
         for w in 0..nw {
             let r = find(&mut parent, w);
             if class_of[r] == usize::MAX {
-                class_of[r] = roots.len();
-                roots.push(r);
+                class_of[r] = n_classes;
+                n_classes += 1;
             }
         }
         for w in 0..nw {
             let r = find(&mut parent, w);
             class_of[w] = class_of[r];
         }
-        let n_classes = roots.len();
 
-        let mut er = UnGraph::new(n_classes);
+        // The class tables, edges in web-edge order.
+        er.reset(n_classes);
         for (u, v) in self.er.edges() {
             let (cu, cv) = (class_of[u], class_of[v]);
             debug_assert_ne!(cu, cv, "coalescing merged interfering webs");
             er.add_edge(cu, cv);
         }
-        let mut false_edges = UnGraph::new(n_classes);
+        gf.reset(n_classes);
         for (u, v) in self.false_edges.edges() {
             let (cu, cv) = (class_of[u], class_of[v]);
             if cu != cv {
-                false_edges.add_edge(cu, cv);
+                gf.add_edge(cu, cv);
             }
         }
         let mut costs = vec![0f64; n_classes];
         let mut priority = vec![0u32; n_classes];
-        for w in 0..nw {
-            costs[class_of[w]] += self.costs[w];
-            priority[class_of[w]] = priority[class_of[w]].max(self.priority[w]);
+        for (w, &c) in class_of.iter().enumerate() {
+            costs[c] += self.costs[w];
+            priority[c] = priority[c].max(self.priority[w]);
         }
-
-        WebQuotient {
-            class_of,
-            n_classes,
-            er,
-            false_edges,
-            costs,
-            priority,
-            merged_moves,
-        }
+        self.er = er;
+        self.false_edges = gf;
+        self.costs = costs;
+        self.priority = priority;
+        (class_of, merged_moves)
     }
-
-    /// The identity quotient (no coalescing).
-    pub fn trivial_quotient(&self) -> WebQuotient {
-        let nw = self.webs.len();
-        WebQuotient {
-            class_of: (0..nw).collect(),
-            n_classes: nw,
-            er: self.er.clone(),
-            false_edges: self.false_edges.clone(),
-            costs: self.costs.clone(),
-            priority: self.priority.clone(),
-            merged_moves: 0,
-        }
-    }
-}
-
-/// Outcome of global allocation.
-#[derive(Debug, Clone)]
-pub struct GlobalAllocation {
-    /// Rewritten function, all registers physical.
-    pub function: Function,
-    /// Registers used.
-    pub colors_used: u32,
-    /// Webs spilled across rounds.
-    pub spilled_webs: usize,
-    /// False edges given up (Pinter only).
-    pub removed_false_edges: usize,
-    /// Memory operations inserted by spilling.
-    pub inserted_mem_ops: usize,
-    /// Rounds executed.
-    pub rounds: u32,
 }
 
 /// Global allocation failures.
@@ -568,17 +459,9 @@ impl From<crate::limits::BudgetExceeded> for GlobalAllocError {
     }
 }
 
-/// Strategy for the global allocator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum GlobalStrategy {
-    /// Chaitin coloring of the web interference graph.
-    Chaitin,
-    /// The paper's combined coloring of the global PIG.
-    Pinter(PinterConfig),
-    /// Degradation floor: spill every original web up front, then
-    /// Chaitin-color the residue of reload temporaries.
-    SpillAll,
-}
+/// Kept only because perfbench's `layers.rs` names the web allocator's
+/// strategy this way; the web allocator takes [`BlockStrategy`].
+pub type GlobalStrategy = BlockStrategy;
 
 /// Scope of the allocator's register-sharing decisions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -600,7 +483,8 @@ pub enum GlobalScope {
 /// ```
 /// use parsched_ir::parse_function;
 /// use parsched_machine::presets;
-/// use parsched_regalloc::global::{allocate_global_scoped, GlobalScope, GlobalStrategy};
+/// use parsched_regalloc::global::{allocate_global_scoped, GlobalScope};
+/// use parsched_regalloc::BlockStrategy;
 ///
 /// let f = parse_function(
 ///     "func @abs(s0) {\nentry:\n    blt s0, 0, neg\npos:\n    ret s0\nneg:\n    s1 = neg s0\n    ret s1\n}",
@@ -610,7 +494,7 @@ pub enum GlobalScope {
 /// let out = allocate_global_scoped(
 ///     &f,
 ///     &presets::paper_machine(4),
-///     GlobalStrategy::Chaitin,
+///     BlockStrategy::Chaitin,
 ///     GlobalScope::Function,
 ///     true,
 ///     &AllocLimits::default(),
@@ -626,15 +510,22 @@ pub enum GlobalScope {
 /// as a `global.dedicated_webs` counter) — the measurement baseline that
 /// global allocation is compared against.
 ///
+/// `strategy` picks the coloring: [`BlockStrategy::Pinter`] colors the
+/// web PIG, `Chaitin` and `LinearScan` Chaitin-color the web interference
+/// graph, and `SpillAll` spills every original web up front.
+///
 /// Per-round progress is reported to `telemetry`: a `global.round` span
 /// wraps each round (containing `global.problem`, `global.coalesce`, the
 /// backend's coloring span, and `global.spill_rewrite`), with
 /// `global.webs` / `global.interference_edges` / `global.false_edges` /
-/// `global.merged_moves` counters per round and `global.rounds` /
-/// `global.spilled_webs` / `global.inserted_mem_ops` totals on success.
+/// `global.merged_moves` counters per round, one `global.spill_web` event
+/// per spilled web, and `global.rounds` / `global.spilled_webs` /
+/// `global.removed_false_edges` / `global.inserted_mem_ops` totals on
+/// success (the table in `docs/GLOBAL.md`, "Observability").
 /// The round count is capped by `limits.max_rounds`, the deadline is
-/// checked at round boundaries, and region-restricted false-edge
-/// construction honors `limits.max_block_insts` (see
+/// checked at round boundaries, the class PIG is held to
+/// `limits.max_pig_edges` (phase `pig.edges`), and region-restricted
+/// false-edge construction honors `limits.max_block_insts` (see
 /// [`GlobalAllocProblem::build_limited`]).
 ///
 /// # Errors
@@ -643,12 +534,12 @@ pub enum GlobalScope {
 pub fn allocate_global_scoped(
     func: &Function,
     machine: &MachineDesc,
-    strategy: GlobalStrategy,
+    strategy: BlockStrategy,
     scope: GlobalScope,
     coalesce: bool,
     limits: &crate::limits::AllocLimits,
     telemetry: &dyn parsched_telemetry::Telemetry,
-) -> Result<GlobalAllocation, GlobalAllocError> {
+) -> Result<BlockAllocation, GlobalAllocError> {
     let k = machine.num_regs();
     let mut current = func.clone();
     // Reload temporaries created by spill rewriting must never re-spill.
@@ -677,7 +568,6 @@ pub fn allocate_global_scoped(
                 telemetry.counter("global.dedicated_webs", dedicated as u64);
             }
         }
-        let problem = problem;
         let nw = problem.webs.len();
         if telemetry.enabled() {
             telemetry.counter("global.webs", nw as u64);
@@ -687,64 +577,58 @@ pub fn allocate_global_scoped(
                 problem.false_edges.edge_count() as u64,
             );
         }
-        let quotient = if coalesce {
+        let class_of: Vec<usize> = if coalesce {
             let _span = parsched_telemetry::span(telemetry, "global.coalesce");
-            let q = problem.coalesced(&current, k);
+            let (class_of, merged_moves) = problem.coalesce(&current, k);
             if telemetry.enabled() {
-                telemetry.counter("global.merged_moves", q.merged_moves() as u64);
+                telemetry.counter("global.merged_moves", merged_moves as u64);
             }
-            q
+            class_of
         } else {
-            problem.trivial_quotient()
+            (0..nw).collect()
         };
-        // Per-class costs, with reload temporaries protected from
-        // re-spilling via a prohibitive cost on their class.
-        let costs: Vec<f64> = (0..quotient.len())
-            .map(|c| {
-                let protected = (0..nw).any(|w| {
-                    quotient.class_of(WebId(w)) == c
-                        && matches!(problem.webs.reg_of(WebId(w)),
-                            Reg::Sym(sr) if sr.0 >= protected_from)
-                });
-                if protected {
-                    1e12
-                } else {
-                    quotient.costs[c]
-                }
-            })
-            .collect();
-        let (class_colors, class_spills, removed) = match &strategy {
-            GlobalStrategy::Chaitin => {
-                let out = crate::chaitin::chaitin_color(&quotient.er, k, &costs, telemetry);
+        // One pass over the webs: a class holding a reload temporary is
+        // protected from re-spilling by a prohibitive cost, and SpillAll
+        // skips a class whose register it already spilled.
+        let nc = problem.costs.len();
+        let mut costs = problem.costs.clone();
+        let mut spilled_before = vec![false; nc];
+        for (w, &c) in class_of.iter().enumerate() {
+            let reg = problem.webs.reg_of(WebId(w));
+            if matches!(reg, Reg::Sym(sr) if sr.0 >= protected_from) {
+                costs[c] = 1e12;
+            }
+            spilled_before[c] |= spilled_once.contains(&reg);
+        }
+        let (class_colors, class_spills, removed) = match strategy {
+            // On webs, linear scan has no intervals to scan: it colors the
+            // interference graph like Chaitin.
+            BlockStrategy::Chaitin | BlockStrategy::LinearScan => {
+                let out = crate::chaitin::chaitin_color(&problem.er, k, &costs, telemetry);
                 (out.colors, out.spilled, 0)
             }
-            GlobalStrategy::Pinter(cfg) => {
-                let pig = quotient.pig();
+            BlockStrategy::Pinter(cfg) => {
+                let pig = problem.pig();
+                limits.check_pig_edges("pig.edges", pig.edge_count() as u64)?;
                 let out = crate::combined::combined_color(
                     &pig,
                     k,
                     &costs,
-                    &quotient.priority,
-                    cfg,
+                    &problem.priority,
+                    &cfg,
                     telemetry,
                 );
                 (out.colors, out.spilled, out.removed_false_edges.len())
             }
-            GlobalStrategy::SpillAll => {
+            BlockStrategy::SpillAll => {
                 // Round 1 spills every unprotected class; later rounds
                 // Chaitin-color the residue — reload temporaries and the
                 // point-range defs feeding the stores.
-                let all: Vec<usize> = (0..quotient.len())
-                    .filter(|&c| {
-                        costs[c] < 1e12
-                            && !(0..nw).any(|w| {
-                                quotient.class_of(WebId(w)) == c
-                                    && spilled_once.contains(&problem.webs.reg_of(WebId(w)))
-                            })
-                    })
+                let all: Vec<usize> = (0..nc)
+                    .filter(|&c| costs[c] < 1e12 && !spilled_before[c])
                     .collect();
                 if all.is_empty() {
-                    let out = crate::chaitin::chaitin_color(&quotient.er, k, &costs, telemetry);
+                    let out = crate::chaitin::chaitin_color(&problem.er, k, &costs, telemetry);
                     (out.colors, out.spilled, 0)
                 } else {
                     (Vec::new(), all, 0)
@@ -754,7 +638,7 @@ pub fn allocate_global_scoped(
         removed_false_edges += removed;
 
         if class_spills.is_empty() {
-            let colors = quotient.expand_colors(&class_colors, nw);
+            let colors: Vec<u32> = class_of.iter().map(|&c| class_colors[c]).collect();
             let rewritten = rewrite_with_webs(&current, &problem, &colors);
             let colors_used = colors
                 .iter()
@@ -769,17 +653,24 @@ pub fn allocate_global_scoped(
                 telemetry.counter("global.removed_false_edges", removed_false_edges as u64);
                 telemetry.counter("global.inserted_mem_ops", inserted_mem_ops as u64);
             }
-            return Ok(GlobalAllocation {
+            return Ok(BlockAllocation {
                 function: rewritten,
                 colors_used,
-                spilled_webs,
+                spilled_values: spilled_webs,
                 removed_false_edges,
                 inserted_mem_ops,
                 rounds: round,
             });
         }
 
-        let spill_set = quotient.expand_spills(&class_spills, nw);
+        let mut spilled_class = vec![false; nc];
+        for &c in &class_spills {
+            spilled_class[c] = true;
+        }
+        let spill_set: Vec<WebId> = (0..nw)
+            .filter(|&w| spilled_class[class_of[w]])
+            .map(WebId)
+            .collect();
         spilled_once.extend(spill_set.iter().map(|&w| problem.webs.reg_of(w)));
         spilled_webs += spill_set.len();
         if telemetry.enabled() {
@@ -929,13 +820,14 @@ fn insert_global_spill_code(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::combined::PinterConfig;
 
     fn galloc(
         f: &Function,
         m: &MachineDesc,
-        strategy: GlobalStrategy,
+        strategy: BlockStrategy,
         coalesce: bool,
-    ) -> Result<GlobalAllocation, GlobalAllocError> {
+    ) -> Result<BlockAllocation, GlobalAllocError> {
         allocate_global_scoped(
             f,
             m,
@@ -1000,8 +892,8 @@ mod tests {
     fn global_chaitin_allocates_loop() {
         let f = parse_function(LOOP).unwrap();
         let m = presets::paper_machine(8);
-        let out = galloc(&f, &m, GlobalStrategy::Chaitin, false).unwrap();
-        assert_eq!(out.spilled_webs, 0);
+        let out = galloc(&f, &m, BlockStrategy::Chaitin, false).unwrap();
+        assert_eq!(out.spilled_values, 0);
         assert!(out.colors_used <= 8);
         assert_eq!(out.function.num_sym_regs(), 0, "fully physical");
         check_semantics(&f, &out.function, &[10]);
@@ -1014,11 +906,11 @@ mod tests {
         let out = galloc(
             &f,
             &m,
-            GlobalStrategy::Pinter(PinterConfig::default()),
+            BlockStrategy::Pinter(PinterConfig::default()),
             false,
         )
         .unwrap();
-        assert_eq!(out.spilled_webs, 0);
+        assert_eq!(out.spilled_values, 0);
         check_semantics(&f, &out.function, &[10]);
     }
 
@@ -1053,7 +945,7 @@ mod tests {
         let out = galloc(
             &f,
             &m,
-            GlobalStrategy::Pinter(PinterConfig::default()),
+            BlockStrategy::Pinter(PinterConfig::default()),
             false,
         )
         .unwrap();
@@ -1065,10 +957,10 @@ mod tests {
     fn global_spilling_converges() {
         let f = parse_function(LOOP).unwrap();
         let m = presets::paper_machine(2);
-        let out = galloc(&f, &m, GlobalStrategy::Chaitin, false).unwrap();
+        let out = galloc(&f, &m, BlockStrategy::Chaitin, false).unwrap();
         assert!(out.colors_used <= 2);
         check_semantics(&f, &out.function, &[7]);
-        if out.spilled_webs > 0 {
+        if out.spilled_values > 0 {
             assert!(out.inserted_mem_ops > 0);
         }
     }
@@ -1104,7 +996,7 @@ mod tests {
         let out = galloc(
             &f,
             &m,
-            GlobalStrategy::Pinter(PinterConfig::default()),
+            BlockStrategy::Pinter(PinterConfig::default()),
             false,
         )
         .unwrap();
@@ -1128,7 +1020,7 @@ mod tests {
         )
         .unwrap();
         let m = presets::paper_machine(8);
-        let out = galloc(&f, &m, GlobalStrategy::Chaitin, false).unwrap();
+        let out = galloc(&f, &m, BlockStrategy::Chaitin, false).unwrap();
         check_semantics(&f, &out.function, &[0]);
     }
 
@@ -1136,13 +1028,18 @@ mod tests {
     fn coalescing_merges_loop_copies() {
         let f = parse_function(LOOP).unwrap();
         let m = presets::paper_machine(8);
-        let problem = GlobalAllocProblem::build(&f, &m);
-        let q = problem.coalesced(&f, 8);
-        assert!(q.merged_moves() > 0, "loop induction copies coalesce");
-        assert!(q.len() < problem.webs().len());
-        // Quotient interference stays loop-free of self-edges by
-        // construction (debug_assert) and properly colorable:
-        let out = galloc(&f, &m, GlobalStrategy::Chaitin, true).unwrap();
+        let mut problem = GlobalAllocProblem::build(&f, &m);
+        let nw = problem.webs().len();
+        let (class_of, merged_moves) = problem.coalesce(&f, 8);
+        assert!(merged_moves > 0, "loop induction copies coalesce");
+        let n_classes = problem.interference().node_count();
+        assert!(n_classes < nw);
+        assert_eq!(class_of.len(), nw);
+        assert!(class_of.iter().all(|&c| c < n_classes));
+        assert_eq!(problem.false_edges().node_count(), n_classes);
+        // Class interference stays free of self-edges by construction
+        // (debug_assert) and properly colorable:
+        let out = galloc(&f, &m, BlockStrategy::Chaitin, true).unwrap();
         check_semantics(&f, &out.function, &[10]);
     }
 
@@ -1151,8 +1048,8 @@ mod tests {
         for src in [LOOP] {
             let f = parse_function(src).unwrap();
             for strategy in [
-                GlobalStrategy::Chaitin,
-                GlobalStrategy::Pinter(PinterConfig::default()),
+                BlockStrategy::Chaitin,
+                BlockStrategy::Pinter(PinterConfig::default()),
             ] {
                 let m = presets::paper_machine(6);
                 let out = galloc(&f, &m, strategy, true).unwrap();
@@ -1163,16 +1060,28 @@ mod tests {
     }
 
     #[test]
-    fn trivial_quotient_is_identity() {
-        let f = parse_function(LOOP).unwrap();
+    fn coalescing_without_copies_is_identity() {
+        // A function without copies coalesces nothing: every web is its own
+        // class and the edge sets keep their size.
+        let f = parse_function(
+            r#"
+            func @f(s0) {
+            entry:
+                s1 = add s0, 1
+                s2 = mul s1, s0
+                ret s2
+            }
+            "#,
+        )
+        .unwrap();
         let m = presets::paper_machine(8);
-        let problem = GlobalAllocProblem::build(&f, &m);
-        let q = problem.trivial_quotient();
-        assert_eq!(q.len(), problem.webs().len());
-        assert_eq!(q.merged_moves(), 0);
-        assert_eq!(
-            q.interference().edge_count(),
-            problem.interference().edge_count()
-        );
+        let mut problem = GlobalAllocProblem::build(&f, &m);
+        let nw = problem.webs().len();
+        let edges = problem.interference().edge_count();
+        let (class_of, merged_moves) = problem.coalesce(&f, 8);
+        assert_eq!(class_of, (0..nw).collect::<Vec<_>>());
+        assert_eq!(merged_moves, 0);
+        assert_eq!(problem.interference().node_count(), nw);
+        assert_eq!(problem.interference().edge_count(), edges);
     }
 }

@@ -215,7 +215,10 @@ pub fn random_cfg_function(seed: u64, params: &CfgParams) -> Function {
     }
 
     // Reduce a few pool values into the return.
-    let mut acc = *g.pool.last().expect("pool never empty");
+    let Some(&last) = g.pool.last() else {
+        unreachable!("the pool starts with both parameters and only grows");
+    };
+    let mut acc = last;
     let tail: Vec<Reg> = g.pool.iter().rev().take(3).skip(1).copied().collect();
     for v in tail {
         let dst = g.fresh();

@@ -420,6 +420,15 @@ const ALL: &[(&str, &str)] = &[
     ("float_loop", FLOAT_LOOP),
 ];
 
+/// Parses compiled-in corpus text; `tests/textual.rs` round-trips every
+/// kernel, so a parse failure here cannot ship.
+fn parse_kernel(src: &str) -> Function {
+    match parse_function(src) {
+        Ok(f) => f,
+        Err(e) => unreachable!("corpus kernel does not parse: {e}"),
+    }
+}
+
 /// Names of every kernel, in corpus order.
 pub fn kernel_names() -> Vec<&'static str> {
     ALL.iter().map(|&(n, _)| n).collect()
@@ -429,14 +438,12 @@ pub fn kernel_names() -> Vec<&'static str> {
 pub fn kernel(name: &str) -> Option<Function> {
     ALL.iter()
         .find(|&&(n, _)| n == name)
-        .map(|&(_, src)| parse_function(src).expect("corpus kernels parse"))
+        .map(|&(_, src)| parse_kernel(src))
 }
 
 /// Parses the entire corpus as `(name, function)` pairs.
 pub fn kernels() -> Vec<(&'static str, Function)> {
-    ALL.iter()
-        .map(|&(n, src)| (n, parse_function(src).expect("corpus kernels parse")))
-        .collect()
+    ALL.iter().map(|&(n, src)| (n, parse_kernel(src))).collect()
 }
 
 /// The straight-line (single-block) subset of the corpus.

@@ -11,7 +11,8 @@ use parsched::ir::{parse_module, print_function, Function};
 use parsched::machine::presets;
 use parsched::telemetry::{NullTelemetry, Recorder, Telemetry};
 use parsched::{
-    BatchDriver, BatchOutput, Budget, DegradationLevel, Driver, ParschedError, Pipeline, Strategy,
+    AllocScope, BatchDriver, BatchOutput, Budget, DegradationLevel, Driver, ParschedError,
+    Pipeline, Strategy,
 };
 use parsched_workload::{
     random_cfg_function, random_dag_function, straight_line_kernels, CfgParams, DagParams,
@@ -172,10 +173,8 @@ fn spill_rounds_rebuild_the_closure_incrementally() {
     );
 }
 
-/// The `(signal, kind)` rows of the "Observability" table in
-/// docs/REACHABILITY.md.
-fn reachability_observability_table() -> Vec<(String, String)> {
-    let doc = include_str!("../docs/REACHABILITY.md");
+/// The `(signal, kind)` rows of a document's "Observability" table.
+fn observability_table(doc: &str) -> Vec<(String, String)> {
     let section = doc.split("\n## Observability\n").nth(1).unwrap_or("");
     section
         .lines()
@@ -190,9 +189,26 @@ fn reachability_observability_table() -> Vec<(String, String)> {
         .collect()
 }
 
+/// Fails unless `recorder` saw every row of `doc`'s "Observability" table:
+/// a span that ran, a counter that was reported (zero included), an event
+/// that fired.
+fn assert_table_emitted(doc_name: &str, table: &[(String, String)], recorder: &Recorder) {
+    let counters = recorder.counters();
+    let events = recorder.events();
+    for (name, kind) in table {
+        let emitted = match kind.as_str() {
+            "span" => recorder.span_count(name) > 0,
+            "counter" => counters.iter().any(|(c, _)| c == name),
+            "event" => events.iter().any(|e| &e.name == name),
+            other => panic!("{name}: unknown signal kind `{other}`"),
+        };
+        assert!(emitted, "{doc_name} names {kind} {name}, never emitted");
+    }
+}
+
 #[test]
 fn reachability_doc_signals_are_emitted() {
-    let table = reachability_observability_table();
+    let table = observability_table(include_str!("../docs/REACHABILITY.md"));
     let names: Vec<&str> = table.iter().map(|(n, _)| n.as_str()).collect();
     for name in [
         "closure.build",
@@ -210,17 +226,46 @@ fn reachability_doc_signals_are_emitted() {
         .compile(&func, &Strategy::combined(), &recorder)
         .expect("combined compiles the pressure function");
     assert!(result.stats.spilled_values > 0, "the function must spill");
-    for (name, kind) in &table {
-        let emitted = match kind.as_str() {
-            "span" => recorder.span_count(name) > 0,
-            "counter" => recorder.counter_value(name) > 0,
-            other => panic!("{name}: unknown signal kind `{other}`"),
-        };
+    assert_table_emitted("docs/REACHABILITY.md", &table, &recorder);
+}
+
+#[test]
+fn global_doc_signals_are_emitted() {
+    let table = observability_table(include_str!("../docs/GLOBAL.md"));
+    let names: Vec<&str> = table.iter().map(|(n, _)| n.as_str()).collect();
+    for name in [
+        "global.coalesce",
+        "global.merged_moves",
+        "global.dedicated_webs",
+        "global.spill_web",
+    ] {
         assert!(
-            emitted,
-            "docs/REACHABILITY.md names {kind} {name}, never emitted"
+            names.contains(&name),
+            "{name} missing from the table: {names:?}"
         );
     }
+    // A five-segment CFG on three registers: its loop copies coalesce and
+    // it spills under both web scopes.
+    let func = random_cfg_function(
+        7,
+        &CfgParams {
+            segments: 5,
+            ops_per_block: 4,
+        },
+    );
+    let recorder = Recorder::new();
+    for scope in [AllocScope::Global, AllocScope::PerBlock] {
+        let result = Pipeline::new(presets::paper_machine(3))
+            .with_scope(scope)
+            .compile(&func, &Strategy::combined(), &recorder)
+            .expect("combined compiles the CFG function");
+        assert!(result.stats.spilled_values > 0, "{scope:?} must spill");
+    }
+    assert!(
+        recorder.counter_value("global.merged_moves") > 0,
+        "the function must coalesce"
+    );
+    assert_table_emitted("docs/GLOBAL.md", &table, &recorder);
 }
 
 #[test]

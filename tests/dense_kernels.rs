@@ -16,21 +16,27 @@
 //!   complement of `Et` on random universes, and the global web false
 //!   edges it builds against the per-region complement-and-remap
 //!   construction it replaced;
+//! * [`GlobalAllocProblem::coalesce`], which merges copy-related webs in
+//!   place on the problem's own graphs, against the `HashSet`-adjacency
+//!   quotient it replaced: same class map, merged-move count, class `Er`
+//!   and `Gf` neighbor lists, costs and priorities — on seeded CFGs at
+//!   k = 2..16 under both web scopes;
 //! * [`ReservationTable`], whose booked cycles are flat counter rows,
 //!   against a hash-map model, on random operation sequences over every
 //!   preset and a parsed multi-instance machine.
 
 use parsched::graph::{BitSet, ClosureMode, Reachability, UnGraph};
 use parsched::ir::cfg::Cfg;
+use parsched::ir::defuse::UseSite;
 use parsched::ir::defuse::{DefId, DefSite, DefUse};
 use parsched::ir::liveness::Liveness;
 use parsched::ir::webs::Webs;
-use parsched::ir::{Block, BlockId, Function, InstId, Reg};
+use parsched::ir::{parse_function, Block, BlockId, Function, InstId, InstKind, Reg};
 use parsched::machine::{parse_machine_spec, presets, MachineDesc, OpClass, ReservationTable};
 use parsched::regalloc::combined::{
     combined_color_in, CombinedOutcome, CombinedWorkspace, EdgeRemovalPolicy, SpillMetric,
 };
-use parsched::regalloc::global::GlobalAllocProblem;
+use parsched::regalloc::global::{GlobalAllocProblem, GlobalScope};
 use parsched::regalloc::spill::insert_spill_code;
 use parsched::regalloc::{AllocSession, BlockAllocProblem, Pig, PinterConfig};
 use parsched::sched::falsedep::{et_graph, for_each_ef_pair, EfScratch};
@@ -41,7 +47,7 @@ use parsched_workload::{
     random_cfg_function, random_dag_function, CfgParams, DagParams, SplitMix64,
 };
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 // ---------------------------------------------------------------------------
 // Reference: the combined coloring loop with a lazy least-benefit heap.
@@ -622,7 +628,7 @@ fn spill_tight_shaped_rounds_match_references() {
 /// each position's first definition, in `Ef`'s edge order.
 fn reference_web_false_edges(func: &Function, machine: &MachineDesc) -> UnGraph {
     let defuse = DefUse::compute(func);
-    let webs = Webs::compute(func, &defuse);
+    let webs = Webs::compute(&defuse);
     let def_id_at = |id: InstId, nth: usize| {
         let mut defs = defuse.defs().iter();
         DefId(
@@ -701,6 +707,186 @@ fn web_pigs_match_references() {
     }
     assert_eq!(checked, 80);
     assert!(false_edges >= 1_000, "only {false_edges} web false edges");
+}
+
+// ---------------------------------------------------------------------------
+// Reference: copy coalescing into a separate quotient.
+// ---------------------------------------------------------------------------
+
+/// The class-level problem as coalescing built it before it worked in
+/// place.
+struct ReferenceQuotient {
+    class_of: Vec<usize>,
+    merged_moves: usize,
+    er: UnGraph,
+    false_edges: UnGraph,
+    costs: Vec<f64>,
+    priority: Vec<u32>,
+}
+
+/// Briggs coalescing over root-keyed `HashSet` adjacency, then class
+/// tables built from the web-level ones in web-edge order.
+fn reference_coalesce(problem: &GlobalAllocProblem, func: &Function, k: u32) -> ReferenceQuotient {
+    let (webs, defuse) = (problem.webs(), problem.defuse());
+    let nw = webs.len();
+    let mut parent: Vec<usize> = (0..nw).collect();
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
+    let mut er_adj: Vec<HashSet<usize>> = vec![HashSet::new(); nw];
+    let mut false_adj: Vec<HashSet<usize>> = vec![HashSet::new(); nw];
+    for (u, v) in problem.interference().edges() {
+        er_adj[u].insert(v);
+        er_adj[v].insert(u);
+    }
+    for (u, v) in problem.false_edges().edges() {
+        false_adj[u].insert(v);
+        false_adj[v].insert(u);
+    }
+    let mut moves = Vec::new();
+    for (id, inst) in func.insts() {
+        if let InstKind::Copy { .. } = inst.kind() {
+            let wd = webs.web_of(defuse.def_at(id, 0));
+            let site = UseSite { inst: id, nth: 0 };
+            if let Some(&d) = defuse.reaching_defs(site).first() {
+                moves.push((wd, webs.web_of(d)));
+            }
+        }
+    }
+    let mut merged_moves = 0;
+    for (wd, ws) in moves {
+        let a = find(&mut parent, wd.0);
+        let b = find(&mut parent, ws.0);
+        if a == b {
+            merged_moves += 1;
+            continue;
+        }
+        if er_adj[a].contains(&b) || false_adj[a].contains(&b) {
+            continue;
+        }
+        let combined: HashSet<usize> = er_adj[a].union(&er_adj[b]).copied().collect();
+        let significant = combined
+            .iter()
+            .filter(|&&n| er_adj[n].len() >= k as usize)
+            .count();
+        if significant >= k as usize {
+            continue;
+        }
+        parent[b] = a;
+        merged_moves += 1;
+        for adj in [&mut er_adj, &mut false_adj] {
+            let b_adj: Vec<usize> = adj[b].drain().collect();
+            for n in b_adj {
+                if n != a {
+                    adj[n].remove(&b);
+                    adj[n].insert(a);
+                    adj[a].insert(n);
+                }
+            }
+            adj[a].remove(&b);
+        }
+    }
+    let mut class_of = vec![usize::MAX; nw];
+    let mut n_classes = 0;
+    for w in 0..nw {
+        let r = find(&mut parent, w);
+        if class_of[r] == usize::MAX {
+            class_of[r] = n_classes;
+            n_classes += 1;
+        }
+    }
+    for w in 0..nw {
+        let r = find(&mut parent, w);
+        class_of[w] = class_of[r];
+    }
+    let mut er = UnGraph::new(n_classes);
+    for (u, v) in problem.interference().edges() {
+        er.add_edge(class_of[u], class_of[v]);
+    }
+    let mut false_edges = UnGraph::new(n_classes);
+    for (u, v) in problem.false_edges().edges() {
+        if class_of[u] != class_of[v] {
+            false_edges.add_edge(class_of[u], class_of[v]);
+        }
+    }
+    let mut costs = vec![0f64; n_classes];
+    let mut priority = vec![0u32; n_classes];
+    for w in 0..nw {
+        costs[class_of[w]] += problem.costs()[w];
+        priority[class_of[w]] = priority[class_of[w]].max(problem.priority()[w]);
+    }
+    ReferenceQuotient {
+        class_of,
+        merged_moves,
+        er,
+        false_edges,
+        costs,
+        priority,
+    }
+}
+
+/// A self-loop whose two copies into `s6` read values that could issue in
+/// one cycle: once `s5` joins the class of `s6`, its false edge to `s9`
+/// must keep `s9` out.
+const PARALLEL_COPY_SOURCES: &str = "func @par(s0, s1) {
+entry:
+    s5 = fadd s0, 2
+    s6 = mov s5
+loop:
+    s7 = add s6, 1
+    s9 = add s0, s1
+    s6 = mov s9
+    blt s7, 10, loop
+exit:
+    ret s6
+}";
+
+#[test]
+fn in_place_coalescing_matches_reference() {
+    let (mut checked, mut merged_webs) = (0, 0);
+    let seeded = (0..40u64).map(|seed| {
+        let params = CfgParams {
+            segments: 2 + (seed as usize % 5),
+            ops_per_block: 2 + (seed as usize % 4),
+        };
+        random_cfg_function(0xc0a1 + seed, &params)
+    });
+    let hand = parse_function(PARALLEL_COPY_SOURCES).expect("parses");
+    for (case, func) in seeded.chain([hand]).enumerate() {
+        for k in [2, 3, 4, 6, 8, 16] {
+            let machine = presets::paper_machine(k);
+            for scope in [GlobalScope::Function, GlobalScope::PerBlockBaseline] {
+                let ctx = format!("case {case}, k = {k}, {scope:?}");
+                let mut problem = GlobalAllocProblem::build(&func, &machine);
+                if scope == GlobalScope::PerBlockBaseline {
+                    problem.dedicate_cross_block_webs(&func);
+                }
+                let expected = reference_coalesce(&problem, &func, k);
+                let (class_of, merged_moves) = problem.coalesce(&func, k);
+                assert_eq!(class_of, expected.class_of, "class map, {ctx}");
+                assert_eq!(merged_moves, expected.merged_moves, "merged moves, {ctx}");
+                for (got, want) in [
+                    (problem.interference(), &expected.er),
+                    (problem.false_edges(), &expected.false_edges),
+                ] {
+                    assert_eq!(got.node_count(), want.node_count(), "{ctx}");
+                    for c in 0..got.node_count() {
+                        assert_eq!(got.neighbors(c), want.neighbors(c), "class {c}, {ctx}");
+                    }
+                }
+                assert_eq!(problem.costs(), expected.costs, "costs, {ctx}");
+                assert_eq!(problem.priority(), expected.priority, "priority, {ctx}");
+                merged_webs += class_of.len() - problem.interference().node_count();
+                checked += 1;
+            }
+        }
+    }
+    assert_eq!(checked, 492);
+    assert!(merged_webs >= 400, "only {merged_webs} webs merged");
 }
 
 // ---------------------------------------------------------------------------

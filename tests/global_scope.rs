@@ -7,8 +7,11 @@ use parsched::ir::interp::{Interpreter, Memory};
 use parsched::ir::webs::Webs;
 use parsched::ir::{parse_module, BlockId};
 use parsched::machine::presets;
+use parsched::regalloc::AllocSession;
 use parsched::telemetry::NullTelemetry;
-use parsched::{AllocScope, Pipeline, Strategy};
+use parsched::{
+    paper, AllocScope, Budget, DegradationLevel, Driver, ParschedError, Pipeline, Strategy,
+};
 use parsched_workload::{random_cfg_function, CfgParams, SplitMix64};
 
 fn interp_equal(a: &parsched::ir::Function, b: &parsched::ir::Function, args: &[i64]) {
@@ -41,7 +44,7 @@ fn webs_partition_defs_and_uses_exactly() {
             },
         );
         let du = DefUse::compute(&f);
-        let webs = Webs::compute(&f, &du);
+        let webs = Webs::compute(&du);
         // Every definition appears in exactly one web's member list, and
         // the member list agrees with the def -> web map.
         let mut seen = vec![0usize; du.defs().len()];
@@ -208,6 +211,47 @@ fn per_block_baseline_keeps_cross_block_webs_apart() {
             r.function.block(BlockId(b)).label(),
             func.block(BlockId(b)).label()
         );
+    }
+}
+
+/// `Budget::max_pig_edges` binds on the web path as on the block path: a
+/// combined compile trips `pig.edges`, and the default ladder degrades to
+/// the first rung that builds no PIG.
+#[test]
+fn web_path_honors_the_pig_edge_budget() {
+    let branchy = parse_module(include_str!("../examples/branchy.psc"))
+        .expect("example parses")
+        .remove(0);
+    let budget = Budget::unlimited().with_max_pig_edges(1);
+    for (func, scope) in [
+        (branchy, AllocScope::Auto),
+        (paper::example1(), AllocScope::Global),
+    ] {
+        let pipeline = Pipeline::new(presets::paper_machine(8)).with_scope(scope);
+        let e = pipeline
+            .compile_budgeted_in(
+                &mut AllocSession::new(),
+                &func,
+                &Strategy::combined(),
+                &budget,
+                &NullTelemetry,
+            )
+            .expect_err("one PIG edge is over the cap");
+        assert!(
+            matches!(
+                e,
+                ParschedError::BudgetExceeded {
+                    phase: "pig.edges",
+                    ..
+                }
+            ),
+            "{scope:?}: {e}"
+        );
+        let r = Driver::new(pipeline)
+            .with_budget(budget)
+            .compile_resilient(&func, &NullTelemetry)
+            .expect("the ladder degrades");
+        assert_eq!(r.degradation, DegradationLevel::SchedThenAlloc, "{scope:?}");
     }
 }
 

@@ -191,7 +191,7 @@ fn figure6_webs_combine() {
     use parsched::ir::webs::Webs;
     let f = paper::figure6();
     let du = DefUse::compute(&f);
-    let webs = Webs::compute(&f, &du);
+    let webs = Webs::compute(&du);
     let defs = du.defs_of_reg(Reg::sym(1));
     assert_eq!(defs.len(), 2);
     assert_eq!(webs.web_of(defs[0]), webs.web_of(defs[1]));
