@@ -101,6 +101,32 @@ if [ -n "$ef_hits" ]; then
     exit 1
 fi
 
+echo "==> perfbench-only surface (no new callers)"
+# perfbench/src/layers.rs still names four items that nothing else needs:
+# the AllocLimits alias of Budget, the GlobalStrategy alias of
+# BlockStrategy, AllocSession::set_closure_mode and
+# Reachability::backend_label. In crates/, tests/ and examples/ each may
+# appear only on its definition line and its lib.rs re-export, so the
+# change that unfreezes perfbench can delete them by editing perfbench
+# alone. Comment lines are exempt.
+surface_hits=$(
+    grep -rnE '\b(AllocLimits|GlobalStrategy|set_closure_mode|backend_label)\b' \
+        crates tests examples --include='*.rs' |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+    grep -vE '^crates/regalloc/src/limits\.rs:[0-9]+:pub type AllocLimits = Budget;$' |
+    grep -vE '^crates/regalloc/src/lib\.rs:[0-9]+:pub use limits::\{AllocLimits, ' |
+    grep -vE '^crates/regalloc/src/global\.rs:[0-9]+:pub type GlobalStrategy = BlockStrategy;$' |
+    grep -vE '^crates/regalloc/src/session\.rs:[0-9]+:    pub fn set_closure_mode\(' |
+    grep -vE '^crates/graph/src/reachability\.rs:[0-9]+:    pub fn backend_label\(' ||
+    true
+)
+if [ -n "$surface_hits" ]; then
+    echo "$surface_hits" >&2
+    echo "perfbench-only surface FAILED: use Budget, BlockStrategy and the" >&2
+    echo "session's own closure choice instead of these compatibility names" >&2
+    exit 1
+fi
+
 echo "==> tier-1: cargo build --release"
 cargo build --release --offline
 

@@ -15,12 +15,11 @@
 //! round by construction), so a verified input always has a successful
 //! rung unless the wall-clock deadline has already passed.
 
-use crate::budget::Budget;
 use crate::error::ParschedError;
 use crate::pipeline::{CompileResult, Pipeline, Strategy};
 use parsched_ir::verify::verify_function;
 use parsched_ir::Function;
-use parsched_regalloc::{AllocSession, BudgetExceeded};
+use parsched_regalloc::{AllocSession, Budget, BudgetExceeded};
 use parsched_telemetry::Telemetry;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -194,7 +193,7 @@ impl Driver {
 
         let mut first_err: Option<ParschedError> = None;
         for (rung, strategy) in self.ladder.iter().enumerate() {
-            if self.budget.deadline_passed() {
+            if self.budget.check_deadline("driver.deadline").is_err() {
                 // No rung can beat a clock that has already run out.
                 quiet_telemetry(telemetry, |t| {
                     t.counter("driver.fallback.budget", 1);

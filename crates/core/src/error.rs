@@ -1,14 +1,15 @@
 //! The workspace-wide error type.
 //!
 //! Every fallible stage of the pipeline — parsing, verification,
-//! allocation, scheduling, budget enforcement — surfaces here as one
-//! variant of [`ParschedError`], so drivers and the `psc` CLI handle a
-//! single type and can map each failure class to a distinct exit code.
+//! allocation, the exact solver, scheduling, budget enforcement — surfaces
+//! here as one variant of [`ParschedError`] carrying the stage's own error,
+//! so drivers and the `psc` CLI handle a single type and can map each
+//! failure class to a distinct exit code.
 
+use parsched_exact::ExactError;
 use parsched_ir::verify::VerifyError;
 use parsched_ir::ParseError;
 use parsched_regalloc::allocator::AllocError;
-use parsched_regalloc::global::GlobalAllocError;
 use parsched_regalloc::BudgetExceeded;
 use parsched_sched::SchedError;
 use std::error::Error;
@@ -27,20 +28,18 @@ pub enum ParschedError {
     Verify(Vec<VerifyError>),
     /// Block-level register allocation failed.
     Alloc(AllocError),
-    /// Global (web-based) register allocation failed.
-    Global(GlobalAllocError),
+    /// Global (web-based) register allocation failed: spilling over webs
+    /// did not converge.
+    Global(AllocError),
+    /// The exact solver refused the function (more than one block, a
+    /// violated allocation precondition, or no feasible schedule). Its
+    /// size-cap refusal is a [`ParschedError::BudgetExceeded`] instead.
+    Exact(ExactError),
     /// Instruction scheduling failed (cyclic dependence graph or an
     /// invalid schedule).
     Sched(SchedError),
     /// A resource budget was exhausted.
-    BudgetExceeded {
-        /// The phase that tripped the budget (e.g. `pig.edges`).
-        phase: &'static str,
-        /// The configured limit (0 for deadline trips).
-        limit: u64,
-        /// The observed value (0 for deadline trips).
-        actual: u64,
-    },
+    BudgetExceeded(BudgetExceeded),
     /// A compilation stage panicked; the panic was contained by the
     /// driver and the process kept running.
     Panicked {
@@ -76,7 +75,7 @@ impl ParschedError {
     /// |---|---|
     /// | 3 | parse |
     /// | 4 | verify |
-    /// | 5 | block allocation |
+    /// | 5 | block allocation or exact solver |
     /// | 6 | global allocation |
     /// | 7 | scheduling |
     /// | 8 | budget exhausted |
@@ -90,10 +89,10 @@ impl ParschedError {
         match self {
             ParschedError::Parse(_) => 3,
             ParschedError::Verify(_) => 4,
-            ParschedError::Alloc(_) => 5,
+            ParschedError::Alloc(_) | ParschedError::Exact(_) => 5,
             ParschedError::Global(_) => 6,
             ParschedError::Sched(_) => 7,
-            ParschedError::BudgetExceeded { .. } => 8,
+            ParschedError::BudgetExceeded(_) => 8,
             ParschedError::Panicked { .. } => 9,
             ParschedError::Io { .. } => 10,
             ParschedError::OutputVerify { .. } => 12,
@@ -105,10 +104,10 @@ impl ParschedError {
         match self {
             ParschedError::Parse(_) => "parse",
             ParschedError::Verify(_) => "verify",
-            ParschedError::Alloc(_) => "alloc",
+            ParschedError::Alloc(_) | ParschedError::Exact(_) => "alloc",
             ParschedError::Global(_) => "global",
             ParschedError::Sched(_) => "sched",
-            ParschedError::BudgetExceeded { .. } => "budget",
+            ParschedError::BudgetExceeded(_) => "budget",
             ParschedError::Panicked { .. } => "panic",
             ParschedError::Io { .. } => "io",
             ParschedError::OutputVerify { .. } => "output-verify",
@@ -130,19 +129,10 @@ impl fmt::Display for ParschedError {
                 ),
             },
             ParschedError::Alloc(e) => e.fmt(f),
-            ParschedError::Global(e) => e.fmt(f),
+            ParschedError::Global(e) => write!(f, "global {e}"),
+            ParschedError::Exact(e) => e.fmt(f),
             ParschedError::Sched(e) => e.fmt(f),
-            ParschedError::BudgetExceeded {
-                phase,
-                limit,
-                actual,
-            } => {
-                if *limit == 0 && *actual == 0 {
-                    write!(f, "budget exceeded in {phase}: deadline passed")
-                } else {
-                    write!(f, "budget exceeded in {phase}: {actual} over limit {limit}")
-                }
-            }
+            ParschedError::BudgetExceeded(e) => e.fmt(f),
             ParschedError::Panicked { context, message } => {
                 write!(f, "internal error compiling {context}: {message}")
             }
@@ -167,9 +157,10 @@ impl Error for ParschedError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             ParschedError::Parse(e) => Some(e),
-            ParschedError::Alloc(e) => Some(e),
-            ParschedError::Global(e) => Some(e),
+            ParschedError::Alloc(e) | ParschedError::Global(e) => Some(e),
+            ParschedError::Exact(e) => Some(e),
             ParschedError::Sched(e) => Some(e),
+            ParschedError::BudgetExceeded(e) => Some(e),
             _ => None,
         }
     }
@@ -189,11 +180,7 @@ impl From<Vec<VerifyError>> for ParschedError {
 
 impl From<BudgetExceeded> for ParschedError {
     fn from(e: BudgetExceeded) -> Self {
-        ParschedError::BudgetExceeded {
-            phase: e.phase,
-            limit: e.limit,
-            actual: e.actual,
-        }
+        ParschedError::BudgetExceeded(e)
     }
 }
 
@@ -206,11 +193,16 @@ impl From<AllocError> for ParschedError {
     }
 }
 
-impl From<GlobalAllocError> for ParschedError {
-    fn from(e: GlobalAllocError) -> Self {
+impl From<ExactError> for ParschedError {
+    fn from(e: ExactError) -> Self {
         match e {
-            GlobalAllocError::Budget(b) => b.into(),
-            other => ParschedError::Global(other),
+            ExactError::TooLarge { insts, cap } => BudgetExceeded {
+                phase: "exact.max_insts",
+                limit: cap as u64,
+                actual: insts as u64,
+            }
+            .into(),
+            other => ParschedError::Exact(other),
         }
     }
 }
@@ -229,11 +221,7 @@ mod tests {
     fn exit_codes_are_distinct_and_nonzero() {
         let errs: Vec<ParschedError> = vec![
             ParschedError::Verify(Vec::new()),
-            ParschedError::BudgetExceeded {
-                phase: "t",
-                limit: 1,
-                actual: 2,
-            },
+            ParschedError::BudgetExceeded(BudgetExceeded::deadline("t")),
             ParschedError::Panicked {
                 context: "f".into(),
                 message: "m".into(),
@@ -265,10 +253,10 @@ mod tests {
         let e: ParschedError = AllocError::Budget(b).into();
         assert!(matches!(
             e,
-            ParschedError::BudgetExceeded {
+            ParschedError::BudgetExceeded(BudgetExceeded {
                 phase: "pig.edges",
                 ..
-            }
+            })
         ));
         assert_eq!(e.exit_code(), 8);
     }

@@ -51,7 +51,6 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod budget;
 pub mod driver;
 pub mod error;
 pub mod paper;
@@ -71,7 +70,6 @@ pub mod report;
 /// ```
 pub mod prelude {
     pub use crate::batch::{BatchDriver, BatchOutput};
-    pub use crate::budget::Budget;
     pub use crate::driver::{DegradationLevel, Driver};
     pub use crate::error::ParschedError;
     pub use crate::pipeline::{
@@ -79,15 +77,15 @@ pub mod prelude {
     };
     pub use parsched_exact::ExactConfig;
     pub use parsched_graph::Reachability;
-    pub use parsched_regalloc::AllocSession;
+    pub use parsched_regalloc::{AllocSession, Budget};
     pub use parsched_telemetry::{NullTelemetry, Recorder, Telemetry};
 }
 
 pub use batch::{BatchDriver, BatchOutput};
-pub use budget::Budget;
 pub use driver::{DegradationLevel, Driver};
 pub use error::ParschedError;
 pub use parsched_graph::Reachability;
+pub use parsched_regalloc::Budget;
 pub use pipeline::{
     AllocScope, CompileResult, CompileStats, Pipeline, Strategy, StrategyParseError,
 };

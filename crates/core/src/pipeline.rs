@@ -1,15 +1,14 @@
 //! The compilation pipeline: strategy selection, allocation, scheduling,
 //! and statistics.
 
-use crate::budget::Budget;
 use crate::driver::DegradationLevel;
 use crate::error::ParschedError;
-use parsched_exact::{ExactConfig, ExactError};
+use parsched_exact::ExactConfig;
 use parsched_ir::{BlockId, Function};
 use parsched_machine::MachineDesc;
 use parsched_regalloc::allocator::{allocate_single_block_in, AllocError, BlockStrategy};
 use parsched_regalloc::global::{allocate_global_scoped, GlobalScope};
-use parsched_regalloc::{AllocSession, PinterConfig};
+use parsched_regalloc::{AllocSession, Budget, PinterConfig};
 use parsched_sched::falsedep::count_false_deps_in;
 use parsched_sched::{list_schedule, DepGraph, SchedError};
 use parsched_telemetry::Telemetry;
@@ -296,7 +295,6 @@ impl Pipeline {
         telemetry: &dyn Telemetry,
     ) -> Result<CompileResult, ParschedError> {
         let _compile_span = parsched_telemetry::span(telemetry, "pipeline.compile");
-        let limits = budget.alloc_limits();
         let merged;
         let func = if self.merge_chains {
             let _span = parsched_telemetry::span(telemetry, "pipeline.merge_chains");
@@ -308,13 +306,13 @@ impl Pipeline {
         // The exact strategy replaces the whole allocate/schedule phase
         // pair with one joint search; its emitted order *is* the schedule.
         if let Strategy::Exact(cfg) = strategy {
-            return self.compile_exact(func, cfg, &limits, telemetry);
+            return self.compile_exact(func, cfg, budget, telemetry);
         }
         // Phase order.
         let pre_scheduled = match strategy {
             Strategy::SchedThenAlloc => {
                 let _span = parsched_telemetry::span(telemetry, "pipeline.pre_schedule");
-                limits.check_deadline("pipeline.pre_schedule")?;
+                budget.check_deadline("pipeline.pre_schedule")?;
                 self.schedule_blocks_measured(func, telemetry)?.0
             }
             _ => func.clone(),
@@ -322,7 +320,7 @@ impl Pipeline {
 
         let (mut allocated, mut stats) = {
             let _span = parsched_telemetry::span(telemetry, "pipeline.allocate");
-            self.allocate(session, &pre_scheduled, strategy, &limits, telemetry)?
+            self.allocate(session, &pre_scheduled, strategy, budget, telemetry)?
         };
         // Allocation can map a copy's source and destination to one
         // register; drop the resulting identity copies before scheduling.
@@ -331,11 +329,10 @@ impl Pipeline {
         // Each allocated block's dependence graph is built once, for both
         // the false-dependence count and the final list schedule.
         let graphs = block_graphs(&allocated, telemetry);
-        stats.introduced_false_deps =
-            self.count_false_deps(&allocated, &graphs, &limits, telemetry);
+        stats.introduced_false_deps = self.count_false_deps(&allocated, &graphs, budget, telemetry);
 
         // Final scheduling of the allocated code.
-        limits.check_deadline("pipeline.final_schedule")?;
+        budget.check_deadline("pipeline.final_schedule")?;
         let (final_fn, block_cycles) = {
             let _span = parsched_telemetry::span(telemetry, "pipeline.final_schedule");
             self.schedule_blocks_with(&allocated, &graphs, telemetry)?
@@ -353,34 +350,18 @@ impl Pipeline {
 
     /// The [`Strategy::Exact`] path: one joint branch-and-bound search
     /// replaces the allocate → schedule phase pair. The solver's typed
-    /// refusals map onto the same [`ParschedError`] variants the heuristic
-    /// rungs produce, so the driver ladder degrades through them
-    /// identically.
+    /// refusals surface as [`ParschedError::Exact`] (exit 5, class
+    /// `alloc`), and its size cap as an `exact.max_insts` budget trip, so
+    /// the driver ladder degrades through them as through the heuristic
+    /// rungs' failures.
     fn compile_exact(
         &self,
         func: &Function,
         cfg: &ExactConfig,
-        limits: &parsched_regalloc::AllocLimits,
+        budget: &Budget,
         telemetry: &dyn Telemetry,
     ) -> Result<CompileResult, ParschedError> {
-        let sol = parsched_exact::solve(func, &self.machine, cfg, limits.deadline, telemetry)
-            .map_err(|e| match e {
-                ExactError::NotSingleBlock { blocks } => {
-                    ParschedError::Alloc(AllocError::NotSingleBlock { blocks })
-                }
-                ExactError::TooLarge { insts, cap } => ParschedError::BudgetExceeded {
-                    phase: "exact.max_insts",
-                    limit: cap as u64,
-                    actual: insts as u64,
-                },
-                ExactError::Problem(p) => ParschedError::Alloc(AllocError::Problem(p)),
-                // Spilling cannot shrink the entry live set, so no round
-                // limit would ever converge; report what the allocators
-                // would after discovering the same thing the hard way.
-                ExactError::Infeasible { .. } => {
-                    ParschedError::Alloc(AllocError::TooManyRounds { limit: 0 })
-                }
-            })?;
+        let sol = parsched_exact::solve(func, &self.machine, cfg, budget.deadline, telemetry)?;
         let mut stats = CompileStats {
             registers_used: sol.registers_used,
             spilled_values: sol.spilled_values,
@@ -392,7 +373,7 @@ impl Pipeline {
         };
         let graphs = block_graphs(&sol.function, &parsched_telemetry::NullTelemetry);
         stats.introduced_false_deps =
-            self.count_false_deps(&sol.function, &graphs, limits, telemetry);
+            self.count_false_deps(&sol.function, &graphs, budget, telemetry);
         emit_stats(&stats, telemetry);
         Ok(CompileResult {
             function: sol.function,
@@ -412,18 +393,18 @@ impl Pipeline {
         &self,
         allocated: &Function,
         graphs: &[DepGraph],
-        limits: &parsched_regalloc::AllocLimits,
+        budget: &Budget,
         telemetry: &dyn Telemetry,
     ) -> usize {
         let _span = parsched_telemetry::span(telemetry, "pipeline.false_dep_count");
-        let cap = limits.max_block_insts.unwrap_or(usize::MAX);
+        let cap = budget.max_block_insts.unwrap_or(usize::MAX);
         (0..allocated.block_count())
             .map(|b| {
                 let block = allocated.block(BlockId(b));
                 let counted = if block.insts().len() > cap {
                     None
                 } else {
-                    count_false_deps_in(block, &graphs[b], &self.machine, limits.deadline)
+                    count_false_deps_in(block, &graphs[b], &self.machine, budget.deadline)
                 };
                 counted.unwrap_or_else(|| {
                     if telemetry.enabled() {
@@ -491,7 +472,7 @@ impl Pipeline {
         session: &mut AllocSession,
         func: &Function,
         strategy: &Strategy,
-        limits: &parsched_regalloc::AllocLimits,
+        budget: &Budget,
         telemetry: &dyn Telemetry,
     ) -> Result<(Function, CompileStats), ParschedError> {
         let s = match strategy {
@@ -513,9 +494,13 @@ impl Pipeline {
                 AllocScope::PerBlock => GlobalScope::PerBlockBaseline,
                 AllocScope::Auto | AllocScope::Global => GlobalScope::Function,
             };
-            allocate_global_scoped(func, &self.machine, s, gscope, true, limits, telemetry)?
+            allocate_global_scoped(func, &self.machine, s, gscope, true, budget, telemetry)
+                .map_err(|e| match e {
+                    AllocError::Budget(b) => b.into(),
+                    other => ParschedError::Global(other),
+                })?
         } else {
-            allocate_single_block_in(session, func, &self.machine, s, limits, telemetry)?
+            allocate_single_block_in(session, func, &self.machine, s, budget, telemetry)?
         };
         let stats = CompileStats {
             registers_used: out.colors_used,

@@ -2,7 +2,7 @@
 
 use crate::assignment::{apply_coloring, check_function_allocation, AllocCheckError};
 use crate::combined::PinterConfig;
-use crate::limits::{AllocLimits, BudgetExceeded};
+use crate::limits::{Budget, BudgetExceeded};
 use crate::pig::Pig;
 use crate::problem::{BlockAllocProblem, ProblemError};
 use crate::session::AllocSession;
@@ -134,7 +134,7 @@ impl From<CycleError> for AllocError {
 /// ```
 /// use parsched_ir::parse_function;
 /// use parsched_machine::presets;
-/// use parsched_regalloc::{allocate_single_block, AllocLimits, BlockStrategy, PinterConfig};
+/// use parsched_regalloc::{allocate_single_block, BlockStrategy, Budget, PinterConfig};
 /// use parsched_telemetry::NullTelemetry;
 ///
 /// let f = parse_function(
@@ -145,7 +145,7 @@ impl From<CycleError> for AllocError {
 ///     &f,
 ///     &machine,
 ///     BlockStrategy::Pinter(PinterConfig::default()),
-///     &AllocLimits::default(),
+///     &Budget::unlimited(),
 ///     &NullTelemetry,
 /// )?;
 /// assert_eq!(out.spilled_values, 0);
@@ -158,7 +158,7 @@ impl From<CycleError> for AllocError {
 /// [`BlockStrategy::Pinter`] with `ep_prepass`, the block body is first
 /// reordered by refined EP numbers (the paper's Section 4 pre-pass).
 ///
-/// `limits.max_block_insts` and `limits.max_pig_edges` gate only the
+/// `budget.max_block_insts` and `budget.max_pig_edges` gate only the
 /// quadratic [`BlockStrategy::Pinter`] path (transitive closure and PIG
 /// construction); the cheaper strategies always run, so a degradation
 /// ladder has rungs that still succeed under a tight budget. The deadline
@@ -179,11 +179,11 @@ pub fn allocate_single_block(
     func: &Function,
     machine: &MachineDesc,
     strategy: BlockStrategy,
-    limits: &AllocLimits,
+    budget: &Budget,
     telemetry: &dyn parsched_telemetry::Telemetry,
 ) -> Result<BlockAllocation, AllocError> {
     let mut session = AllocSession::new();
-    allocate_single_block_in(&mut session, func, machine, strategy, limits, telemetry)
+    allocate_single_block_in(&mut session, func, machine, strategy, budget, telemetry)
 }
 
 /// [`allocate_single_block`] running inside a caller-owned
@@ -199,7 +199,7 @@ pub fn allocate_single_block_in(
     func: &Function,
     machine: &MachineDesc,
     strategy: BlockStrategy,
-    limits: &AllocLimits,
+    budget: &Budget,
     telemetry: &dyn parsched_telemetry::Telemetry,
 ) -> Result<BlockAllocation, AllocError> {
     if func.block_count() != 1 {
@@ -212,7 +212,7 @@ pub fn allocate_single_block_in(
 
     let mut current = func.clone();
     if let BlockStrategy::Pinter(cfg) = &strategy {
-        limits.check_block_insts("alloc.ep_prepass", current.block(block_id).body().len())?;
+        budget.check_block_insts("alloc.ep_prepass", current.block(block_id).body().len())?;
         if cfg.ep_prepass {
             let _span = parsched_telemetry::span(telemetry, "alloc.ep_prepass");
             let deps = DepGraph::build(current.block(block_id), telemetry);
@@ -248,9 +248,9 @@ pub fn allocate_single_block_in(
     let mut pig_slot: Option<Pig> = None;
     let mut combined_ws = crate::combined::CombinedWorkspace::default();
 
-    let max_rounds = limits.rounds();
+    let max_rounds = budget.rounds();
     for round in 1..=max_rounds {
-        limits.check_deadline("alloc.deadline")?;
+        budget.check_deadline("alloc.deadline")?;
         let round_span = parsched_telemetry::span(telemetry, "alloc.round");
         let (liveness, problem) = {
             let _span = parsched_telemetry::span(telemetry, "alloc.liveness");
@@ -282,8 +282,8 @@ pub fn allocate_single_block_in(
                 (out.colors, out.spilled, Vec::new())
             }
             BlockStrategy::Pinter(cfg) => {
-                limits.check_block_insts("pig.build", current.block(block_id).body().len())?;
-                session.set_deadline(limits.deadline);
+                budget.check_block_insts("pig.build", current.block(block_id).body().len())?;
+                session.set_deadline(budget.deadline);
                 match pending_remap.take() {
                     Some(remap) => {
                         session.rebuild_after_spill(current.block(block_id), &remap, telemetry)?;
@@ -295,7 +295,7 @@ pub fn allocate_single_block_in(
                     unreachable!("the session was begun or rebuilt above")
                 };
                 last_pig_edges = pig.edge_count() as u64;
-                limits.check_pig_edges("pig.edges", last_pig_edges)?;
+                budget.check_pig_edges("pig.edges", last_pig_edges)?;
                 let priority: Vec<u32> = {
                     let _span = parsched_telemetry::span(telemetry, "alloc.heights");
                     match session.deps() {
@@ -410,7 +410,7 @@ mod tests {
         m: &MachineDesc,
         strategy: BlockStrategy,
     ) -> Result<BlockAllocation, AllocError> {
-        allocate_single_block(f, m, strategy, &AllocLimits::default(), &NullTelemetry)
+        allocate_single_block(f, m, strategy, &Budget::unlimited(), &NullTelemetry)
     }
 
     const EXAMPLE1: &str = r#"

@@ -47,24 +47,6 @@ pub fn chaitin_color(
     costs: &[f64],
     telemetry: &dyn parsched_telemetry::Telemetry,
 ) -> ColorOutcome {
-    let h = |_g: &UnGraph, node: usize, degree: usize| costs[node] / degree.max(1) as f64;
-    color_with_spill_metric(g, k, costs, h, telemetry)
-}
-
-/// Generalized Chaitin coloring with a custom spill metric: when no node is
-/// simplifiable, the node minimizing `metric(graph, node, current_degree)`
-/// is removed as a spill candidate. Statistics go to `telemetry` (see
-/// [`chaitin_color`] for the counter names).
-///
-/// # Panics
-/// Panics if `costs.len() != g.node_count()`.
-pub fn color_with_spill_metric(
-    g: &UnGraph,
-    k: u32,
-    costs: &[f64],
-    metric: impl Fn(&UnGraph, usize, usize) -> f64,
-    telemetry: &dyn parsched_telemetry::Telemetry,
-) -> ColorOutcome {
     let _span = parsched_telemetry::span(telemetry, "chaitin.color");
     let n = g.node_count();
     assert_eq!(costs.len(), n, "one cost per node");
@@ -84,11 +66,11 @@ pub fn color_with_spill_metric(
                 // unremoved node always exists here; `else break` is the
                 // panic-free statement of that invariant. `total_cmp`
                 // orders NaN metrics deterministically instead of panicking.
-                let Some(v) = (0..n).filter(|&v| !removed[v]).min_by(|&a, &b| {
-                    metric(g, a, degree[a])
-                        .total_cmp(&metric(g, b, degree[b]))
-                        .then(a.cmp(&b))
-                }) else {
+                let h = |v: usize| costs[v] / degree[v].max(1) as f64;
+                let Some(v) = (0..n)
+                    .filter(|&v| !removed[v])
+                    .min_by(|&a, &b| h(a).total_cmp(&h(b)).then(a.cmp(&b)))
+                else {
                     break;
                 };
                 candidates.push(v);
@@ -181,20 +163,6 @@ mod tests {
         let out = chaitin_color(&g, 2, &[1.0; 4], &parsched_telemetry::NullTelemetry);
         assert!(out.spilled.is_empty(), "optimism should color C4");
         assert!(g.is_proper_coloring(&out.colors));
-    }
-
-    #[test]
-    fn custom_metric_changes_victim() {
-        let g = complete(4);
-        // Spill the node with the *highest* id regardless of cost.
-        let out = color_with_spill_metric(
-            &g,
-            3,
-            &[1.0; 4],
-            |_, v, _| -(v as f64),
-            &parsched_telemetry::NullTelemetry,
-        );
-        assert_eq!(out.spilled, vec![3]);
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! issue in the same cycle. Claim 2 guarantees two definitions of one web
 //! never execute in parallel, so Theorems 1 and 2 carry over.
 
-use crate::allocator::{BlockAllocation, BlockStrategy};
+use crate::allocator::{AllocError, BlockAllocation, BlockStrategy};
+use crate::combined::CombinedWorkspace;
+use crate::limits::Budget;
 use crate::pig::Pig;
 use crate::spill::SPILL_REGION;
 use parsched_graph::{BitSet, ClosureMode, Reachability, UnGraph};
@@ -25,8 +27,6 @@ use parsched_sched::falsedep::{for_each_ef_pair, EfScratch};
 use parsched_sched::region::form_regions;
 use parsched_sched::DepGraph;
 use std::collections::HashMap;
-use std::error::Error;
-use std::fmt;
 
 /// The assembled global allocation problem.
 #[derive(Debug)]
@@ -46,31 +46,15 @@ const REGION_EF_CAP: usize = 400;
 
 impl GlobalAllocProblem {
     /// Builds the global problem: web interference from liveness plus
-    /// region-restricted false-dependence edges on `machine`.
-    pub fn build(func: &Function, machine: &MachineDesc) -> GlobalAllocProblem {
-        Self::build_impl(func, machine, REGION_EF_CAP)
-    }
-
-    /// [`GlobalAllocProblem::build`] under a resource budget: the per-region
-    /// false-edge pass skips regions larger than `limits.max_block_insts`
-    /// (sound — the PIG loses parallelism information, never interference),
-    /// and an expired deadline aborts construction entirely.
-    ///
-    /// # Errors
-    /// Returns [`crate::BudgetExceeded`] when `limits.deadline` has passed.
-    pub fn build_limited(
-        func: &Function,
-        machine: &MachineDesc,
-        limits: &crate::limits::AllocLimits,
-    ) -> Result<GlobalAllocProblem, crate::limits::BudgetExceeded> {
-        limits.check_deadline("global.build")?;
-        let cap = limits
+    /// region-restricted false-dependence edges on `machine`. The
+    /// per-region false-edge pass skips regions larger than 400
+    /// instructions or `budget.max_block_insts`, whichever is smaller
+    /// (sound — the PIG loses parallelism information, never
+    /// interference).
+    pub fn build(func: &Function, machine: &MachineDesc, budget: &Budget) -> GlobalAllocProblem {
+        let region_cap = budget
             .max_block_insts
             .map_or(REGION_EF_CAP, |m| m.min(REGION_EF_CAP));
-        Ok(Self::build_impl(func, machine, cap))
-    }
-
-    fn build_impl(func: &Function, machine: &MachineDesc, region_cap: usize) -> GlobalAllocProblem {
         let defuse = DefUse::compute(func);
         let webs = Webs::compute(&defuse);
         let liveness = Liveness::compute(func, &[]);
@@ -307,7 +291,8 @@ impl GlobalAllocProblem {
         &self.priority
     }
 
-    /// The global PIG.
+    /// The global PIG, built from copies of the two edge sets (the web
+    /// loop moves them instead).
     pub fn pig(&self) -> Pig {
         Pig::from_parts(self.er.clone(), self.false_edges.clone())
     }
@@ -421,44 +406,6 @@ impl GlobalAllocProblem {
     }
 }
 
-/// Global allocation failures.
-#[derive(Debug, Clone, PartialEq)]
-pub enum GlobalAllocError {
-    /// Spilling failed to converge.
-    TooManyRounds {
-        /// Round limit.
-        limit: u32,
-    },
-    /// A resource budget (region size, deadline) was exhausted.
-    Budget(crate::limits::BudgetExceeded),
-}
-
-impl fmt::Display for GlobalAllocError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GlobalAllocError::TooManyRounds { limit } => {
-                write!(f, "global spilling did not converge within {limit} rounds")
-            }
-            GlobalAllocError::Budget(b) => b.fmt(f),
-        }
-    }
-}
-
-impl Error for GlobalAllocError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            GlobalAllocError::Budget(b) => Some(b),
-            GlobalAllocError::TooManyRounds { .. } => None,
-        }
-    }
-}
-
-impl From<crate::limits::BudgetExceeded> for GlobalAllocError {
-    fn from(b: crate::limits::BudgetExceeded) -> Self {
-        GlobalAllocError::Budget(b)
-    }
-}
-
 /// Kept only because perfbench's `layers.rs` names the web allocator's
 /// strategy this way; the web allocator takes [`BlockStrategy`].
 pub type GlobalStrategy = BlockStrategy;
@@ -484,20 +431,19 @@ pub enum GlobalScope {
 /// use parsched_ir::parse_function;
 /// use parsched_machine::presets;
 /// use parsched_regalloc::global::{allocate_global_scoped, GlobalScope};
-/// use parsched_regalloc::BlockStrategy;
+/// use parsched_regalloc::{BlockStrategy, Budget};
+/// use parsched_telemetry::NullTelemetry;
 ///
 /// let f = parse_function(
 ///     "func @abs(s0) {\nentry:\n    blt s0, 0, neg\npos:\n    ret s0\nneg:\n    s1 = neg s0\n    ret s1\n}",
 /// )?;
-/// use parsched_regalloc::AllocLimits;
-/// use parsched_telemetry::NullTelemetry;
 /// let out = allocate_global_scoped(
 ///     &f,
 ///     &presets::paper_machine(4),
 ///     BlockStrategy::Chaitin,
 ///     GlobalScope::Function,
 ///     true,
-///     &AllocLimits::default(),
+///     &Budget::unlimited(),
 ///     &NullTelemetry,
 /// )?;
 /// assert_eq!(out.function.num_sym_regs(), 0, "fully physical");
@@ -522,24 +468,24 @@ pub enum GlobalScope {
 /// per spilled web, and `global.rounds` / `global.spilled_webs` /
 /// `global.removed_false_edges` / `global.inserted_mem_ops` totals on
 /// success (the table in `docs/GLOBAL.md`, "Observability").
-/// The round count is capped by `limits.max_rounds`, the deadline is
-/// checked at round boundaries, the class PIG is held to
-/// `limits.max_pig_edges` (phase `pig.edges`), and region-restricted
-/// false-edge construction honors `limits.max_block_insts` (see
-/// [`GlobalAllocProblem::build_limited`]).
+/// The round count is capped by `budget.max_spill_rounds`, the deadline
+/// is checked at round boundaries, the class PIG is held to
+/// `budget.max_pig_edges` (phase `pig.edges`), and region-restricted
+/// false-edge construction honors `budget.max_block_insts` (see
+/// [`GlobalAllocProblem::build`]).
 ///
 /// # Errors
-/// Returns [`GlobalAllocError`] if spilling fails to converge, or
-/// [`GlobalAllocError::Budget`] when a limit trips.
+/// Returns [`AllocError::TooManyRounds`] if spilling fails to converge, or
+/// [`AllocError::Budget`] when a limit trips.
 pub fn allocate_global_scoped(
     func: &Function,
     machine: &MachineDesc,
     strategy: BlockStrategy,
     scope: GlobalScope,
     coalesce: bool,
-    limits: &crate::limits::AllocLimits,
+    budget: &Budget,
     telemetry: &dyn parsched_telemetry::Telemetry,
-) -> Result<BlockAllocation, GlobalAllocError> {
+) -> Result<BlockAllocation, AllocError> {
     let k = machine.num_regs();
     let mut current = func.clone();
     // Reload temporaries created by spill rewriting must never re-spill.
@@ -551,14 +497,15 @@ pub fn allocate_global_scoped(
     // SpillAll must not pick the same register twice: a spilled definition
     // keeps its name (def + store), so its web would reappear every round.
     let mut spilled_once: std::collections::HashSet<Reg> = std::collections::HashSet::new();
+    let mut combined_ws = CombinedWorkspace::default();
 
-    let max_rounds = limits.rounds();
+    let max_rounds = budget.rounds();
     for round in 1..=max_rounds {
-        limits.check_deadline("global.deadline")?;
+        budget.check_deadline("global.deadline")?;
         let round_span = parsched_telemetry::span(telemetry, "global.round");
         let mut problem = {
             let _span = parsched_telemetry::span(telemetry, "global.problem");
-            GlobalAllocProblem::build_limited(&current, machine, limits)?
+            GlobalAllocProblem::build(&current, machine, budget)
         };
         if scope == GlobalScope::PerBlockBaseline {
             // Reload temporaries stay block-local, so the dedicated set
@@ -608,9 +555,15 @@ pub fn allocate_global_scoped(
                 (out.colors, out.spilled, 0)
             }
             BlockStrategy::Pinter(cfg) => {
-                let pig = problem.pig();
-                limits.check_pig_edges("pig.edges", pig.edge_count() as u64)?;
-                let out = crate::combined::combined_color(
+                // After coloring the round reads only the webs and def-use
+                // chains, so the class graphs move into the PIG.
+                let pig = Pig::from_parts(
+                    std::mem::replace(&mut problem.er, UnGraph::new(0)),
+                    std::mem::replace(&mut problem.false_edges, UnGraph::new(0)),
+                );
+                budget.check_pig_edges("pig.edges", pig.edge_count() as u64)?;
+                let out = crate::combined::combined_color_in(
+                    &mut combined_ws,
                     &pig,
                     k,
                     &costs,
@@ -685,7 +638,7 @@ pub fn allocate_global_scoped(
         inserted_mem_ops += inserted;
         current = rewritten;
     }
-    Err(GlobalAllocError::TooManyRounds { limit: max_rounds })
+    Err(AllocError::TooManyRounds { limit: max_rounds })
 }
 
 /// Rewrites every register reference through its web's color: definitions
@@ -827,14 +780,14 @@ mod tests {
         m: &MachineDesc,
         strategy: BlockStrategy,
         coalesce: bool,
-    ) -> Result<BlockAllocation, GlobalAllocError> {
+    ) -> Result<BlockAllocation, AllocError> {
         allocate_global_scoped(
             f,
             m,
             strategy,
             GlobalScope::Function,
             coalesce,
-            &crate::limits::AllocLimits::default(),
+            &Budget::unlimited(),
             &parsched_telemetry::NullTelemetry,
         )
     }
@@ -935,7 +888,7 @@ mod tests {
         )
         .unwrap();
         let m = presets::paper_machine(8);
-        let problem = GlobalAllocProblem::build(&f, &m);
+        let problem = GlobalAllocProblem::build(&f, &m, &Budget::unlimited());
         let du = &problem.defuse;
         let s1_defs = du.defs_of_reg(Reg::sym(1));
         assert_eq!(
@@ -988,7 +941,7 @@ mod tests {
         )
         .unwrap();
         let m = presets::paper_machine(8);
-        let problem = GlobalAllocProblem::build(&f, &m);
+        let problem = GlobalAllocProblem::build(&f, &m, &Budget::unlimited());
         assert!(
             problem.false_edges().edge_count() > 0,
             "cross-unit defs across control-equivalent blocks are parallelizable"
@@ -1028,7 +981,7 @@ mod tests {
     fn coalescing_merges_loop_copies() {
         let f = parse_function(LOOP).unwrap();
         let m = presets::paper_machine(8);
-        let mut problem = GlobalAllocProblem::build(&f, &m);
+        let mut problem = GlobalAllocProblem::build(&f, &m, &Budget::unlimited());
         let nw = problem.webs().len();
         let (class_of, merged_moves) = problem.coalesce(&f, 8);
         assert!(merged_moves > 0, "loop induction copies coalesce");
@@ -1075,7 +1028,7 @@ mod tests {
         )
         .unwrap();
         let m = presets::paper_machine(8);
-        let mut problem = GlobalAllocProblem::build(&f, &m);
+        let mut problem = GlobalAllocProblem::build(&f, &m, &Budget::unlimited());
         let nw = problem.webs().len();
         let edges = problem.interference().edge_count();
         let (class_of, merged_moves) = problem.coalesce(&f, 8);

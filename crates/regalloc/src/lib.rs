@@ -42,7 +42,7 @@ pub use allocator::{
     allocate_single_block, allocate_single_block_in, AllocError, BlockAllocation, BlockStrategy,
 };
 pub use combined::{EdgeRemovalPolicy, PinterConfig, SpillMetric};
-pub use limits::{AllocLimits, BudgetExceeded, DEFAULT_MAX_ROUNDS};
+pub use limits::{AllocLimits, Budget, BudgetExceeded, DEFAULT_MAX_ROUNDS};
 pub use pig::Pig;
 pub use problem::{BlockAllocProblem, ProblemError};
 pub use session::AllocSession;

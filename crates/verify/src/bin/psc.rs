@@ -992,7 +992,7 @@ fn dump_function_graphs(
     let _ = writeln!(dot, "}}");
     write("cfg.dot".to_string(), dot)?;
 
-    let problem = GlobalAllocProblem::build(func, machine);
+    let problem = GlobalAllocProblem::build(func, machine, &Budget::unlimited());
     let webs = problem.webs();
     let defuse = problem.defuse();
     let cross = problem.cross_block_webs(func);

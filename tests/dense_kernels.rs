@@ -38,7 +38,7 @@ use parsched::regalloc::combined::{
 };
 use parsched::regalloc::global::{GlobalAllocProblem, GlobalScope};
 use parsched::regalloc::spill::insert_spill_code;
-use parsched::regalloc::{AllocSession, BlockAllocProblem, Pig, PinterConfig};
+use parsched::regalloc::{AllocSession, BlockAllocProblem, Budget, Pig, PinterConfig};
 use parsched::sched::falsedep::{et_graph, for_each_ef_pair, EfScratch};
 use parsched::sched::region::form_regions;
 use parsched::sched::{BlockRemap, DepGraph};
@@ -677,7 +677,7 @@ fn web_pigs_match_references() {
         };
         let func = random_cfg_function(seed, &params);
         for machine in [presets::paper_machine(4), presets::wide(4, 6)] {
-            let problem = GlobalAllocProblem::build(&func, &machine);
+            let problem = GlobalAllocProblem::build(&func, &machine, &Budget::unlimited());
             let (er, ef) = (problem.interference(), problem.false_edges());
             let ctx = format!("web PIG of seed {seed} on {}", machine.name());
             let expected = reference_web_false_edges(&func, &machine);
@@ -861,7 +861,7 @@ fn in_place_coalescing_matches_reference() {
             let machine = presets::paper_machine(k);
             for scope in [GlobalScope::Function, GlobalScope::PerBlockBaseline] {
                 let ctx = format!("case {case}, k = {k}, {scope:?}");
-                let mut problem = GlobalAllocProblem::build(&func, &machine);
+                let mut problem = GlobalAllocProblem::build(&func, &machine, &Budget::unlimited());
                 if scope == GlobalScope::PerBlockBaseline {
                     problem.dedicate_cross_block_webs(&func);
                 }

@@ -4,6 +4,7 @@
 
 use parsched::ir::parse_function;
 use parsched::ir::verify::verify_function;
+use parsched::regalloc::BudgetExceeded;
 use parsched::ParschedError;
 
 /// A source cut off mid-function: the parser must reject it with a line
@@ -78,20 +79,16 @@ fn multiple_verify_errors_report_count_and_first() {
 
 #[test]
 fn budget_error_messages_are_stable() {
-    let cap = ParschedError::BudgetExceeded {
+    let cap = ParschedError::BudgetExceeded(BudgetExceeded {
         phase: "pig.build",
         limit: 16,
         actual: 120,
-    };
+    });
     assert_eq!(
         cap.to_string(),
         "budget exceeded in pig.build: 120 over limit 16"
     );
-    let deadline = ParschedError::BudgetExceeded {
-        phase: "alloc.deadline",
-        limit: 0,
-        actual: 0,
-    };
+    let deadline = ParschedError::BudgetExceeded(BudgetExceeded::deadline("alloc.deadline"));
     assert_eq!(
         deadline.to_string(),
         "budget exceeded in alloc.deadline: deadline passed"
@@ -140,4 +137,40 @@ fn strategy_parse_names_and_error_are_stable() {
     );
     let from_str: Result<Strategy, _> = "exact".parse();
     assert!(from_str.is_ok(), "FromStr mirrors Strategy::parse");
+}
+
+/// A three-block function whose entry live set (four parameters) exceeds
+/// a three-register machine: the exact solver refuses it for its shape.
+const THREE_BLOCKS: &str = "func @three(s0, s1, s2, s3) {\nentry:\n    beq s0, 0, done\n\
+mid:\n    s4 = add s0, s1\n    s5 = add s2, s3\n    s6 = add s4, s5\n    ret s6\n\
+done:\n    ret s0\n}\n";
+
+/// One block whose entry live set (four parameters) exceeds a
+/// three-register machine: no schedule fits, however much is spilled.
+const WIDE_ENTRY: &str = "func @wide(s0, s1, s2, s3) {\nentry:\n    s4 = add s0, s1\n\
+    s5 = add s2, s3\n    s6 = add s4, s5\n    ret s6\n}\n";
+
+/// The exact strategy reports the solver's own refusals (exit 5, class
+/// `alloc`), not messages of the block allocator it does not run.
+#[test]
+fn exact_refusals_keep_the_solvers_messages() {
+    use parsched::machine::presets;
+    use parsched::telemetry::NullTelemetry;
+    use parsched::{Pipeline, Strategy};
+    let pipeline = Pipeline::new(presets::paper_machine(3));
+    for (src, expected) in [
+        (THREE_BLOCKS, "exact solver requires a single block, got 3"),
+        (
+            WIDE_ENTRY,
+            "no feasible schedule: needs at least 4 registers, machine has 3",
+        ),
+    ] {
+        let func = parse_function(src).unwrap();
+        let e = pipeline
+            .compile(&func, &Strategy::exact(), &NullTelemetry)
+            .unwrap_err();
+        assert_eq!(e.to_string(), expected);
+        assert_eq!(e.exit_code(), 5, "{e}");
+        assert_eq!(e.class(), "alloc", "{e}");
+    }
 }

@@ -7,7 +7,7 @@ use parsched::ir::interp::{Interpreter, Memory};
 use parsched::ir::webs::Webs;
 use parsched::ir::{parse_module, BlockId};
 use parsched::machine::presets;
-use parsched::regalloc::AllocSession;
+use parsched::regalloc::{AllocSession, BudgetExceeded};
 use parsched::telemetry::NullTelemetry;
 use parsched::{
     paper, AllocScope, Budget, DegradationLevel, Driver, ParschedError, Pipeline, Strategy,
@@ -240,10 +240,10 @@ fn web_path_honors_the_pig_edge_budget() {
         assert!(
             matches!(
                 e,
-                ParschedError::BudgetExceeded {
+                ParschedError::BudgetExceeded(BudgetExceeded {
                     phase: "pig.edges",
                     ..
-                }
+                })
             ),
             "{scope:?}: {e}"
         );

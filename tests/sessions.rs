@@ -12,8 +12,8 @@ use parsched::machine::{presets, MachineDesc};
 use parsched::regalloc::combined::combined_color;
 use parsched::regalloc::spill::insert_spill_code;
 use parsched::regalloc::{
-    allocate_single_block, allocate_single_block_in, AllocLimits, AllocSession, BlockAllocProblem,
-    BlockStrategy, Pig, PinterConfig,
+    allocate_single_block, allocate_single_block_in, AllocSession, BlockAllocProblem,
+    BlockStrategy, Budget, Pig, PinterConfig,
 };
 use parsched::sched::falsedep::et_graph;
 use parsched::sched::{BlockRemap, DepGraph};
@@ -200,10 +200,10 @@ fn session_reuse_across_functions_is_byte_identical() {
     let f1 = random_dag_function(11, &params_a);
     let f2 = random_dag_function(42, &params_b);
     let strategy = BlockStrategy::Pinter(PinterConfig::default());
-    let limits = AllocLimits::default();
+    let budget = Budget::unlimited();
 
-    let fresh1 = allocate_single_block(&f1, &machine, strategy, &limits, &NullTelemetry).unwrap();
-    let fresh2 = allocate_single_block(&f2, &machine, strategy, &limits, &NullTelemetry).unwrap();
+    let fresh1 = allocate_single_block(&f1, &machine, strategy, &budget, &NullTelemetry).unwrap();
+    let fresh2 = allocate_single_block(&f2, &machine, strategy, &budget, &NullTelemetry).unwrap();
 
     let mut session = AllocSession::new();
     let reused1 = allocate_single_block_in(
@@ -211,7 +211,7 @@ fn session_reuse_across_functions_is_byte_identical() {
         &f1,
         &machine,
         strategy,
-        &limits,
+        &budget,
         &NullTelemetry,
     )
     .unwrap();
@@ -220,7 +220,7 @@ fn session_reuse_across_functions_is_byte_identical() {
         &f2,
         &machine,
         strategy,
-        &limits,
+        &budget,
         &NullTelemetry,
     )
     .unwrap();

@@ -697,3 +697,127 @@ fn psc_one_function_json_escapes_the_machine_name() {
     assert_eq!(doc.get("machine").and_then(Value::as_str), Some(name));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `psc --strategy exact` prints the exact solver's own refusal and exits
+/// 5. Both inputs also defeat every heuristic rung (four parameters live
+/// at entry, three registers), so `--resilient` ends on the same line:
+/// the preferred rung's error.
+#[test]
+fn psc_exact_refusals_print_the_solvers_messages() {
+    let dir = std::env::temp_dir().join(format!("psc-exact-refusal-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let three = "func @three(s0, s1, s2, s3) {\nentry:\n    beq s0, 0, done\nmid:\n    \
+                 s4 = add s0, s1\n    s5 = add s2, s3\n    s6 = add s4, s5\n    ret s6\n\
+                 done:\n    ret s0\n}\n";
+    let wide = "func @wide(s0, s1, s2, s3) {\nentry:\n    s4 = add s0, s1\n    \
+                s5 = add s2, s3\n    s6 = add s4, s5\n    ret s6\n}\n";
+    for (name, src, expected) in [
+        (
+            "three.psc",
+            three,
+            "psc: exact solver requires a single block, got 3",
+        ),
+        (
+            "wide.psc",
+            wide,
+            "psc: no feasible schedule: needs at least 4 registers, machine has 3",
+        ),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, src).expect("write source");
+        let path = path.to_str().expect("utf-8 path");
+        let plain = psc(&[path, "--strategy", "exact", "--regs", "3"]);
+        let stderr = String::from_utf8_lossy(&plain.stderr);
+        assert_eq!(plain.status.code(), Some(5), "{name}: {stderr}");
+        assert_eq!(stderr, format!("{expected}\n"), "{name}");
+        let resilient = psc(&[path, "--strategy", "exact", "--regs", "3", "--resilient"]);
+        let stderr = String::from_utf8_lossy(&resilient.stderr);
+        assert_eq!(resilient.status.code(), Some(5), "{name}: {stderr}");
+        assert_eq!(stderr.lines().last(), Some(expected), "{name}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The exit-code tables are written by hand in three places: the response
+/// codes of docs/SERVICE.md, the `exit codes:` block of `psc --help` and
+/// the rustdoc of `ParschedError::exit_code`. Each lists the code of every
+/// `ParschedError` variant, and SERVICE.md pairs it with the class.
+#[test]
+fn exit_code_tables_list_every_error_variant() {
+    use parsched::exact::ExactError;
+    use parsched::graph::CycleError;
+    use parsched::regalloc::{AllocError, BudgetExceeded};
+    use parsched::sched::SchedError;
+    let errors = [
+        ParschedError::Parse(parse_function("func @").expect_err("truncated")),
+        ParschedError::Verify(Vec::new()),
+        ParschedError::Alloc(AllocError::TooManyRounds { limit: 1 }),
+        ParschedError::Global(AllocError::TooManyRounds { limit: 1 }),
+        ParschedError::Exact(ExactError::NotSingleBlock { blocks: 3 }),
+        ParschedError::Sched(SchedError::Cycle(CycleError { node: 0 })),
+        ParschedError::BudgetExceeded(BudgetExceeded::deadline("t")),
+        ParschedError::Panicked {
+            context: "f".into(),
+            message: "m".into(),
+        },
+        ParschedError::Io {
+            path: "p".into(),
+            message: "m".into(),
+        },
+        ParschedError::OutputVerify {
+            function: "f".into(),
+            count: 1,
+            first: "v".into(),
+        },
+    ];
+    // A new variant fails to compile here until it has a sample above.
+    let variant = |e: &ParschedError| match e {
+        ParschedError::Parse(_) => 0,
+        ParschedError::Verify(_) => 1,
+        ParschedError::Alloc(_) => 2,
+        ParschedError::Global(_) => 3,
+        ParschedError::Exact(_) => 4,
+        ParschedError::Sched(_) => 5,
+        ParschedError::BudgetExceeded(_) => 6,
+        ParschedError::Panicked { .. } => 7,
+        ParschedError::Io { .. } => 8,
+        ParschedError::OutputVerify { .. } => 9,
+    };
+    let covered: Vec<usize> = errors.iter().map(variant).collect();
+    assert_eq!(
+        covered,
+        (0..10).collect::<Vec<_>>(),
+        "one sample per variant"
+    );
+
+    let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let service = std::fs::read_to_string(root.join("docs/SERVICE.md")).expect("SERVICE.md");
+    let rustdoc = std::fs::read_to_string(root.join("crates/core/src/error.rs")).expect("error.rs");
+    let help = psc(&["--help"]);
+    let help = String::from_utf8_lossy(&help.stdout);
+    let help_codes: Vec<&str> = help
+        .split_once("exit codes:")
+        .expect("psc --help has an exit codes: block")
+        .1
+        .split_whitespace()
+        .collect();
+    for e in &errors {
+        let (code, class) = (e.exit_code(), e.class());
+        let row = format!("| {code} | `{class}` |");
+        assert!(
+            service.lines().any(|l| l.starts_with(&row)),
+            "docs/SERVICE.md lacks `{row}` ({e})"
+        );
+        assert!(
+            help_codes.contains(&code.to_string().as_str()),
+            "psc --help exit codes lack {code} ({class})"
+        );
+        let doc_row = format!("/// | {code} |");
+        assert!(
+            rustdoc
+                .lines()
+                .any(|l| l.trim_start().starts_with(&doc_row)),
+            "ParschedError::exit_code rustdoc lacks `{doc_row}` ({class})"
+        );
+    }
+}
