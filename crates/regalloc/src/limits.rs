@@ -197,6 +197,32 @@ mod tests {
     }
 
     #[test]
+    fn unlimited_lowers_to_default_limits() {
+        let b = Budget::unlimited();
+        assert_eq!(format!("{b:?}"), format!("{:?}", Budget::default()));
+        assert_eq!(b.max_spill_rounds, None);
+        assert_eq!(b.max_block_insts, None);
+        assert_eq!(b.max_pig_edges, None);
+        assert!(b.deadline.is_none());
+        assert!(b.check_deadline("t").is_ok());
+    }
+
+    #[test]
+    fn builders_set_caps_and_deadline_trips() {
+        let b = Budget::unlimited()
+            .with_max_block_insts(7)
+            .with_max_pig_edges(9)
+            .with_max_spill_rounds(3)
+            .with_deadline(Instant::now() - Duration::from_millis(1));
+        assert_eq!(b.max_block_insts, Some(7));
+        assert_eq!(b.max_pig_edges, Some(9));
+        assert_eq!(b.max_spill_rounds, Some(3));
+        assert!(b.check_deadline("t").is_err());
+        let now = Budget::unlimited().with_deadline_in(Duration::ZERO);
+        assert_eq!(now.check_deadline("t"), Err(BudgetExceeded::deadline("t")));
+    }
+
+    #[test]
     fn caps_trip_and_display() {
         let b = Budget::unlimited()
             .with_max_block_insts(10)
