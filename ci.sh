@@ -29,18 +29,25 @@ if [ "$count" -gt "$baseline" ]; then
     exit 1
 fi
 
+# Prints every non-comment line of crates/*/src/**/*.rs as `file:line: text`,
+# stopping each file at its trailing #[cfg(test)] module. The arguments are
+# extra `find` tests, e.g. `! -path 'crates/verify/*'` to exempt a crate.
+non_test_code() {
+    find crates/*/src -name '*.rs' "$@" | sort |
+    while read -r f; do
+        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+            !/^[[:space:]]*\/\// { print f ":" FNR ": " $0 }' "$f"
+    done
+}
+
 echo "==> timing ownership (one production timing model)"
 # Only crates/sched/src/timing.rs books reservation tables or maps a
 # dependence kind to a latency. crates/machine defines the table, and
 # crates/verify is the deliberately independent re-derivation. Comment
 # lines and the trailing #[cfg(test)] module of each file are exempt.
 timing_hits=$(
-    find crates/*/src -name '*.rs' ! -path 'crates/machine/*' \
-        ! -path 'crates/verify/*' ! -path crates/sched/src/timing.rs | sort |
-    while read -r f; do
-        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
-            !/^[[:space:]]*\/\// { print f ":" FNR ": " $0 }' "$f"
-    done |
+    non_test_code ! -path 'crates/machine/*' ! -path 'crates/verify/*' \
+        ! -path crates/sched/src/timing.rs |
     grep -E 'reservation_table\(\)|next_free_cycle|can_issue\(|DepKind::[A-Za-z]+.*=>' ||
     true
 )
@@ -59,11 +66,7 @@ echo "==> JSON ownership (one JSON writer)"
 # file are exempt, and so are parsched-loadgen's two deliberately
 # malformed chaos lines (a half-written request and a syntax error).
 json_hits=$(
-    find crates/*/src -name '*.rs' ! -path crates/telemetry/src/json.rs | sort |
-    while read -r f; do
-        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
-            !/^[[:space:]]*\/\// { print f ":" FNR ": " $0 }' "$f"
-    done |
+    non_test_code ! -path crates/telemetry/src/json.rs |
     grep -E 'escape_json\(|\\"[^"\\]*\\":' |
     grep -vE '^crates/bench/src/bin/loadgen\.rs:[0-9]+: .*write_all\(b"\{\\"id\\": (999999|oops), ' ||
     true
@@ -84,13 +87,8 @@ echo "==> Ef ownership (one false-dependence kernel)"
 # the deliberately independent re-derivation. Comment lines and the
 # trailing #[cfg(test)] module of each file are exempt.
 ef_hits=$(
-    find crates/*/src -name '*.rs' ! -path 'crates/machine/*' \
-        ! -path 'crates/graph/*' ! -path 'crates/verify/*' \
-        ! -path crates/sched/src/falsedep.rs | sort |
-    while read -r f; do
-        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
-            !/^[[:space:]]*\/\// { print f ":" FNR ": " $0 }' "$f"
-    done |
+    non_test_code ! -path 'crates/machine/*' ! -path 'crates/graph/*' \
+        ! -path 'crates/verify/*' ! -path crates/sched/src/falsedep.rs |
     grep -E 'pairwise_conflict\(|unordered_into\(' ||
     true
 )

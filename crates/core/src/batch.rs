@@ -113,7 +113,7 @@ impl BatchOutput {
     ///
     /// Always finite: a zero/denormal-duration run with a nonzero
     /// instruction count would otherwise put `inf` (and an empty run
-    /// `NaN`) into `--bench-json` reports, which the JSON writer cannot
+    /// `NaN`) into `--stats-json` reports, which the JSON writer cannot
     /// represent and downstream ratio gates choke on.
     pub fn insts_per_sec(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
@@ -440,7 +440,7 @@ mod tests {
             .compile_module(&module(), &NullTelemetry);
         assert!(out.total_insts() > 0);
         // A zero-duration wall clock (possible on coarse timers) must not
-        // leak inf into --bench-json; the rate degrades to 0.0 instead.
+        // leak inf into --stats-json; the rate degrades to 0.0 instead.
         out.wall = Duration::ZERO;
         assert_eq!(out.insts_per_sec(), 0.0);
         // Denormal-small durations likewise stay finite.

@@ -29,7 +29,7 @@ pub enum ParschedError {
     /// Block-level register allocation failed.
     Alloc(AllocError),
     /// Global (web-based) register allocation failed: spilling over webs
-    /// did not converge.
+    /// did not converge, or the entry live set exceeds the register file.
     Global(AllocError),
     /// The exact solver refused the function (more than one block, a
     /// violated allocation precondition, or no feasible schedule). Its

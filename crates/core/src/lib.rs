@@ -73,7 +73,7 @@ pub mod prelude {
     pub use crate::driver::{DegradationLevel, Driver};
     pub use crate::error::ParschedError;
     pub use crate::pipeline::{
-        AllocScope, CompileResult, CompileStats, Pipeline, Strategy, StrategyParseError,
+        CompileResult, CompileStats, Pipeline, Strategy, StrategyParseError,
     };
     pub use parsched_exact::ExactConfig;
     pub use parsched_graph::Reachability;
@@ -85,10 +85,9 @@ pub use batch::{BatchDriver, BatchOutput};
 pub use driver::{DegradationLevel, Driver};
 pub use error::ParschedError;
 pub use parsched_graph::Reachability;
+pub use parsched_regalloc::global::GlobalScope;
 pub use parsched_regalloc::Budget;
-pub use pipeline::{
-    AllocScope, CompileResult, CompileStats, Pipeline, Strategy, StrategyParseError,
-};
+pub use pipeline::{CompileResult, CompileStats, Pipeline, Strategy, StrategyParseError};
 
 pub use parsched_exact as exact;
 pub use parsched_graph as graph;

@@ -120,38 +120,6 @@ impl fmt::Display for StrategyParseError {
 
 impl Error for StrategyParseError {}
 
-/// At what scope the allocator makes register-sharing decisions.
-///
-/// Orthogonal to [`Strategy`]: the strategy picks the coloring backend
-/// (Chaitin, the paper's combined PIG coloring, ...), the scope picks the
-/// unit over which values may share registers. See `docs/GLOBAL.md`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AllocScope {
-    /// Single-block functions use the block-level allocators; multi-block
-    /// functions use the global (web-based) allocator. The default.
-    #[default]
-    Auto,
-    /// Always allocate over webs, function-wide — one color per web even
-    /// for single-block functions (`psc --global`).
-    Global,
-    /// Per-block baseline: block-local webs share registers but every web
-    /// crossing a block boundary gets a *dedicated* register — the
-    /// classical pre-web global discipline the paper's webs improve on
-    /// (`psc --per-block`). Single-block functions are unaffected.
-    PerBlock,
-}
-
-impl AllocScope {
-    /// Short label for tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            AllocScope::Auto => "auto",
-            AllocScope::Global => "global",
-            AllocScope::PerBlock => "per-block",
-        }
-    }
-}
-
 /// Aggregate statistics of one compilation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CompileStats {
@@ -193,7 +161,7 @@ pub struct CompileResult {
 pub struct Pipeline {
     machine: MachineDesc,
     merge_chains: bool,
-    scope: AllocScope,
+    scope: GlobalScope,
 }
 
 impl Pipeline {
@@ -202,22 +170,19 @@ impl Pipeline {
         Pipeline {
             machine,
             merge_chains: false,
-            scope: AllocScope::Auto,
+            scope: GlobalScope::Function,
         }
     }
 
-    /// Sets the allocation [`AllocScope`]: [`AllocScope::Auto`] (default),
-    /// [`AllocScope::Global`] (webs function-wide, even for single-block
-    /// functions), or [`AllocScope::PerBlock`] (dedicated registers for
-    /// cross-block webs — the measurement baseline).
-    pub fn with_scope(mut self, scope: AllocScope) -> Pipeline {
+    /// Sets the scope of the web allocator that compiles multi-block
+    /// functions: [`GlobalScope::Function`] (default, one color per web
+    /// function-wide) or [`GlobalScope::PerBlockBaseline`] (dedicated
+    /// registers for cross-block webs — the measurement baseline, `psc
+    /// --per-block`). Single-block functions always take the block-level
+    /// allocators, where a web is just a value. See `docs/GLOBAL.md`.
+    pub fn with_scope(mut self, scope: GlobalScope) -> Pipeline {
         self.scope = scope;
         self
-    }
-
-    /// The configured allocation scope.
-    pub fn scope(&self) -> AllocScope {
-        self.scope
     }
 
     /// Enables fall-through chain merging before compilation: control-
@@ -482,19 +447,8 @@ impl Pipeline {
             Strategy::SpillEverything => BlockStrategy::SpillAll,
             Strategy::Exact(_) => unreachable!("exact strategy bypasses allocate()"),
         };
-        // Auto keeps single-block functions on the block-level allocators;
-        // --global forces the web path everywhere, --per-block only changes
-        // multi-block behavior (a single block has no cross-block webs).
-        let use_webs = match self.scope {
-            AllocScope::Global => true,
-            AllocScope::Auto | AllocScope::PerBlock => func.block_count() > 1,
-        };
-        let out = if use_webs {
-            let gscope = match self.scope {
-                AllocScope::PerBlock => GlobalScope::PerBlockBaseline,
-                AllocScope::Auto | AllocScope::Global => GlobalScope::Function,
-            };
-            allocate_global_scoped(func, &self.machine, s, gscope, true, budget, telemetry)
+        let out = if func.block_count() > 1 {
+            allocate_global_scoped(func, &self.machine, s, self.scope, true, budget, telemetry)
                 .map_err(|e| match e {
                     AllocError::Budget(b) => b.into(),
                     other => ParschedError::Global(other),

@@ -34,6 +34,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Flight-recorder ring capacity, in entries.
+const FLIGHT_CAPACITY: usize = 512;
+
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -47,8 +50,6 @@ pub struct ServiceConfig {
     /// block trips the quadratic rung's budget instead of stalling a
     /// worker for seconds.
     pub max_block_insts: Option<usize>,
-    /// FlightRecorder ring capacity.
-    pub flight_capacity: usize,
 }
 
 impl Default for ServiceConfig {
@@ -58,7 +59,6 @@ impl Default for ServiceConfig {
             queue_depth: 64,
             cache_capacity: 256,
             max_block_insts: Some(20_000),
-            flight_capacity: 512,
         }
     }
 }
@@ -198,7 +198,7 @@ impl Service {
         let (tx, rx) = sync_channel::<Job>(queue_depth);
         let rx = Arc::new(Mutex::new(rx));
         let inner = Arc::new(Inner {
-            flight: FlightRecorder::new(cfg.flight_capacity),
+            flight: FlightRecorder::new(FLIGHT_CAPACITY),
             cache: Mutex::new(ResultCache::new(cfg.cache_capacity)),
             cfg,
             counters: Counters::default(),

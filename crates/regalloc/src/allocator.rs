@@ -67,6 +67,15 @@ pub enum AllocError {
         /// The round limit.
         limit: u32,
     },
+    /// More values are live at function entry than the machine has
+    /// registers. They interfere pairwise, and spilling one still leaves
+    /// it live at entry, so no number of spill rounds can help.
+    Infeasible {
+        /// Values live at entry: a lower bound on the registers needed.
+        required: u32,
+        /// Registers the machine offers.
+        available: u32,
+    },
     /// The final rewrite failed its independent validity check — an
     /// allocator bug, surfaced rather than hidden.
     Invalid(AllocCheckError),
@@ -90,6 +99,14 @@ impl fmt::Display for AllocError {
             AllocError::TooManyRounds { limit } => {
                 write!(f, "spilling did not converge within {limit} rounds")
             }
+            AllocError::Infeasible {
+                required,
+                available,
+            } => write!(
+                f,
+                "allocation infeasible: entry live set needs at least {required} registers, \
+                 machine has {available}"
+            ),
             AllocError::Invalid(e) => write!(f, "allocation failed validation: {e}"),
             AllocError::Budget(b) => b.fmt(f),
             AllocError::Cycle(c) => c.fmt(f),
@@ -125,6 +142,19 @@ impl From<CycleError> for AllocError {
     fn from(c: CycleError) -> Self {
         AllocError::Cycle(c)
     }
+}
+
+/// Refuses, before any spill round, a function whose entry live set
+/// (`live_in` values, pairwise interfering) cannot fit `k` registers.
+pub(crate) fn entry_fits(live_in: usize, k: u32) -> Result<(), AllocError> {
+    let required = u32::try_from(live_in).unwrap_or(u32::MAX);
+    if required > k {
+        return Err(AllocError::Infeasible {
+            required,
+            available: k,
+        });
+    }
+    Ok(())
 }
 
 /// Allocates registers for a single-block function on `machine`.
@@ -172,7 +202,9 @@ impl From<CycleError> for AllocError {
 ///
 /// # Errors
 /// Returns [`AllocError`] if the function is not single-block, violates the
-/// symbolic single-definition discipline, or spilling fails to converge;
+/// symbolic single-definition discipline, has more values live at entry
+/// than registers ([`AllocError::Infeasible`], refused in round 1), or
+/// spilling fails to converge;
 /// [`AllocError::Budget`] when a limit trips; [`AllocError::Cycle`] on a
 /// malformed dependence graph.
 pub fn allocate_single_block(
@@ -258,6 +290,10 @@ pub fn allocate_single_block_in(
             let problem = BlockAllocProblem::build(&current, block_id, &liveness)?;
             (liveness, problem)
         };
+        if round == 1 {
+            let live_in = (0..problem.len()).filter(|&n| problem.def_site(n).is_none());
+            entry_fits(live_in.count(), k)?;
+        }
         let costs: Vec<f64> = (0..problem.len())
             .map(|n| match problem.nodes()[n] {
                 Reg::Sym(s) if s.0 >= protected_from => 1e12,

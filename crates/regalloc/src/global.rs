@@ -37,6 +37,9 @@ pub struct GlobalAllocProblem {
     false_edges: UnGraph,
     costs: Vec<f64>,
     priority: Vec<u32>,
+    /// Parameters live at function entry: their webs interfere pairwise,
+    /// and a spilled parameter is still live there until its store.
+    entry_live: usize,
 }
 
 // The transitive closure + complement per region is quadratic in region
@@ -59,6 +62,12 @@ impl GlobalAllocProblem {
         let webs = Webs::compute(&defuse);
         let liveness = Liveness::compute(func, &[]);
         let nw = webs.len();
+        let entry_live_in = liveness.live_in(func.entry());
+        let entry_live = func
+            .params()
+            .iter()
+            .filter(|p| entry_live_in.contains(p))
+            .count();
 
         // --- Interference over webs ---
         let mut er = UnGraph::new(nw);
@@ -212,6 +221,7 @@ impl GlobalAllocProblem {
             false_edges,
             costs,
             priority,
+            entry_live,
         }
     }
 
@@ -475,7 +485,9 @@ pub enum GlobalScope {
 /// [`GlobalAllocProblem::build`]).
 ///
 /// # Errors
-/// Returns [`AllocError::TooManyRounds`] if spilling fails to converge, or
+/// Returns [`AllocError::Infeasible`] in round 1 when more parameters are
+/// live at entry than `machine` has registers,
+/// [`AllocError::TooManyRounds`] if spilling fails to converge, or
 /// [`AllocError::Budget`] when a limit trips.
 pub fn allocate_global_scoped(
     func: &Function,
@@ -507,6 +519,9 @@ pub fn allocate_global_scoped(
             let _span = parsched_telemetry::span(telemetry, "global.problem");
             GlobalAllocProblem::build(&current, machine, budget)
         };
+        if round == 1 {
+            crate::allocator::entry_fits(problem.entry_live, k)?;
+        }
         if scope == GlobalScope::PerBlockBaseline {
             // Reload temporaries stay block-local, so the dedicated set
             // shrinks as spilling proceeds and convergence is preserved.

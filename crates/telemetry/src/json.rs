@@ -1,6 +1,6 @@
 //! The workspace's one JSON module: a minimal recursive-descent reader and
 //! the [`Writer`] every emitted document goes through — psc's `--emit
-//! json`/`--stats-json`/`--bench-json`, the `fuzz --gap` report, `pscd`
+//! json`/`--stats-json`, the `fuzz --gap` report, `pscd`
 //! responses, the bench harness and loadgen reports, Chrome traces and
 //! flight-recorder dumps. No registry dependency enters the offline
 //! workspace.

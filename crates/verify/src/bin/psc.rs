@@ -13,9 +13,9 @@
 //!          [--machine-spec FILE]
 //!          [--regs N]
 //!          [--emit text|schedule|stats|json|dot]
-//!          [--jobs N] [--bench-json FILE]
+//!          [--jobs N]
 //!          [--trace FILE] [--stats-json FILE] [--dump-dir DIR]
-//!          [--global | --per-block]
+//!          [--per-block]
 //!          [--verify]
 //!          [--run ARG...]
 //! ```
@@ -25,16 +25,19 @@
 //! spill well-formedness, and the differential oracle) and exits 12 if any
 //! invariant is violated.
 
+use parsched::graph::dot::{ungraph_to_dot, DotOptions};
 use parsched::ir::interp::{Interpreter, Memory};
+use parsched::ir::liveness::Liveness;
 use parsched::ir::{parse_module, print_function, print_inst, print_module, BlockId, Function};
 use parsched::machine::{parse_machine_spec, presets, MachineDesc};
+use parsched::regalloc::{BlockAllocProblem, Pig};
 use parsched::sched::{list_schedule, DepGraph, SchedPriority};
 use parsched::telemetry::json::{Layout, Writer};
 use parsched::telemetry::{
     ChromeTraceSink, Fanout, FlightRecorder, NullTelemetry, PhaseTree, Recorder, Telemetry,
 };
 use parsched::{
-    AllocScope, BatchDriver, BatchOutput, Budget, CompileResult, CompileStats, Driver,
+    BatchDriver, BatchOutput, Budget, CompileResult, CompileStats, Driver, GlobalScope,
     ParschedError, Pipeline, Strategy,
 };
 use parsched_verify::Verifier;
@@ -51,11 +54,9 @@ options:
                          (see docs/EXACT.md)
   --exact-max-insts N    with --strategy exact: largest block (in
                          instructions) the solver accepts (default 20)
-  --global               allocate over webs function-wide even for
-                         single-block functions (one color per web; see
-                         docs/GLOBAL.md)
-  --per-block            baseline: block-local webs share registers but
-                         every cross-block web gets a dedicated one
+  --per-block            baseline for multi-block functions: block-local
+                         webs share registers but every cross-block web
+                         gets a dedicated one (see docs/GLOBAL.md)
   --machine single|paper|mips|rs6000|wide4      (default paper)
   --machine-spec FILE    load a textual machine description instead
   --regs N               override the register-file size
@@ -66,8 +67,6 @@ options:
   --jobs N               compile the module's functions on N worker
                          threads (work stealing; 0 = one per core;
                          default 1); output is byte-identical for every N
-  --bench-json FILE      write per-function wall times and batch
-                         throughput as JSON
   --max-insts N          budget: largest block (in instructions) the
                          super-linear phases will accept
   --deadline-ms N        budget: wall-clock deadline for the compile
@@ -80,7 +79,8 @@ options:
   --profile              print a hierarchical phase-time table and the
                          top-10 slowest blocks (inst count, PIG edges,
                          spill rounds, degradation) to stderr
-  --stats-json FILE      write statistics, per-phase wall times, histogram
+  --stats-json FILE      write statistics, compile wall times and
+                         throughput, per-phase wall times, histogram
                          percentiles, and all telemetry counters as JSON
   --flight-json FILE     write the flight-recorder ring as JSON when a
                          dump triggers (degradation, budget trip, failed
@@ -113,7 +113,6 @@ struct Options {
     regs: Option<u32>,
     emit: Emit,
     jobs: Option<usize>,
-    bench_json: Option<String>,
     max_insts: Option<usize>,
     deadline_ms: Option<u64>,
     resilient: bool,
@@ -122,7 +121,7 @@ struct Options {
     stats_json: Option<String>,
     flight_json: Option<String>,
     dump_dir: Option<String>,
-    scope: AllocScope,
+    scope: GlobalScope,
     verify: bool,
     run: Option<Vec<i64>>,
 }
@@ -233,7 +232,6 @@ fn parse_args() -> Result<Cmd, String> {
     let mut regs: Option<u32> = None;
     let mut emit = Emit::Text;
     let mut jobs: Option<usize> = None;
-    let mut bench_json: Option<String> = None;
     let mut max_insts: Option<usize> = None;
     let mut deadline_ms: Option<u64> = None;
     let mut resilient = false;
@@ -242,7 +240,7 @@ fn parse_args() -> Result<Cmd, String> {
     let mut stats_json: Option<String> = None;
     let mut flight_json: Option<String> = None;
     let mut dump_dir: Option<String> = None;
-    let mut scope = AllocScope::Auto;
+    let mut scope = GlobalScope::Function;
     let mut verify = false;
     let mut run: Option<Vec<i64>> = None;
     let mut exact_max_insts: Option<usize> = None;
@@ -292,9 +290,6 @@ fn parse_args() -> Result<Cmd, String> {
                 let v = args.next().ok_or("--jobs needs a value")?;
                 jobs = Some(v.parse().map_err(|_| format!("bad worker count `{v}`"))?);
             }
-            "--bench-json" => {
-                bench_json = Some(args.next().ok_or("--bench-json needs a path")?);
-            }
             "--max-insts" => {
                 let v = args.next().ok_or("--max-insts needs a value")?;
                 max_insts = Some(
@@ -320,18 +315,7 @@ fn parse_args() -> Result<Cmd, String> {
             "--dump-dir" => {
                 dump_dir = Some(args.next().ok_or("--dump-dir needs a directory")?);
             }
-            "--global" => {
-                if scope == AllocScope::PerBlock {
-                    return Err("--global and --per-block are mutually exclusive".to_string());
-                }
-                scope = AllocScope::Global;
-            }
-            "--per-block" => {
-                if scope == AllocScope::Global {
-                    return Err("--global and --per-block are mutually exclusive".to_string());
-                }
-                scope = AllocScope::PerBlock;
-            }
+            "--per-block" => scope = GlobalScope::PerBlockBaseline,
             "--verify" => verify = true,
             "--run" => {
                 let rest: Result<Vec<i64>, _> = args.by_ref().map(|a| a.parse()).collect();
@@ -357,7 +341,6 @@ fn parse_args() -> Result<Cmd, String> {
         regs,
         emit,
         jobs,
-        bench_json,
         max_insts,
         deadline_ms,
         resilient,
@@ -462,9 +445,6 @@ fn real_main(opts: Options) -> Result<(), Failure> {
         std::fs::write(path, stats_json(&opts, &machine, &funcs, &out))
             .map_err(|e| Failure::io(path, &e))?;
     }
-    if let Some(path) = &opts.bench_json {
-        std::fs::write(path, bench_json(&opts, &funcs, &out)).map_err(|e| Failure::io(path, &e))?;
-    }
     if opts.profile {
         let rungs: std::collections::BTreeMap<String, &str> = funcs
             .iter()
@@ -496,9 +476,9 @@ fn real_main(opts: Options) -> Result<(), Failure> {
     }
 
     // Fail only after the measurement artifacts are on disk — a module
-    // with one poisoned function still yields a complete bench/stats
-    // record. Every failing function is reported once; psc exits with the
-    // first one's code. Compile errors take precedence over --verify.
+    // with one poisoned function still yields a complete stats record.
+    // Every failing function is reported once; psc exits with the first
+    // one's code. Compile errors take precedence over --verify.
     let prefix = |func: &Function| {
         if single {
             String::new()
@@ -553,28 +533,13 @@ fn emit_function(
     }
     match opts.emit {
         Emit::Dot => {
-            use parsched::graph::dot::{ungraph_to_dot, DotOptions};
-            use parsched::ir::liveness::Liveness;
-            use parsched::regalloc::{BlockAllocProblem, Pig};
             let lv = Liveness::compute(func, &[]);
             let problem = BlockAllocProblem::build(func, BlockId(0), &lv).map_err(|e| Failure {
                 code: 5,
                 msg: e.to_string(),
             })?;
             let deps = DepGraph::build(func.block(BlockId(0)), &NullTelemetry);
-            let pig = Pig::build(&problem, &deps, machine, &NullTelemetry);
-            let mut dot_opts = DotOptions::titled(format!(
-                "PIG of @{} block 0 on {} (dashed = false-dependence edges)",
-                func.name(),
-                machine.name()
-            ));
-            dot_opts.node_labels = problem.nodes().iter().map(|r| r.to_string()).collect();
-            dot_opts.edge_styles = pig
-                .false_only()
-                .edges()
-                .map(|(u, v)| (u, v, "dashed".to_string()))
-                .collect();
-            print!("{}", ungraph_to_dot(pig.graph(), &dot_opts));
+            print!("{}", pig_dot(func, 0, &problem, &deps, machine));
         }
         Emit::Text => print!("{}", print_function(&result.function)),
         Emit::Schedule => {
@@ -820,50 +785,11 @@ fn stats_fields(w: &mut Writer, s: &CompileStats) {
     w.key("inst_count").num(s.inst_count);
 }
 
-/// Renders the `--bench-json` payload: per-function wall times and batch
-/// throughput, in input order. Schema documented in docs/BENCHMARKING.md.
-fn bench_json(opts: &Options, funcs: &[Function], out: &BatchOutput) -> String {
-    Writer::pretty()
-        .object(Layout::Rows, |w| {
-            w.key("schema").str("psc-bench/1");
-            w.key("file").str(&opts.file);
-            w.key("strategy").str(opts.strategy.label());
-            w.key("jobs").num(out.jobs);
-            w.key("functions").array(Layout::Rows, |w| {
-                for ((func, res), ns) in funcs.iter().zip(&out.results).zip(&out.per_func_ns) {
-                    w.object(Layout::Line, |w| {
-                        w.key("name").str(func.name());
-                        w.key("ok").bool(res.is_ok());
-                        w.key("wall_ns").num(ns);
-                        match res {
-                            Ok(r) => {
-                                w.key("insts").num(r.stats.inst_count);
-                                w.key("cycles").num(r.stats.cycles);
-                                w.key("spilled_values").num(r.stats.spilled_values);
-                                w.key("degradation").str(r.degradation.label());
-                            }
-                            Err(e) => {
-                                w.key("error").str(&e.to_string());
-                            }
-                        }
-                    });
-                }
-            });
-            w.key("ok").num(out.ok_count());
-            w.key("failed").num(out.err_count());
-            w.key("total_wall_ns").num(out.wall.as_nanos());
-            w.key("total_insts").num(out.total_insts());
-            w.key("insts_per_sec")
-                .num(format_args!("{:.1}", out.insts_per_sec()));
-        })
-        .finish()
-        + "\n"
-}
-
 /// Renders the `--stats-json` payload: machine and strategy, then for a
 /// one-function module its degradation, full [`CompileStats`] and
-/// per-block cycles, or for a module the per-function stats; then the
-/// merged telemetry (phase totals, histogram percentiles, counters).
+/// per-block cycles, or for a module the per-function stats and wall
+/// times; then the batch wall time and throughput, and the merged
+/// telemetry (phase totals, histogram percentiles, counters).
 fn stats_json(
     opts: &Options,
     machine: &MachineDesc,
@@ -887,10 +813,11 @@ fn stats_json(
             } else {
                 w.key("jobs").num(out.jobs);
                 w.key("functions").array(Layout::Rows, |w| {
-                    for (func, res) in funcs.iter().zip(&out.results) {
+                    for ((func, res), ns) in funcs.iter().zip(&out.results).zip(&out.per_func_ns) {
                         w.object(Layout::Line, |w| {
                             w.key("name").str(func.name());
                             w.key("ok").bool(res.is_ok());
+                            w.key("wall_ns").num(ns);
                             match res {
                                 Ok(r) => {
                                     w.key("degradation").str(r.degradation.label());
@@ -904,6 +831,9 @@ fn stats_json(
                     }
                 });
             }
+            w.key("wall_ns").num(out.wall.as_nanos());
+            w.key("insts_per_sec")
+                .num(format_args!("{:.1}", out.insts_per_sec()));
             w.key("phases").array(Layout::Rows, |w| {
                 for (name, ns) in recorder.phase_totals() {
                     w.object(Layout::Line, |w| {
@@ -945,7 +875,6 @@ fn dump_function_graphs(
     machine: &MachineDesc,
     write: &dyn Fn(String, String) -> Result<(), Failure>,
 ) -> Result<(), Failure> {
-    use parsched::graph::dot::{ungraph_to_dot, DotOptions};
     use parsched::ir::cfg::Cfg;
     use parsched::ir::defuse::DefSite;
     use parsched::ir::webs::WebId;
@@ -1069,9 +998,7 @@ fn dump_function_graphs(
 /// definitions of one register) get only the schedule-side graphs, with a
 /// note on stderr.
 fn dump_graphs(func: &Function, machine: &MachineDesc, dir: &str) -> Result<(), Failure> {
-    use parsched::graph::dot::{digraph_to_dot, ungraph_to_dot, DotOptions};
-    use parsched::ir::liveness::Liveness;
-    use parsched::regalloc::{BlockAllocProblem, Pig};
+    use parsched::graph::dot::digraph_to_dot;
     use parsched::sched::falsedep::{et_graph, false_dependence_graph};
 
     let dir = std::path::Path::new(dir);
@@ -1127,32 +1054,43 @@ fn dump_graphs(func: &Function, machine: &MachineDesc, dir: &str) -> Result<(), 
                 continue;
             }
         };
-        let reg_labels: Vec<String> = problem.nodes().iter().map(|r| r.to_string()).collect();
-
         let mut gr_opts =
             DotOptions::titled(format!("Gr of @{} block {b}: interference", func.name()));
-        gr_opts.node_labels.clone_from(&reg_labels);
+        gr_opts.node_labels = problem.nodes().iter().map(|r| r.to_string()).collect();
         write(
             format!("block{b}_gr.dot"),
             ungraph_to_dot(problem.interference(), &gr_opts),
         )?;
 
-        let pig = Pig::build(&problem, &deps, machine, &NullTelemetry);
-        let mut pig_opts = DotOptions::titled(format!(
-            "PIG of @{} block {b} on {} (dashed = false-dependence edges)",
-            func.name(),
-            machine.name()
-        ));
-        pig_opts.node_labels = reg_labels;
-        pig_opts.edge_styles = pig
-            .false_only()
-            .edges()
-            .map(|(u, v)| (u, v, "dashed".to_string()))
-            .collect();
         write(
             format!("block{b}_pig.dot"),
-            ungraph_to_dot(pig.graph(), &pig_opts),
+            pig_dot(func, b, &problem, &deps, machine),
         )?;
     }
     Ok(())
+}
+
+/// Renders block `b`'s parallelizable interference graph as DOT, false-
+/// dependence edges dashed: `--emit dot` prints block 0's, `--dump-dir`
+/// writes every block's `block<b>_pig.dot`.
+fn pig_dot(
+    func: &Function,
+    b: usize,
+    problem: &BlockAllocProblem,
+    deps: &DepGraph,
+    machine: &MachineDesc,
+) -> String {
+    let pig = Pig::build(problem, deps, machine, &NullTelemetry);
+    let mut opts = DotOptions::titled(format!(
+        "PIG of @{} block {b} on {} (dashed = false-dependence edges)",
+        func.name(),
+        machine.name()
+    ));
+    opts.node_labels = problem.nodes().iter().map(|r| r.to_string()).collect();
+    opts.edge_styles = pig
+        .false_only()
+        .edges()
+        .map(|(u, v)| (u, v, "dashed".to_string()))
+        .collect();
+    ungraph_to_dot(pig.graph(), &opts)
 }

@@ -21,11 +21,11 @@
 //! violation.
 
 use crate::{minimize, OracleConfig, Verifier, Violation};
-use parsched::{BatchDriver, Driver, ParschedError, Pipeline, Strategy};
+use parsched::{BatchDriver, CompileResult, Driver, ParschedError, Pipeline, Strategy};
 use parsched_ir::verify::verify_function;
 use parsched_ir::{print_function, Function};
 use parsched_machine::{presets, MachineDesc};
-use parsched_telemetry::NullTelemetry;
+use parsched_telemetry::{NullTelemetry, Telemetry};
 use parsched_workload::{
     expr_tree_function, random_cfg_function, random_dag_function, CfgParams, DagParams, SplitMix64,
 };
@@ -40,6 +40,57 @@ pub fn all_strategies() -> Vec<Strategy> {
         Strategy::LinearScanThenSched,
         Strategy::SpillEverything,
     ]
+}
+
+/// What one compile did: produce code to verify, refuse with a typed error
+/// (cannot allocate, over budget — expected, only counted), or panic
+/// (always a violation).
+pub(crate) enum RungOutcome {
+    Compiled(CompileResult),
+    Refused,
+    Panicked,
+}
+
+impl From<Result<CompileResult, ParschedError>> for RungOutcome {
+    fn from(res: Result<CompileResult, ParschedError>) -> RungOutcome {
+        match res {
+            Ok(result) => RungOutcome::Compiled(result),
+            Err(ParschedError::Panicked { .. }) => RungOutcome::Panicked,
+            Err(_) => RungOutcome::Refused,
+        }
+    }
+}
+
+/// Compiles `func` on `strategy` alone — a one-rung [`Driver`], so a
+/// failure surfaces instead of degrading, and a panic is caught.
+pub(crate) fn run_rung(
+    func: &Function,
+    machine: &MachineDesc,
+    strategy: Strategy,
+    telemetry: &dyn Telemetry,
+) -> RungOutcome {
+    Driver::new(Pipeline::new(machine.clone()))
+        .with_ladder(vec![strategy])
+        .compile_resilient(func, telemetry)
+        .into()
+}
+
+/// The verifier of one generated case: every checker, plus a two-run
+/// differential oracle seeded by `seed`.
+pub(crate) fn case_verifier(machine: &MachineDesc, strategy: Strategy, seed: u64) -> Verifier {
+    Verifier::new(machine)
+        .strategy(strategy)
+        .oracle(OracleConfig { seed, runs: 2 })
+}
+
+/// The violation recorded for a compile that panicked on `func`.
+fn panicked(func: &Function, detail: String) -> Violation {
+    Violation {
+        check: crate::Check::Schedule,
+        function: func.name().to_string(),
+        block: None,
+        detail,
+    }
 }
 
 /// Fuzzer configuration (all CLI-settable).
@@ -108,7 +159,8 @@ pub fn run(config: &FuzzConfig) -> Result<FuzzSummary, std::io::Error> {
             // Generator bug, not a pipeline bug; skip rather than report.
             continue;
         }
-        let machine = pick_machine(&mut rng);
+        // Register counts spanning the pressure regimes.
+        let machine = pick_machine(&mut rng, &[4, 6, 8, 12, 32]);
         summary.cases += 1;
         if config.verbose {
             println!(
@@ -175,10 +227,9 @@ fn generate(case_seed: u64, cfg_only: bool) -> Function {
     }
 }
 
-/// Picks a machine preset and a register count spanning the pressure
-/// regimes.
-fn pick_machine(rng: &mut SplitMix64) -> MachineDesc {
-    let regs = *rng.pick(&[4u32, 6, 8, 12, 32]);
+/// Picks a register count from `regs` and a machine preset.
+pub(crate) fn pick_machine(rng: &mut SplitMix64, regs: &[u32]) -> MachineDesc {
+    let regs = *rng.pick(regs);
     match rng.gen_range_usize(0, 5) {
         0 => presets::single_issue(regs),
         1 => presets::paper_machine(regs),
@@ -198,28 +249,20 @@ fn run_one(
     summary: &mut FuzzSummary,
     strategy_index: usize,
 ) -> Vec<Violation> {
-    let verifier = Verifier::new(machine)
-        .strategy(strategy)
-        .oracle(OracleConfig {
-            seed: case_seed,
-            runs: 2,
-        });
-    let driver = Driver::new(Pipeline::new(machine.clone())).with_ladder(vec![strategy]);
-    let violations = match driver.compile_resilient(func, &NullTelemetry) {
-        Ok(result) => {
+    let verifier = case_verifier(machine, strategy, case_seed);
+    let violations = match run_rung(func, machine, strategy, &NullTelemetry) {
+        RungOutcome::Compiled(result) => {
             summary.compiles += 1;
             summary.per_strategy[strategy_index].1 += 1;
             let report = verifier.verify(func, &result, &NullTelemetry);
             summary.checks_run += report.checks_run;
             report.violations
         }
-        Err(ParschedError::Panicked { .. }) => vec![Violation {
-            check: crate::Check::Schedule,
-            function: func.name().to_string(),
-            block: None,
-            detail: format!("pipeline panicked on rung {}", strategy.label()),
-        }],
-        Err(_) => {
+        RungOutcome::Panicked => vec![panicked(
+            func,
+            format!("pipeline panicked on rung {}", strategy.label()),
+        )],
+        RungOutcome::Refused => {
             summary.compile_errors += 1;
             return Vec::new();
         }
@@ -237,17 +280,11 @@ fn still_fails(
     strategy: Strategy,
     oracle_seed: u64,
 ) -> bool {
-    let verifier = Verifier::new(machine)
-        .strategy(strategy)
-        .oracle(OracleConfig {
-            seed: oracle_seed,
-            runs: 2,
-        });
-    let driver = Driver::new(Pipeline::new(machine.clone())).with_ladder(vec![strategy]);
-    match driver.compile_resilient(func, &NullTelemetry) {
-        Ok(result) => !verifier.verify(func, &result, &NullTelemetry).ok(),
-        Err(ParschedError::Panicked { .. }) => true,
-        Err(_) => false,
+    let verifier = case_verifier(machine, strategy, oracle_seed);
+    match run_rung(func, machine, strategy, &NullTelemetry) {
+        RungOutcome::Compiled(result) => !verifier.verify(func, &result, &NullTelemetry).ok(),
+        RungOutcome::Panicked => true,
+        RungOutcome::Refused => false,
     }
 }
 
@@ -305,17 +342,16 @@ fn run_batch_case(
     let out = batch.compile_module(&funcs, &NullTelemetry);
     // The default ladder leads with the combined strategy, so that is the
     // requested rung for Theorem 1 gating.
-    let verifier = Verifier::new(&machine)
-        .strategy(Strategy::combined())
-        .oracle(OracleConfig {
-            seed: config.seed ^ u64::from(case),
-            runs: 2,
-        });
-    for (func, slot) in funcs.iter().zip(&out.results) {
-        match slot {
-            Ok(result) => {
+    let verifier = case_verifier(
+        &machine,
+        Strategy::combined(),
+        config.seed ^ u64::from(case),
+    );
+    for (func, slot) in funcs.iter().zip(out.results) {
+        match RungOutcome::from(slot) {
+            RungOutcome::Compiled(result) => {
                 summary.compiles += 1;
-                let report = verifier.verify(func, result, &NullTelemetry);
+                let report = verifier.verify(func, &result, &NullTelemetry);
                 summary.checks_run += report.checks_run;
                 if !report.ok() {
                     summary.violations += report.violations.len() as u64;
@@ -330,7 +366,7 @@ fn run_batch_case(
                     )?;
                 }
             }
-            Err(ParschedError::Panicked { .. }) => {
+            RungOutcome::Panicked => {
                 summary.violations += 1;
                 emit_reproducer(
                     config,
@@ -339,15 +375,13 @@ fn run_batch_case(
                     &machine,
                     Strategy::combined(),
                     case,
-                    &[Violation {
-                        check: crate::Check::Schedule,
-                        function: func.name().to_string(),
-                        block: None,
-                        detail: "pipeline panicked in batch compile".to_string(),
-                    }],
+                    &[panicked(
+                        func,
+                        "pipeline panicked in batch compile".to_string(),
+                    )],
                 )?;
             }
-            Err(_) => summary.compile_errors += 1,
+            RungOutcome::Refused => summary.compile_errors += 1,
         }
     }
     Ok(())
@@ -372,26 +406,22 @@ pub fn replay_module(funcs: &[Function]) -> (u64, Vec<Violation>) {
         }
         for machine in &machines {
             for strategy in all_strategies() {
-                let driver =
-                    Driver::new(Pipeline::new(machine.clone())).with_ladder(vec![strategy]);
-                let verifier = Verifier::new(machine).strategy(strategy);
-                match driver.compile_resilient(func, &NullTelemetry) {
-                    Ok(result) => {
+                match run_rung(func, machine, strategy, &NullTelemetry) {
+                    RungOutcome::Compiled(result) => {
+                        let verifier = Verifier::new(machine).strategy(strategy);
                         let report = verifier.verify(func, &result, &NullTelemetry);
                         checks += report.checks_run;
                         violations.extend(report.violations);
                     }
-                    Err(ParschedError::Panicked { .. }) => violations.push(Violation {
-                        check: crate::Check::Schedule,
-                        function: func.name().to_string(),
-                        block: None,
-                        detail: format!(
+                    RungOutcome::Panicked => violations.push(panicked(
+                        func,
+                        format!(
                             "pipeline panicked on rung {} ({})",
                             strategy.label(),
                             machine.name()
                         ),
-                    }),
-                    Err(_) => {}
+                    )),
+                    RungOutcome::Refused => {}
                 }
             }
         }

@@ -6,9 +6,9 @@
 //! compares the lexicographic objectives `(spills, registers, cycles)`.
 //! Three things come out:
 //!
-//! 1. **Soundness**: the exact output runs through the full [`Verifier`]
-//!    (all four checkers plus the differential oracle) — a violation here
-//!    is a solver bug.
+//! 1. **Soundness**: the exact output runs through the full
+//!    [`Verifier`](crate::Verifier) (all four checkers plus the
+//!    differential oracle) — a violation here is a solver bug.
 //! 2. **Optimality cross-check**: a heuristic rung that beats a
 //!    *proven-optimal* exact objective is an **anomaly** — one of the two
 //!    sides is lying, and either way it is a bug worth a reproducer.
@@ -20,13 +20,11 @@
 //! same cases, so CI can gate on "zero violations, zero anomalies" with a
 //! fixed corpus.
 
-use crate::fuzz::all_strategies;
-use crate::{OracleConfig, Verifier};
+use crate::fuzz::{all_strategies, case_verifier, pick_machine, run_rung, RungOutcome};
 use parsched::prelude::ExactConfig;
-use parsched::{Driver, ParschedError, Pipeline, Strategy};
+use parsched::Strategy;
 use parsched_ir::verify::verify_function;
 use parsched_ir::Function;
-use parsched_machine::{presets, MachineDesc};
 use parsched_telemetry::json::{Layout, Writer};
 use parsched_telemetry::{NullTelemetry, Recorder};
 use parsched_workload::{expr_tree_function, random_dag_function, DagParams, SplitMix64};
@@ -145,17 +143,18 @@ pub fn run(config: &GapConfig) -> Result<GapSummary, std::io::Error> {
         if verify_function(&func, false).is_err() {
             continue;
         }
-        let machine = pick_machine(&mut rng);
+        // Small register files: the pressure regime where the rungs
+        // actually diverge.
+        let machine = pick_machine(&mut rng, &[4, 6, 8]);
         summary.cases += 1;
 
         // Exact first: a Recorder observes the compile so the solver's
         // exact.proven_optimal counter decides whether this case enters
         // the gap statistics.
         let recorder = Recorder::new();
-        let driver = Driver::new(Pipeline::new(machine.clone())).with_ladder(vec![exact]);
-        let result = match driver.compile_resilient(&func, &recorder) {
-            Ok(r) => r,
-            Err(ParschedError::Panicked { .. }) => {
+        let result = match run_rung(&func, &machine, exact, &recorder) {
+            RungOutcome::Compiled(r) => r,
+            RungOutcome::Panicked => {
                 summary.violations += 1;
                 eprintln!(
                     "gap: case {case}: exact solver PANICKED on {} ({} regs)",
@@ -164,7 +163,7 @@ pub fn run(config: &GapConfig) -> Result<GapSummary, std::io::Error> {
                 );
                 continue;
             }
-            Err(_) => {
+            RungOutcome::Refused => {
                 // A typed refusal (size cap, infeasible register file) is
                 // an expected outcome for the exact rung.
                 summary.refused += 1;
@@ -178,12 +177,7 @@ pub fn run(config: &GapConfig) -> Result<GapSummary, std::io::Error> {
 
         // Full verification of the exact output: all four checkers plus
         // the differential oracle. A violation here is a solver bug.
-        let verifier = Verifier::new(&machine)
-            .strategy(exact)
-            .oracle(OracleConfig {
-                seed: case_seed,
-                runs: 2,
-            });
+        let verifier = case_verifier(&machine, exact, case_seed);
         let report = verifier.verify(&func, &result, &NullTelemetry);
         summary.checks_run += report.checks_run;
         if !report.ok() {
@@ -216,10 +210,9 @@ pub fn run(config: &GapConfig) -> Result<GapSummary, std::io::Error> {
 
         for (si, strategy) in strategies.iter().enumerate() {
             let tally = &mut summary.per_strategy[si];
-            let driver = Driver::new(Pipeline::new(machine.clone())).with_ladder(vec![*strategy]);
-            let r = match driver.compile_resilient(&func, &NullTelemetry) {
-                Ok(r) => r,
-                Err(ParschedError::Panicked { .. }) => {
+            let r = match run_rung(&func, &machine, *strategy, &NullTelemetry) {
+                RungOutcome::Compiled(r) => r,
+                RungOutcome::Panicked => {
                     summary.violations += 1;
                     eprintln!(
                         "gap: case {case}: rung {} PANICKED on {} ({} regs)",
@@ -229,7 +222,7 @@ pub fn run(config: &GapConfig) -> Result<GapSummary, std::io::Error> {
                     );
                     continue;
                 }
-                Err(_) => {
+                RungOutcome::Refused => {
                     tally.compile_errors += 1;
                     continue;
                 }
@@ -287,19 +280,6 @@ fn generate_small(case_seed: u64) -> Function {
         let depth = rng.gen_range_usize(2, 4) as u32;
         let float = rng.gen_range_i64(0, 40) as f64 / 100.0;
         expr_tree_function(rng.next_u64(), depth, float)
-    }
-}
-
-/// Picks a machine preset with a small register file — the pressure regime
-/// where the rungs actually diverge.
-fn pick_machine(rng: &mut SplitMix64) -> MachineDesc {
-    let regs = *rng.pick(&[4u32, 6, 8]);
-    match rng.gen_range_usize(0, 5) {
-        0 => presets::single_issue(regs),
-        1 => presets::paper_machine(regs),
-        2 => presets::mips_r3000(regs),
-        3 => presets::rs6000(regs),
-        _ => presets::wide(4, regs),
     }
 }
 

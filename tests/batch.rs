@@ -11,7 +11,7 @@ use parsched::ir::{parse_module, print_function, Function};
 use parsched::machine::presets;
 use parsched::telemetry::{NullTelemetry, Recorder, Telemetry};
 use parsched::{
-    AllocScope, BatchDriver, BatchOutput, Budget, DegradationLevel, Driver, ParschedError,
+    BatchDriver, BatchOutput, Budget, DegradationLevel, Driver, GlobalScope, ParschedError,
     Pipeline, Strategy,
 };
 use parsched_workload::{
@@ -254,7 +254,7 @@ fn global_doc_signals_are_emitted() {
         },
     );
     let recorder = Recorder::new();
-    for scope in [AllocScope::Global, AllocScope::PerBlock] {
+    for scope in [GlobalScope::Function, GlobalScope::PerBlockBaseline] {
         let result = Pipeline::new(presets::paper_machine(3))
             .with_scope(scope)
             .compile(&func, &Strategy::combined(), &recorder)

@@ -174,3 +174,44 @@ fn exact_refusals_keep_the_solvers_messages() {
         assert_eq!(e.class(), "alloc", "{e}");
     }
 }
+
+/// More parameters live at entry than registers: they interfere pairwise
+/// and a spilled one is still live at entry, so every iterative strategy
+/// refuses in its first round with the solver's wording (exit 5 on the
+/// block path, 6 on the web path) instead of spilling to the round cap.
+#[test]
+fn infeasible_entry_live_set_is_refused_in_round_one() {
+    use parsched::machine::presets;
+    use parsched::telemetry::Recorder;
+    use parsched::{Pipeline, Strategy};
+    let pipeline = Pipeline::new(presets::paper_machine(3));
+    let two_blocks = WIDE_ENTRY.replace("s5 = add", "jmp next\nnext:\n    s5 = add");
+    let shapes = [
+        (WIDE_ENTRY, "", 5, "alloc.round"),
+        (two_blocks.as_str(), "global ", 6, "global.round"),
+    ];
+    for (src, prefix, code, round_span) in shapes {
+        let func = parse_function(src).unwrap();
+        for strategy in [
+            Strategy::combined(),
+            Strategy::AllocThenSched,
+            Strategy::SchedThenAlloc,
+            Strategy::LinearScanThenSched,
+            Strategy::SpillEverything,
+        ] {
+            let recorder = Recorder::new();
+            let e = pipeline.compile(&func, &strategy, &recorder).unwrap_err();
+            let ctx = format!("{} on {} blocks", strategy.label(), func.block_count());
+            assert_eq!(
+                e.to_string(),
+                format!(
+                    "{prefix}allocation infeasible: entry live set needs at least 4 registers, \
+                     machine has 3"
+                ),
+                "{ctx}"
+            );
+            assert_eq!(e.exit_code(), code, "{ctx}");
+            assert_eq!(recorder.span_count(round_span), 1, "{ctx}");
+        }
+    }
+}

@@ -1,4 +1,4 @@
-//! The allocation-scope knob ([`AllocScope`]): the paper's global web
+//! The web allocator's scope ([`GlobalScope`]): the paper's global web
 //! model versus the per-block dedicated-register baseline, plus the
 //! webs-partition property both rest on. See `docs/GLOBAL.md`.
 
@@ -7,10 +7,11 @@ use parsched::ir::interp::{Interpreter, Memory};
 use parsched::ir::webs::Webs;
 use parsched::ir::{parse_module, BlockId};
 use parsched::machine::presets;
-use parsched::regalloc::{AllocSession, BudgetExceeded};
+use parsched::regalloc::global::allocate_global_scoped;
+use parsched::regalloc::{AllocSession, BlockStrategy, BudgetExceeded, PinterConfig};
 use parsched::telemetry::NullTelemetry;
 use parsched::{
-    paper, AllocScope, Budget, DegradationLevel, Driver, ParschedError, Pipeline, Strategy,
+    paper, Budget, DegradationLevel, Driver, GlobalScope, ParschedError, Pipeline, Strategy,
 };
 use parsched_workload::{random_cfg_function, CfgParams, SplitMix64};
 
@@ -123,14 +124,14 @@ fn global_beats_per_block_on_the_committed_example() {
     let module = parse_module(include_str!("../examples/branchy.psc")).expect("example parses");
     let func = &module[0];
     let machine = presets::paper_machine(32);
-    let compile = |scope: AllocScope| {
+    let compile = |scope: GlobalScope| {
         Pipeline::new(machine.clone())
             .with_scope(scope)
             .compile(func, &Strategy::combined(), &NullTelemetry)
             .expect("cascade compiles")
     };
-    let global = compile(AllocScope::Global);
-    let per_block = compile(AllocScope::PerBlock);
+    let global = compile(GlobalScope::Function);
+    let per_block = compile(GlobalScope::PerBlockBaseline);
     assert_eq!(global.stats.registers_used, 2, "cascade packs into 2");
     assert!(
         global.stats.registers_used < per_block.stats.registers_used,
@@ -157,13 +158,11 @@ fn all_scopes_preserve_semantics_on_random_cfgs() {
             },
         );
         for strategy in [Strategy::combined(), Strategy::AllocThenSched] {
-            for scope in [AllocScope::Auto, AllocScope::Global, AllocScope::PerBlock] {
+            for scope in [GlobalScope::Function, GlobalScope::PerBlockBaseline] {
                 let r = Pipeline::new(presets::paper_machine(16))
                     .with_scope(scope)
                     .compile(&f, &strategy, &NullTelemetry)
-                    .unwrap_or_else(|e| {
-                        panic!("case {case} {} {}: {e}", strategy.label(), scope.label())
-                    });
+                    .unwrap_or_else(|e| panic!("case {case} {} {scope:?}: {e}", strategy.label()));
                 assert!(r.stats.registers_used <= 16);
                 interp_equal(&f, &r.function, &[3, 9]);
             }
@@ -171,9 +170,9 @@ fn all_scopes_preserve_semantics_on_random_cfgs() {
     }
 }
 
-/// `AllocScope::Global` routes even single-block functions through the
-/// web-based allocator; the result stays correct and within the register
-/// file.
+/// The web allocator accepts single-block functions under either scope
+/// (the pipeline sends them to the block allocators, where a web is just a
+/// value); the result stays correct and within the register file.
 #[test]
 fn global_scope_covers_single_block_functions() {
     let module = parse_module(
@@ -182,13 +181,19 @@ fn global_scope_covers_single_block_functions() {
     .expect("module parses");
     let func = &module[0];
     assert_eq!(func.block_count(), 1);
-    for scope in [AllocScope::Auto, AllocScope::Global, AllocScope::PerBlock] {
-        let r = Pipeline::new(presets::paper_machine(4))
-            .with_scope(scope)
-            .compile(func, &Strategy::combined(), &NullTelemetry)
-            .expect("single block compiles under every scope");
-        assert!(r.stats.registers_used <= 4);
-        interp_equal(func, &r.function, &[6]);
+    for scope in [GlobalScope::Function, GlobalScope::PerBlockBaseline] {
+        let out = allocate_global_scoped(
+            func,
+            &presets::paper_machine(4),
+            BlockStrategy::Pinter(PinterConfig::default()),
+            scope,
+            true,
+            &Budget::unlimited(),
+            &NullTelemetry,
+        )
+        .expect("single block allocates under every scope");
+        assert!(out.colors_used <= 4);
+        interp_equal(func, &out.function, &[6]);
     }
 }
 
@@ -199,7 +204,7 @@ fn per_block_baseline_keeps_cross_block_webs_apart() {
     let module = parse_module(include_str!("../examples/branchy.psc")).expect("example parses");
     let func = &module[0];
     let r = Pipeline::new(presets::paper_machine(32))
-        .with_scope(AllocScope::PerBlock)
+        .with_scope(GlobalScope::PerBlockBaseline)
         .compile(func, &Strategy::combined(), &NullTelemetry)
         .expect("cascade compiles per-block");
     // Four cross-block webs (s1..s4) -> four dedicated registers.
@@ -214,9 +219,9 @@ fn per_block_baseline_keeps_cross_block_webs_apart() {
     }
 }
 
-/// `Budget::max_pig_edges` binds on the web path as on the block path: a
-/// combined compile trips `pig.edges`, and the default ladder degrades to
-/// the first rung that builds no PIG.
+/// `Budget::max_pig_edges` binds on the web path, under either scope, as
+/// on the block path: a combined compile trips `pig.edges`, and the
+/// default ladder degrades to the first rung that builds no PIG.
 #[test]
 fn web_path_honors_the_pig_edge_budget() {
     let branchy = parse_module(include_str!("../examples/branchy.psc"))
@@ -224,8 +229,9 @@ fn web_path_honors_the_pig_edge_budget() {
         .remove(0);
     let budget = Budget::unlimited().with_max_pig_edges(1);
     for (func, scope) in [
-        (branchy, AllocScope::Auto),
-        (paper::example1(), AllocScope::Global),
+        (branchy.clone(), GlobalScope::Function),
+        (branchy, GlobalScope::PerBlockBaseline),
+        (paper::example1(), GlobalScope::Function),
     ] {
         let pipeline = Pipeline::new(presets::paper_machine(8)).with_scope(scope);
         let e = pipeline
@@ -253,12 +259,4 @@ fn web_path_honors_the_pig_edge_budget() {
             .expect("the ladder degrades");
         assert_eq!(r.degradation, DegradationLevel::SchedThenAlloc, "{scope:?}");
     }
-}
-
-#[test]
-fn scope_labels() {
-    assert_eq!(AllocScope::Auto.label(), "auto");
-    assert_eq!(AllocScope::Global.label(), "global");
-    assert_eq!(AllocScope::PerBlock.label(), "per-block");
-    assert_eq!(AllocScope::default(), AllocScope::Auto);
 }

@@ -13,7 +13,7 @@ use parsched::sched::falsedep::count_false_deps;
 use parsched::sched::DepGraph;
 use parsched::sched::SchedPriority;
 use parsched::telemetry::NullTelemetry;
-use parsched::{AllocScope, Pipeline, Strategy};
+use parsched::{GlobalScope, Pipeline, Strategy};
 use parsched_verify::Verifier;
 use parsched_workload::{random_dag_function, DagParams, SplitMix64};
 
@@ -269,7 +269,7 @@ fn multi_result_calls_give_every_result_its_false_edges() {
     {
         for name in ["paper", "rs6000", "wide4"] {
             let machine = presets::by_name(name, 8).unwrap();
-            for scope in [AllocScope::Auto, AllocScope::Global] {
+            for scope in [GlobalScope::Function, GlobalScope::PerBlockBaseline] {
                 let ctx = format!("{}on {name}, {scope:?}", print_function(&func));
                 let pipeline = Pipeline::new(machine.clone()).with_scope(scope);
                 let result = pipeline.compile(&func, &strategy, &NullTelemetry).unwrap();

@@ -8,7 +8,7 @@ use parsched::machine::presets;
 use parsched::sched::timing::in_order_completion;
 use parsched::telemetry::NullTelemetry;
 use parsched::{
-    AllocScope, CompileResult, CompileStats, DegradationLevel, Driver, ParschedError, Pipeline,
+    CompileResult, CompileStats, DegradationLevel, Driver, GlobalScope, ParschedError, Pipeline,
     Strategy,
 };
 use parsched_verify::{schedule, Check, OracleConfig, Verifier};
@@ -494,17 +494,12 @@ fn oracle_validates_loopy_functions_across_rungs_and_scopes() {
     let machine = presets::paper_machine(12);
     for func in &loopy {
         for strategy in all_strategies() {
-            for scope in [AllocScope::Auto, AllocScope::Global, AllocScope::PerBlock] {
+            for scope in [GlobalScope::Function, GlobalScope::PerBlockBaseline] {
                 let result = Pipeline::new(machine.clone())
                     .with_scope(scope)
                     .compile(func, &strategy, &parsched::telemetry::NullTelemetry)
                     .unwrap_or_else(|e| {
-                        panic!(
-                            "@{} {} {}: {e}",
-                            func.name(),
-                            strategy.label(),
-                            scope.label()
-                        )
+                        panic!("@{} {} {scope:?}: {e}", func.name(), strategy.label())
                     });
                 let report = Verifier::new(&machine)
                     .strategy(strategy)
@@ -512,10 +507,9 @@ fn oracle_validates_loopy_functions_across_rungs_and_scopes() {
                     .verify(func, &result, &parsched::telemetry::NullTelemetry);
                 assert!(
                     report.ok(),
-                    "@{} {} {}: {:#?}",
+                    "@{} {} {scope:?}: {:#?}",
                     func.name(),
                     strategy.label(),
-                    scope.label(),
                     report.violations
                 );
             }
@@ -532,39 +526,49 @@ fn psc<S: AsRef<std::ffi::OsStr>>(args: &[S]) -> std::process::Output {
 }
 
 /// A one-function module prints the same stdout whether or not
-/// `--bench-json` or `--jobs` is given: neither switches the output to the
-/// module shape.
+/// `--stats-json` or `--jobs` is given: neither switches the output to the
+/// module shape. The stats record carries the batch wall time and
+/// throughput.
 #[test]
-fn psc_one_function_stdout_ignores_bench_json_and_jobs() {
+fn psc_one_function_stdout_ignores_stats_json_and_jobs() {
     let dir = std::env::temp_dir().join(format!("psc-shape-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let bench = dir.join("bench.json");
+    let stats = dir.join("stats.json");
     let example =
         std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/branchy.psc");
     let example = example.to_str().expect("utf-8 path");
     for emit in ["text", "json", "stats"] {
         let plain = psc(&[example, "--emit", emit]);
         assert!(plain.status.success(), "--emit {emit}");
-        let with_bench = psc(&[
+        let with_stats = psc(&[
             example,
             "--emit",
             emit,
-            "--bench-json",
-            bench.to_str().expect("utf-8 path"),
+            "--stats-json",
+            stats.to_str().expect("utf-8 path"),
         ]);
         let with_jobs = psc(&[example, "--emit", emit, "--jobs", "2"]);
         assert_eq!(
-            String::from_utf8_lossy(&with_bench.stdout),
+            String::from_utf8_lossy(&with_stats.stdout),
             String::from_utf8_lossy(&plain.stdout),
-            "--emit {emit} --bench-json"
+            "--emit {emit} --stats-json"
         );
         assert_eq!(
             String::from_utf8_lossy(&with_jobs.stdout),
             String::from_utf8_lossy(&plain.stdout),
             "--emit {emit} --jobs 2"
         );
-        let record = std::fs::read_to_string(&bench).expect("bench written");
-        assert!(record.contains("\"schema\": \"psc-bench/1\""), "{record}");
+        let record = std::fs::read_to_string(&stats).expect("stats written");
+        let doc = parsched::telemetry::json::parse(&record).expect("stats parse");
+        assert!(doc.get("stats").is_some(), "one-function shape: {record}");
+        assert!(
+            doc.get("wall_ns").and_then(|v| v.as_num()).is_some(),
+            "{record}"
+        );
+        assert!(
+            doc.get("insts_per_sec").and_then(|v| v.as_num()).is_some(),
+            "{record}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -594,6 +598,47 @@ fn psc_reports_each_failing_function_once() {
         assert_eq!(stderr.lines().count(), 1, "{name}: {stderr}");
         assert!(stderr.starts_with(prefix), "{name}: {stderr}");
         assert!(out.stdout.is_empty(), "{name}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A function with more parameters live at entry than registers is
+/// refused at once, with or without `--resilient`: one diagnostic naming
+/// the lower bound, exit 5 for one block and 6 for the web path.
+#[test]
+fn psc_refuses_an_infeasible_entry_live_set() {
+    let dir = std::env::temp_dir().join(format!("psc-entry-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let one = "func @wide(s0, s1, s2, s3) {\nentry:\n    s4 = add s0, s1\n    \
+               s5 = add s2, s3\n    s6 = add s4, s5\n    ret s6\n}\n";
+    let two = one.replace("    s5 = add", "    jmp next\nnext:\n    s5 = add");
+    let msg = "allocation infeasible: entry live set needs at least 4 registers, machine has 3";
+    for (name, src, code, expected) in [
+        ("one.psc", one.to_string(), 5, format!("psc: {msg}")),
+        ("two.psc", two, 6, format!("psc: global {msg}")),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, src).expect("write source");
+        for resilient in [false, true] {
+            let path = path.to_str().expect("utf-8 path");
+            let mut args = vec![path, "--regs", "3"];
+            if resilient {
+                args.push("--resilient");
+            }
+            let out = psc(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let ctx = format!("{name} resilient={resilient}: {stderr}");
+            assert_eq!(out.status.code(), Some(code), "{ctx}");
+            // Under --resilient the flight-recorder dump precedes the
+            // diagnostic; the diagnostic itself is the last line.
+            assert_eq!(stderr.lines().last(), Some(expected.as_str()), "{ctx}");
+            assert_eq!(
+                stderr.lines().filter(|l| l.starts_with("psc: ")).count(),
+                1,
+                "{ctx}"
+            );
+            assert!(out.stdout.is_empty(), "{ctx}");
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
