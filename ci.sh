@@ -99,6 +99,25 @@ if [ -n "$ef_hits" ]; then
     exit 1
 fi
 
+echo "==> compile-loop ownership (one per-function loop)"
+# Every surface (psc, pscd, the fuzzer) compiles functions through
+# parsched::BatchDriver, which owns the per-function loop, the worker
+# sessions and the outer panic net: outside crates/core/src/batch.rs (the
+# one caller) and crates/core/src/driver.rs (the definition) no code may
+# call Driver::compile_resilient_in. Comment lines and the trailing
+# #[cfg(test)] module of each file are exempt.
+loop_hits=$(
+    non_test_code ! -path crates/core/src/batch.rs ! -path crates/core/src/driver.rs |
+    grep -E 'compile_resilient_in\(' ||
+    true
+)
+if [ -n "$loop_hits" ]; then
+    echo "$loop_hits" >&2
+    echo "compile-loop ownership FAILED: compile through parsched::BatchDriver" >&2
+    echo "instead of calling Driver::compile_resilient_in" >&2
+    exit 1
+fi
+
 echo "==> perfbench-only surface (no new callers)"
 # perfbench/src/layers.rs still names four items that nothing else needs:
 # the AllocLimits alias of Budget, the GlobalStrategy alias of

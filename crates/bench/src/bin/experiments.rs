@@ -269,27 +269,25 @@ fn t_ep() {
 /// T-GLOBAL: multi-block functions through the web-based global allocator
 /// (loop kernels + seeded structured CFGs), with and without chain merging.
 fn t_global() {
+    use parsched::ir::simplify::merge_chains;
     use parsched_workload::{kernel, random_cfg_function, CfgParams};
     heading(
         "T-GLOBAL",
         "multi-block workloads via the global (web) allocator, paper machine",
     );
-    let mut workloads: Vec<(String, parsched::ir::Function)> = vec![
-        ("loop_sum".into(), kernel("loop_sum").unwrap()),
-        ("diamond".into(), kernel("diamond").unwrap()),
-    ];
+    let mut plain = vec![kernel("loop_sum").unwrap(), kernel("diamond").unwrap()];
     for seed in 0..6u64 {
-        workloads.push((
-            format!("cfg-{seed}"),
-            random_cfg_function(
-                seed * 3 + 1,
-                &CfgParams {
-                    segments: 5,
-                    ops_per_block: 4,
-                },
-            ),
+        plain.push(random_cfg_function(
+            seed * 3 + 1,
+            &CfgParams {
+                segments: 5,
+                ops_per_block: 4,
+            },
         ));
     }
+    // Chain merging is a pre-pass on the input: control-equivalent chains
+    // reach the allocator as single blocks.
+    let merged: Vec<_> = plain.iter().map(merge_chains).collect();
     let mut table = Table::new(&[
         "regs",
         "merge",
@@ -300,13 +298,13 @@ fn t_global() {
         "fdeps comb",
     ]);
     for regs in [6u32, 10, 16] {
-        for merge in [false, true] {
-            let p = Pipeline::new(presets::paper_machine(regs)).with_chain_merging(merge);
+        for (merge, workloads) in [(false, &plain), (true, &merged)] {
+            let p = Pipeline::new(presets::paper_machine(regs));
             let mut cyc = Vec::new();
             let (mut sp, mut fd) = (0usize, 0usize);
             for s in STRATEGIES {
                 let mut total = 0u64;
-                for (_, f) in &workloads {
+                for f in workloads {
                     let r = p.compile(f, &s, &NullTelemetry).unwrap();
                     total += u64::from(r.stats.cycles);
                     if matches!(s, Strategy::Combined(_)) {

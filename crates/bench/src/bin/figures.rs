@@ -8,8 +8,9 @@ use parsched::graph::coloring::{exact_chromatic_number, exact_coloring, ExactLim
 use parsched::graph::UnGraph;
 use parsched::ir::liveness::Liveness;
 use parsched::ir::{print_function, print_inst, BlockId, Function};
+use parsched::machine::MachineDesc;
 use parsched::regalloc::{BlockAllocProblem, Pig};
-use parsched::sched::falsedep::{count_false_deps, et_graph, false_dependence_graph};
+use parsched::sched::falsedep::{count_false_deps_in, et_graph, false_dependence_graph};
 use parsched::sched::DepGraph;
 use parsched::telemetry::NullTelemetry;
 use parsched::{paper, Pipeline, Strategy};
@@ -47,6 +48,16 @@ fn inst_name(f: &Function, i: usize) -> String {
         .unwrap_or_else(|| format!("#{i}"))
 }
 
+/// The false dependences the allocation of `f`'s first block introduces.
+fn false_deps(f: &Function, m: &MachineDesc) -> usize {
+    let block = f.block(BlockId(0));
+    let own = DepGraph::build(block, &NullTelemetry);
+    match count_false_deps_in(block, &own, m, None) {
+        Some(n) => n,
+        None => unreachable!("a count without a deadline cannot trip"),
+    }
+}
+
 fn example1_walkthrough() {
     heading("Example 1: the phase-ordering tradeoff");
     let sym = paper::example1();
@@ -59,17 +70,14 @@ fn example1_walkthrough() {
     let m = paper::machine(8);
     println!(
         "false dependences introduced by (c): {}",
-        count_false_deps(bad.block(BlockId(0)), &m)
+        false_deps(&bad, &m)
     );
     let good = paper::example1_good_alloc();
     println!(
         "alternative mapping s1-r1 s2-r2 s3-r2 s4-r3 s5-r2:\n{}",
         print_function(&good)
     );
-    println!(
-        "false dependences introduced: {}",
-        count_false_deps(good.block(BlockId(0)), &m)
-    );
+    println!("false dependences introduced: {}", false_deps(&good, &m));
 }
 
 fn figure1() {
@@ -155,10 +163,7 @@ fn figure4_and_5() {
     println!("χ(PIG)                = {chrom_pig}   (Figure 5: 4 registers)");
     let fig5 = paper::example2_figure5_alloc();
     println!("\nFigure 5 assignment:\n{}", print_function(&fig5));
-    println!(
-        "false dependences introduced: {}",
-        count_false_deps(fig5.block(BlockId(0)), &m)
-    );
+    println!("false dependences introduced: {}", false_deps(&fig5, &m));
     let schedule_of = |func: &Function| {
         let deps = DepGraph::build(func.block(BlockId(0)), &NullTelemetry);
         let s = parsched::sched::list_schedule(

@@ -1,19 +1,22 @@
 //! The fault-tolerant compilation driver.
 //!
-//! [`Driver::compile_resilient`] walks a **strategy ladder** — by default
-//! `Combined → SchedThenAlloc → AllocThenSched → LinearScanThenSched →
-//! SpillEverything` — downgrading one rung at a time when a rung fails
-//! (budget exhausted, allocation did not converge) or panics. Each rung
-//! runs inside [`std::panic::catch_unwind`], so a poisoned compilation
-//! fails that rung, not the process. Every downgrade is recorded as a
-//! telemetry event and a `driver.fallback.<class>` counter, and the rung
-//! that finally succeeded is reported as the result's
-//! [`DegradationLevel`].
+//! [`Driver::compile_resilient_in`] walks a **strategy ladder** — by
+//! default `Combined → SchedThenAlloc → AllocThenSched →
+//! LinearScanThenSched → SpillEverything` — downgrading one rung at a time
+//! when a rung fails (budget exhausted, allocation did not converge) or
+//! panics. Each rung runs inside [`std::panic::catch_unwind`], so a
+//! poisoned compilation fails that rung, not the process. Every downgrade
+//! is recorded as a telemetry event and a `driver.fallback.<class>`
+//! counter, and the rung that finally succeeded is reported as the
+//! result's [`DegradationLevel`].
 //!
-//! The floor rung, [`Strategy::SpillEverything`], runs with the budget's
-//! caps but *without* the spill-round cap (spilling everything is one
-//! round by construction), so a verified input always has a successful
-//! rung unless the wall-clock deadline has already passed.
+//! The floor rung, [`Strategy::SpillEverything`], spills every value in
+//! one round, so a verified input always has a successful rung unless the
+//! wall-clock deadline has already passed.
+//!
+//! Callers compile through [`crate::BatchDriver`], which owns the
+//! per-function loop, the worker sessions and the outer panic net for
+//! every surface (psc, pscd, the fuzzer).
 
 use crate::error::ParschedError;
 use crate::pipeline::{CompileResult, Pipeline, Strategy};
@@ -68,12 +71,13 @@ impl DegradationLevel {
 /// A fault-tolerant front end over [`Pipeline`].
 ///
 /// ```
-/// use parsched::{paper, Budget, Driver, Pipeline};
-///
+/// use parsched::regalloc::AllocSession;
+/// use parsched::{paper, Driver, Pipeline};
 /// use parsched_telemetry::NullTelemetry;
 ///
 /// let driver = Driver::new(Pipeline::new(paper::machine(4)));
-/// let result = driver.compile_resilient(&paper::example1(), &NullTelemetry)?;
+/// let mut session = AllocSession::new();
+/// let result = driver.compile_resilient_in(&mut session, &paper::example1(), &NullTelemetry)?;
 /// assert_eq!(result.degradation.label(), "none");
 /// # Ok::<(), parsched::ParschedError>(())
 /// ```
@@ -148,15 +152,18 @@ impl Driver {
         &self.pipeline
     }
 
-    /// Compiles `func`, walking the strategy ladder on failure.
+    /// Compiles `func`, walking the strategy ladder on failure, inside a
+    /// caller-owned [`AllocSession`] (see [`Pipeline::compile_budgeted_in`]);
+    /// the batch driver gives each worker one session reused across its
+    /// whole stripe of functions.
     ///
     /// The input is verified first — malformed IR is rejected up front as
     /// [`ParschedError::Verify`] rather than fed to five allocators. Each
     /// rung then runs under the driver's budget inside `catch_unwind`; on
     /// failure the driver emits a `driver.fallback.<class>` counter and a
-    /// `driver.fallback` event and tries the next rung. The floor rung
-    /// runs without the spill-round cap. If every rung fails, the *first*
-    /// rung's error is returned (it describes the preferred strategy).
+    /// `driver.fallback` event and tries the next rung. If every rung
+    /// fails, the *first* rung's error is returned (it describes the
+    /// preferred strategy).
     ///
     /// Downgrades are reported to `telemetry`. A faulty sink is part of
     /// the threat model: telemetry emitted by the driver itself is wrapped
@@ -167,22 +174,6 @@ impl Driver {
     /// Any [`ParschedError`]; with the default ladder this is only
     /// possible for verification failures, a passed deadline, or a
     /// panic in every rung.
-    pub fn compile_resilient(
-        &self,
-        func: &Function,
-        telemetry: &dyn Telemetry,
-    ) -> Result<CompileResult, ParschedError> {
-        let mut session = AllocSession::new();
-        self.compile_resilient_in(&mut session, func, telemetry)
-    }
-
-    /// [`Driver::compile_resilient`] running inside a caller-owned
-    /// [`AllocSession`] (see [`Pipeline::compile_budgeted_in`]); the batch
-    /// driver gives each worker one session reused across its whole stripe
-    /// of functions.
-    ///
-    /// # Errors
-    /// As [`Driver::compile_resilient`].
     pub fn compile_resilient_in(
         &self,
         session: &mut AllocSession,
@@ -204,19 +195,14 @@ impl Driver {
                 });
                 return Err(first_err.unwrap_or_else(deadline_passed));
             }
-            let budget = if matches!(strategy, Strategy::SpillEverything) {
-                // The floor must not fail on a round cap meant for the
-                // iterative allocators above it.
-                Budget {
-                    max_spill_rounds: None,
-                    ..self.budget
-                }
-            } else {
-                self.budget
-            };
             let attempt = catch_unwind(AssertUnwindSafe(|| {
-                self.pipeline
-                    .compile_budgeted_in(&mut *session, func, strategy, &budget, telemetry)
+                self.pipeline.compile_budgeted_in(
+                    &mut *session,
+                    func,
+                    strategy,
+                    &self.budget,
+                    telemetry,
+                )
             }));
             let err: ParschedError = match attempt {
                 Ok(Ok(mut result)) => {
@@ -291,25 +277,29 @@ mod tests {
     use super::*;
     use crate::paper;
 
+    fn compile(driver: &Driver) -> Result<CompileResult, ParschedError> {
+        driver.compile_resilient_in(
+            &mut AllocSession::new(),
+            &paper::example1(),
+            &parsched_telemetry::NullTelemetry,
+        )
+    }
+
     #[test]
     fn healthy_input_does_not_degrade() {
         let driver = Driver::new(Pipeline::new(paper::machine(4)));
-        let r = driver
-            .compile_resilient(&paper::example1(), &parsched_telemetry::NullTelemetry)
-            .unwrap();
+        let r = compile(&driver).unwrap();
         assert_eq!(r.degradation, DegradationLevel::None);
     }
 
     #[test]
     fn ladder_and_budget_accessors() {
         let driver = Driver::new(Pipeline::new(paper::machine(4)))
-            .with_budget(Budget::unlimited().with_max_spill_rounds(2))
+            .with_budget(Budget::unlimited().with_max_block_insts(64))
             .with_ladder(vec![Strategy::SpillEverything]);
         assert_eq!(driver.ladder().len(), 1);
-        assert_eq!(driver.budget().max_spill_rounds, Some(2));
-        let r = driver
-            .compile_resilient(&paper::example1(), &parsched_telemetry::NullTelemetry)
-            .unwrap();
+        assert_eq!(driver.budget().max_block_insts, Some(64));
+        let r = compile(&driver).unwrap();
         // A one-rung ladder that succeeds on its first rung reports None.
         assert_eq!(r.degradation, DegradationLevel::None);
     }

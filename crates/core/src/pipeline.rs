@@ -152,7 +152,7 @@ pub struct CompileResult {
     pub stats: CompileStats,
     /// How far down the resilience ladder the driver had to walk to
     /// produce this result. [`DegradationLevel::None`] unless the result
-    /// came from [`crate::Driver::compile_resilient`] after a fallback.
+    /// came from [`crate::Driver::compile_resilient_in`] after a fallback.
     pub degradation: DegradationLevel,
 }
 
@@ -160,7 +160,6 @@ pub struct CompileResult {
 #[derive(Debug, Clone)]
 pub struct Pipeline {
     machine: MachineDesc,
-    merge_chains: bool,
     scope: GlobalScope,
 }
 
@@ -169,7 +168,6 @@ impl Pipeline {
     pub fn new(machine: MachineDesc) -> Pipeline {
         Pipeline {
             machine,
-            merge_chains: false,
             scope: GlobalScope::Function,
         }
     }
@@ -185,14 +183,6 @@ impl Pipeline {
         self
     }
 
-    /// Enables fall-through chain merging before compilation: control-
-    /// equivalent chain regions become single blocks, realizing the paper's
-    /// region-scheduling idea for the always-safe case.
-    pub fn with_chain_merging(mut self, enable: bool) -> Pipeline {
-        self.merge_chains = enable;
-        self
-    }
-
     /// The target machine.
     pub fn machine(&self) -> &MachineDesc {
         &self.machine
@@ -205,11 +195,11 @@ impl Pipeline {
     /// Single-block functions use the block-level allocators; multi-block
     /// functions use the global (web-based) allocators.
     ///
-    /// Phases appear as spans on `telemetry` (`pipeline.merge_chains`,
-    /// `pipeline.pre_schedule`, `pipeline.allocate`,
-    /// `pipeline.false_dep_count`, `pipeline.final_schedule`) nested under
-    /// one `pipeline.compile` span. The final [`CompileStats`] fields are
-    /// emitted once, authoritatively, as `stats.*` counters
+    /// Phases appear as spans on `telemetry` (`pipeline.pre_schedule`,
+    /// `pipeline.allocate`, `pipeline.false_dep_count`,
+    /// `pipeline.final_schedule`) nested under one `pipeline.compile` span.
+    /// The final [`CompileStats`] fields are emitted once, authoritatively,
+    /// as `stats.*` counters
     /// (`stats.registers_used`, `stats.spilled_values`,
     /// `stats.inserted_mem_ops`, `stats.removed_false_edges`,
     /// `stats.introduced_false_deps`, `stats.cycles`, `stats.inst_count`),
@@ -260,14 +250,6 @@ impl Pipeline {
         telemetry: &dyn Telemetry,
     ) -> Result<CompileResult, ParschedError> {
         let _compile_span = parsched_telemetry::span(telemetry, "pipeline.compile");
-        let merged;
-        let func = if self.merge_chains {
-            let _span = parsched_telemetry::span(telemetry, "pipeline.merge_chains");
-            merged = parsched_ir::simplify::merge_chains(func);
-            &merged
-        } else {
-            func
-        };
         // The exact strategy replaces the whole allocate/schedule phase
         // pair with one joint search; its emitted order *is* the schedule.
         if let Strategy::Exact(cfg) = strategy {
@@ -294,7 +276,7 @@ impl Pipeline {
         // Each allocated block's dependence graph is built once, for both
         // the false-dependence count and the final list schedule.
         let graphs = block_graphs(&allocated, telemetry);
-        stats.introduced_false_deps = self.count_false_deps(&allocated, &graphs, budget, telemetry);
+        stats.introduced_false_deps = self.false_dep_count(&allocated, &graphs, budget, telemetry);
 
         // Final scheduling of the allocated code.
         budget.check_deadline("pipeline.final_schedule")?;
@@ -338,7 +320,7 @@ impl Pipeline {
         };
         let graphs = block_graphs(&sol.function, &parsched_telemetry::NullTelemetry);
         stats.introduced_false_deps =
-            self.count_false_deps(&sol.function, &graphs, budget, telemetry);
+            self.false_dep_count(&sol.function, &graphs, budget, telemetry);
         emit_stats(&stats, telemetry);
         Ok(CompileResult {
             function: sol.function,
@@ -354,7 +336,7 @@ impl Pipeline {
     /// statistics-only, so budget pressure skips it (per block) instead of
     /// failing the compilation: it builds a transitive closure, quadratic
     /// in the block's length.
-    fn count_false_deps(
+    fn false_dep_count(
         &self,
         allocated: &Function,
         graphs: &[DepGraph],
@@ -630,23 +612,14 @@ mod tests {
             "#,
         )
         .unwrap();
-        let machine = paper::machine(8);
-        let plain = Pipeline::new(machine.clone());
-        let merged = Pipeline::new(machine).with_chain_merging(true);
-        let r_plain = plain
-            .compile(
-                &func,
-                &Strategy::combined(),
-                &parsched_telemetry::NullTelemetry,
-            )
-            .unwrap();
-        let r_merged = merged
-            .compile(
-                &func,
-                &Strategy::combined(),
-                &parsched_telemetry::NullTelemetry,
-            )
-            .unwrap();
+        let pipeline = Pipeline::new(paper::machine(8));
+        let compile = |f: &Function| {
+            pipeline
+                .compile(f, &Strategy::combined(), &parsched_telemetry::NullTelemetry)
+                .unwrap()
+        };
+        let r_plain = compile(&func);
+        let r_merged = compile(&parsched_ir::simplify::merge_chains(&func));
         assert_eq!(r_merged.function.block_count(), 1);
         assert!(
             r_merged.stats.cycles <= r_plain.stats.cycles,

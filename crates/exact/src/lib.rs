@@ -225,7 +225,7 @@ pub fn solve_brute_force(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parsched_ir::parse_function;
+    use parsched_ir::{parse_function, Reg};
     use parsched_machine::presets;
     use parsched_telemetry::NullTelemetry;
 
@@ -325,6 +325,26 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, ExactError::TooLarge { insts: 2, cap: 1 });
+
+        // The block allocators' single-definition rules, one input each.
+        let twice =
+            parse("func @d(s0) {\nentry:\n    s1 = add s0, 1\n    s1 = add s0, 2\n    ret s1\n}\n");
+        let shadow =
+            parse("func @l(s0) {\nentry:\n    s1 = add s0, 1\n    s0 = add s1, 1\n    ret s0\n}\n");
+        for (func, expected) in [
+            (twice, ProblemError::MultipleDefs { reg: Reg::sym(1) }),
+            (shadow, ProblemError::DefShadowsLiveIn { reg: Reg::sym(0) }),
+        ] {
+            let err = solve(
+                &func,
+                &presets::paper_machine(4),
+                &ExactConfig::default(),
+                None,
+                &NullTelemetry,
+            )
+            .unwrap_err();
+            assert_eq!(err, ExactError::Problem(expected));
+        }
     }
 
     #[test]

@@ -18,8 +18,10 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
+use parsched_ir::liveness::Liveness;
 use parsched_ir::{BlockId, Function, Inst, Reg};
 use parsched_machine::MachineDesc;
+use parsched_regalloc::BlockAllocProblem;
 use parsched_sched::timing::{in_order_completion, BlockTiming, IssueClock};
 use parsched_sched::DepGraph;
 use parsched_telemetry::{NullTelemetry, Telemetry};
@@ -51,7 +53,10 @@ pub(crate) fn run(
             cap: config.max_insts,
         });
     }
-    check_preconditions(func)?;
+    // The single-definition rules of the heuristic block allocators, from
+    // the same problem builder.
+    BlockAllocProblem::build(func, BlockId(0), &Liveness::compute(func, &[]))
+        .map_err(ExactError::Problem)?;
 
     let mut search = Search {
         machine,
@@ -142,34 +147,6 @@ pub(crate) fn run(
             available: machine.num_regs(),
         }),
     }
-}
-
-/// The block-allocation preconditions shared with the heuristic block
-/// allocators: one def per register, and no def shadowing a live-in.
-fn check_preconditions(func: &Function) -> Result<(), ExactError> {
-    use parsched_regalloc::ProblemError;
-    let block = func.block(BlockId(0));
-    let mut defined: Vec<Reg> = Vec::new();
-    let mut live_in: Vec<Reg> = Vec::new();
-    for inst in block.insts() {
-        for u in inst.uses() {
-            if !defined.contains(&u) && !live_in.contains(&u) {
-                live_in.push(u);
-            }
-        }
-        for d in inst.defs() {
-            if defined.contains(&d) {
-                return Err(ExactError::Problem(ProblemError::MultipleDefs { reg: d }));
-            }
-            if live_in.contains(&d) {
-                return Err(ExactError::Problem(ProblemError::DefShadowsLiveIn {
-                    reg: d,
-                }));
-            }
-            defined.push(d);
-        }
-    }
-    Ok(())
 }
 
 /// Symbolic registers the spill rewriter can usefully spill: anything

@@ -161,20 +161,6 @@ impl BitSet {
         changed
     }
 
-    /// Number of elements in `self ∩ other`, without materializing the
-    /// intersection.
-    ///
-    /// # Panics
-    /// Panics if the capacities differ.
-    pub fn intersection_count(&self, other: &BitSet) -> usize {
-        assert_eq!(self.len, other.len, "bitset capacity mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
-    }
-
     /// Whether `self` and `other` share no element.
     pub fn is_disjoint(&self, other: &BitSet) -> bool {
         self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)

@@ -230,16 +230,6 @@ pub enum Operand {
     Imm(i64),
 }
 
-impl Operand {
-    /// The register, if this operand is one.
-    pub fn as_reg(&self) -> Option<Reg> {
-        match self {
-            Operand::Reg(r) => Some(*r),
-            Operand::Imm(_) => None,
-        }
-    }
-}
-
 impl From<Reg> for Operand {
     fn from(r: Reg) -> Operand {
         Operand::Reg(r)

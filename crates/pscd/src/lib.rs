@@ -5,9 +5,10 @@
 //! or a Unix socket, pass a **bounded admission** stage (fast-fail
 //! `overloaded` when the queue is full or a client deadline is already
 //! unmeetable, load-shed into a lower degradation rung under partial
-//! load), are compiled by **supervised workers** (per-request
-//! `catch_unwind`, one retry at a lower rung after a jittered backoff),
-//! and are answered **exactly once** each. A function-level
+//! load), are compiled by **supervised workers** (each module through the
+//! [`BatchDriver`], whose per-function panic net contains what the
+//! driver's rungs do not; one retry at a lower rung after a jittered
+//! backoff), and are answered **exactly once** each. A function-level
 //! content-addressed [`ResultCache`] replays byte-identical response
 //! bodies for repeated inputs, and a graceful drain finishes in-flight
 //! work, flushes the flight recorder, and reports dropped requests
@@ -20,6 +21,7 @@
 //! into CI.
 //!
 //! [`Driver`]: parsched::Driver
+//! [`BatchDriver`]: parsched::BatchDriver
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

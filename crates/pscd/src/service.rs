@@ -10,10 +10,11 @@
 //! degradation ladder at a lower rung, trading code quality for latency
 //! before refusing work.
 //!
-//! Workers run each request inside `catch_unwind` (over and above the
-//! driver's per-rung isolation). A panic retries once at a lower rung
-//! after a jittered backoff; a budget trip whose deadline has *not* yet
-//! passed retries once on the floor rung. Never more than one retry per
+//! Workers compile each request's module through the [`BatchDriver`], one
+//! function after another on the worker's own thread; its per-function
+//! panic net sits over and above the driver's per-rung isolation. A panic
+//! retries once at a lower rung after a jittered backoff; a budget trip
+//! whose deadline has *not* yet passed retries once on the floor rung. Never more than one retry per
 //! request, and every accepted request produces exactly one response —
 //! the invariant the resilience soak test enforces.
 
@@ -22,12 +23,11 @@ use crate::proto::{
     error_response, ok_response, parse_request, CompileReq, Op, Request, CODE_OVERLOADED,
     CODE_PROTO, MAX_LINE_BYTES,
 };
-use parsched::{Budget, Driver, Pipeline, Strategy};
+use parsched::{BatchDriver, Budget, Driver, Pipeline, Strategy};
 use parsched_ir::{parse_module, print_module};
 use parsched_machine::{presets, MachineDesc};
 use parsched_telemetry::json::{Layout, Writer};
 use parsched_telemetry::{FlightRecorder, Telemetry};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -468,7 +468,6 @@ fn flag_body(key: &str) -> String {
 }
 
 fn worker_loop(inner: &Inner, rx: &Mutex<Receiver<Job>>) {
-    let mut session = parsched::regalloc::AllocSession::new();
     loop {
         // Hold the receiver lock only for the recv itself.
         let job = match locked(rx).recv() {
@@ -477,7 +476,7 @@ fn worker_loop(inner: &Inner, rx: &Mutex<Receiver<Job>>) {
         };
         inner.queue_len.fetch_sub(1, Ordering::SeqCst);
         let started = Instant::now();
-        let response = process_job(inner, &mut session, &job);
+        let response = process_job(inner, &job);
         let service_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         // EWMA with α = 1/8; the first sample seeds it directly.
         let prev = inner.ewma_ns.load(Ordering::SeqCst);
@@ -493,7 +492,7 @@ fn worker_loop(inner: &Inner, rx: &Mutex<Receiver<Job>>) {
 
 /// Compiles one admitted request, applying the retry policy. Always
 /// returns exactly one response line.
-fn process_job(inner: &Inner, session: &mut parsched::regalloc::AllocSession, job: &Job) -> String {
+fn process_job(inner: &Inner, job: &Job) -> String {
     let c = &job.req;
     let Some(machine) = presets::by_name(&c.machine, c.regs) else {
         return error_response(
@@ -540,7 +539,6 @@ fn process_job(inner: &Inner, session: &mut parsched::regalloc::AllocSession, jo
     loop {
         let outcome = compile_module_once(
             inner,
-            session,
             &machine,
             strategy,
             attempt_shed,
@@ -589,12 +587,14 @@ struct CompileFailure {
     message: String,
 }
 
-/// One full compile attempt over every function of the module. Returns
-/// the serialized response body plus whether it is cacheable (no
-/// degradation anywhere — shed or degraded output must never be pinned).
+/// One full compile attempt over every function of the module, through
+/// the batch driver on this worker's thread: the driver's per-function
+/// loop and panic net are the daemon's. Returns the serialized response
+/// body plus whether it is cacheable (no degradation anywhere — shed or
+/// degraded output must never be pinned); a module with a failed function
+/// answers with the first failure in input order.
 fn compile_module_once(
     inner: &Inner,
-    session: &mut parsched::regalloc::AllocSession,
     machine: &MachineDesc,
     strategy: Strategy,
     shed_rungs: usize,
@@ -611,33 +611,19 @@ fn compile_module_once(
     let driver = Driver::new(Pipeline::new(machine.clone()))
         .with_budget(budget)
         .with_ladder(ladder_for(strategy, shed_rungs));
+    let out = BatchDriver::new(driver)
+        .with_jobs(1)
+        .compile_module(funcs, &inner.flight);
 
     let mut compiled = Vec::with_capacity(funcs.len());
     let mut worst = parsched::DegradationLevel::None;
     let mut stats = parsched::CompileStats::default();
-    for func in funcs {
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            driver.compile_resilient_in(session, func, &inner.flight)
-        }));
-        let result = match attempt {
-            Ok(Ok(r)) => r,
-            Ok(Err(e)) => {
-                return Err(CompileFailure {
-                    code: e.exit_code(),
-                    class: e.class().to_string(),
-                    message: e.to_string(),
-                })
-            }
-            Err(_) => {
-                // The driver catches rung panics itself; this outer net
-                // only trips on panics outside the rungs (print, stats).
-                return Err(CompileFailure {
-                    code: 9,
-                    class: "panic".to_string(),
-                    message: format!("worker panicked compiling `{}`", func.name()),
-                });
-            }
-        };
+    for result in out.results {
+        let result = result.map_err(|e| CompileFailure {
+            code: e.exit_code(),
+            class: e.class().to_string(),
+            message: e.to_string(),
+        })?;
         worst = worst.max(result.degradation);
         stats.registers_used = stats.registers_used.max(result.stats.registers_used);
         stats.spilled_values += result.stats.spilled_values;
@@ -754,6 +740,35 @@ mod tests {
         let report = svc.shutdown_and_join();
         assert_eq!(report.stats.dropped_draining, 1);
         assert!(report.flight_dump.contains("drain"));
+    }
+
+    #[test]
+    fn a_module_answers_with_its_failing_functions_error() {
+        // The first function compiles on three registers; the second has
+        // four parameters live at entry, so every rung refuses it.
+        let wide = "func @wide(s0, s1, s2, s3) {\nentry:\n    s4 = add s0, s1\n    \
+                    s5 = add s2, s3\n    s6 = add s4, s5\n    ret s6\n}";
+        let src = format!("{SRC}\n{wide}");
+        let svc = Service::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let (tx, rx) = channel();
+        svc.handle_line(
+            &format!(
+                "{{\"id\":5,\"op\":\"compile\",\"regs\":3,\"src\":\"{}\"}}",
+                escape_json(&src)
+            ),
+            &tx,
+        );
+        assert_eq!(
+            recv_one(&rx),
+            "{\"id\":5,\"code\":5,\"class\":\"alloc\",\"error\":\"allocation infeasible: \
+             entry live set needs at least 4 registers, machine has 3\"}"
+        );
+        let stats = svc.stats();
+        assert_eq!((stats.failed, stats.retries), (1, 0));
+        svc.shutdown_and_join();
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::assignment::{apply_coloring, check_function_allocation, AllocCheckError};
 use crate::combined::PinterConfig;
-use crate::limits::{Budget, BudgetExceeded};
+use crate::limits::{Budget, BudgetExceeded, DEFAULT_MAX_ROUNDS};
 use crate::pig::Pig;
 use crate::problem::{BlockAllocProblem, ProblemError};
 use crate::session::AllocSession;
@@ -164,14 +164,17 @@ pub(crate) fn entry_fits(live_in: usize, k: u32) -> Result<(), AllocError> {
 /// ```
 /// use parsched_ir::parse_function;
 /// use parsched_machine::presets;
-/// use parsched_regalloc::{allocate_single_block, BlockStrategy, Budget, PinterConfig};
+/// use parsched_regalloc::{
+///     allocate_single_block_in, AllocSession, BlockStrategy, Budget, PinterConfig,
+/// };
 /// use parsched_telemetry::NullTelemetry;
 ///
 /// let f = parse_function(
 ///     "func @f(s0) {\nentry:\n    s1 = add s0, 1\n    s2 = mul s1, s1\n    ret s2\n}",
 /// )?;
 /// let machine = presets::paper_machine(4);
-/// let out = allocate_single_block(
+/// let out = allocate_single_block_in(
+///     &mut AllocSession::new(),
 ///     &f,
 ///     &machine,
 ///     BlockStrategy::Pinter(PinterConfig::default()),
@@ -184,15 +187,20 @@ pub(crate) fn entry_fits(live_in: usize, k: u32) -> Result<(), AllocError> {
 /// ```
 ///
 /// Runs the configured strategy, inserting spill code and retrying until
-/// the block colors within `machine.num_regs()` registers. For
-/// [`BlockStrategy::Pinter`] with `ep_prepass`, the block body is first
-/// reordered by refined EP numbers (the paper's Section 4 pre-pass).
+/// the block colors within `machine.num_regs()` registers, inside a
+/// caller-owned [`AllocSession`], so the dependence graph and transitive
+/// closure persist across spill rounds (updated incrementally, not
+/// rebuilt) and warm allocations persist across functions. The batch
+/// driver gives each worker one session and routes every function
+/// through it. For [`BlockStrategy::Pinter`] with `ep_prepass`, the block
+/// body is first reordered by refined EP numbers (the paper's Section 4
+/// pre-pass).
 ///
 /// `budget.max_block_insts` and `budget.max_pig_edges` gate only the
 /// quadratic [`BlockStrategy::Pinter`] path (transitive closure and PIG
 /// construction); the cheaper strategies always run, so a degradation
 /// ladder has rungs that still succeed under a tight budget. The deadline
-/// and round cap apply to every strategy.
+/// and the [`DEFAULT_MAX_ROUNDS`] round cap apply to every strategy.
 ///
 /// Per-round progress is reported to `telemetry`: an `alloc.round` span
 /// wraps each color/spill round (containing `alloc.liveness`, `pig.build`,
@@ -207,25 +215,6 @@ pub(crate) fn entry_fits(live_in: usize, k: u32) -> Result<(), AllocError> {
 /// spilling fails to converge;
 /// [`AllocError::Budget`] when a limit trips; [`AllocError::Cycle`] on a
 /// malformed dependence graph.
-pub fn allocate_single_block(
-    func: &Function,
-    machine: &MachineDesc,
-    strategy: BlockStrategy,
-    budget: &Budget,
-    telemetry: &dyn parsched_telemetry::Telemetry,
-) -> Result<BlockAllocation, AllocError> {
-    let mut session = AllocSession::new();
-    allocate_single_block_in(&mut session, func, machine, strategy, budget, telemetry)
-}
-
-/// [`allocate_single_block`] running inside a caller-owned
-/// [`AllocSession`], so the dependence graph and transitive closure persist
-/// across spill rounds (updated incrementally, not rebuilt) and warm
-/// allocations persist across functions. The batch driver gives each
-/// worker one session and routes every function through it.
-///
-/// # Errors
-/// Same contract as [`allocate_single_block`].
 pub fn allocate_single_block_in(
     session: &mut AllocSession,
     func: &Function,
@@ -280,8 +269,7 @@ pub fn allocate_single_block_in(
     let mut pig_slot: Option<Pig> = None;
     let mut combined_ws = crate::combined::CombinedWorkspace::default();
 
-    let max_rounds = budget.rounds();
-    for round in 1..=max_rounds {
+    for round in 1..=DEFAULT_MAX_ROUNDS {
         budget.check_deadline("alloc.deadline")?;
         let round_span = parsched_telemetry::span(telemetry, "alloc.round");
         let (liveness, problem) = {
@@ -430,7 +418,9 @@ pub fn allocate_single_block_in(
         pending_remap = Some(remap);
         current = rewritten;
     }
-    Err(AllocError::TooManyRounds { limit: max_rounds })
+    Err(AllocError::TooManyRounds {
+        limit: DEFAULT_MAX_ROUNDS,
+    })
 }
 
 #[cfg(test)]
@@ -446,7 +436,14 @@ mod tests {
         m: &MachineDesc,
         strategy: BlockStrategy,
     ) -> Result<BlockAllocation, AllocError> {
-        allocate_single_block(f, m, strategy, &Budget::unlimited(), &NullTelemetry)
+        allocate_single_block_in(
+            &mut AllocSession::new(),
+            f,
+            m,
+            strategy,
+            &Budget::unlimited(),
+            &NullTelemetry,
+        )
     }
 
     const EXAMPLE1: &str = r#"

@@ -111,42 +111,6 @@ impl CombinedOutcome {
     }
 }
 
-/// Runs the paper's coloring procedure on `pig` with `k` registers,
-/// reporting its decisions to `telemetry`: `combined.simplified` (nodes
-/// simplified), `combined.removed_false_edges` (parallelism given away),
-/// `combined.spilled` (spill-list length), and a `combined.spill` event per
-/// victim.
-///
-/// `costs[n]` is the spill cost of node `n`; `priority[n]` is the
-/// scheduling priority of the node's defining instruction (critical-path
-/// height; 0 for live-in values).
-///
-/// The procedure keeps per-node degree counters split into interference
-/// and removable-false-edge components, so every simplify/save/spill
-/// decision is O(n) per round rather than O(n·deg); decisions are
-/// tie-broken identically to the reference formulation.
-///
-/// # Panics
-/// Panics if `costs` or `priority` lengths differ from the node count.
-pub fn combined_color(
-    pig: &Pig,
-    k: u32,
-    costs: &[f64],
-    priority: &[u32],
-    config: &PinterConfig,
-    telemetry: &dyn parsched_telemetry::Telemetry,
-) -> CombinedOutcome {
-    combined_color_in(
-        &mut CombinedWorkspace::default(),
-        pig,
-        k,
-        costs,
-        priority,
-        config,
-        telemetry,
-    )
-}
-
 /// Reusable buffers for [`combined_color_in`]. The spill loop colors a PIG
 /// per round; threading one workspace through makes each round's setup
 /// allocation-free once sizes stabilize. A `Default` workspace is valid
@@ -278,7 +242,23 @@ fn clone_rows_into(dst: &mut Vec<BitSet>, n: usize, src: &BitMatrix) {
     }
 }
 
-/// [`combined_color`] with caller-owned scratch buffers.
+/// Runs the paper's coloring procedure on `pig` with `k` registers,
+/// reporting its decisions to `telemetry`: `combined.simplified` (nodes
+/// simplified), `combined.removed_false_edges` (parallelism given away),
+/// `combined.spilled` (spill-list length), and a `combined.spill` event per
+/// victim.
+///
+/// `costs[n]` is the spill cost of node `n`; `priority[n]` is the
+/// scheduling priority of the node's defining instruction (critical-path
+/// height; 0 for live-in values).
+///
+/// The procedure keeps per-node degree counters split into interference
+/// and removable-false-edge components, so every simplify/save/spill
+/// decision is O(n) per round rather than O(n·deg); decisions are
+/// tie-broken identically to the reference formulation.
+///
+/// `ws` holds caller-owned scratch buffers, reused across calls (pass
+/// `&mut CombinedWorkspace::default()` for a one-off coloring).
 ///
 /// # Panics
 /// Panics if `costs` or `priority` lengths differ from the node count.
@@ -698,6 +678,24 @@ mod tests {
         (p, pig, costs, priority)
     }
 
+    fn color(
+        pig: &Pig,
+        k: u32,
+        costs: &[f64],
+        prio: &[u32],
+        cfg: &PinterConfig,
+    ) -> CombinedOutcome {
+        combined_color_in(
+            &mut CombinedWorkspace::default(),
+            pig,
+            k,
+            costs,
+            prio,
+            cfg,
+            &parsched_telemetry::NullTelemetry,
+        )
+    }
+
     const EXAMPLE1: &str = r#"
         func @ex1(s9) {
         entry:
@@ -714,14 +712,7 @@ mod tests {
     fn enough_registers_no_spill_no_removal() {
         let m = presets::paper_machine(8);
         let (_p, pig, costs, prio) = pig_of(EXAMPLE1, &m);
-        let out = combined_color(
-            &pig,
-            8,
-            &costs,
-            &prio,
-            &PinterConfig::default(),
-            &parsched_telemetry::NullTelemetry,
-        );
+        let out = color(&pig, 8, &costs, &prio, &PinterConfig::default());
         assert!(out.spilled.is_empty());
         assert!(out.removed_false_edges.is_empty());
         assert!(pig.graph().is_proper_coloring(&out.colors));
@@ -732,14 +723,7 @@ mod tests {
     fn example1_three_registers_suffice() {
         let m = presets::paper_machine(3);
         let (_p, pig, costs, prio) = pig_of(EXAMPLE1, &m);
-        let out = combined_color(
-            &pig,
-            3,
-            &costs,
-            &prio,
-            &PinterConfig::default(),
-            &parsched_telemetry::NullTelemetry,
-        );
+        let out = color(&pig, 3, &costs, &prio, &PinterConfig::default());
         assert!(out.spilled.is_empty(), "paper: 3 registers, no spill");
         assert!(pig.graph().is_proper_coloring(&out.colors));
     }
@@ -765,14 +749,7 @@ mod tests {
             }
         "#;
         let (_p, pig, costs, prio) = pig_of(src, &m);
-        let out = combined_color(
-            &pig,
-            2,
-            &costs,
-            &prio,
-            &PinterConfig::default(),
-            &parsched_telemetry::NullTelemetry,
-        );
+        let out = color(&pig, 2, &costs, &prio, &PinterConfig::default());
         // Int and float chains interleave: Gr is small, false edges connect
         // the chains. Two registers must cost parallelism, not spills.
         assert!(
@@ -795,14 +772,7 @@ mod tests {
             }
         "#;
         let (_p, pig, costs, prio) = pig_of(src, &m);
-        let out = combined_color(
-            &pig,
-            1,
-            &costs,
-            &prio,
-            &PinterConfig::default(),
-            &parsched_telemetry::NullTelemetry,
-        );
+        let out = color(&pig, 1, &costs, &prio, &PinterConfig::default());
         assert!(!out.spilled.is_empty());
     }
 
@@ -819,22 +789,8 @@ mod tests {
                 edge_policy: policy,
                 ..PinterConfig::default()
             };
-            let a = combined_color(
-                &pig,
-                2,
-                &costs,
-                &prio,
-                &cfg,
-                &parsched_telemetry::NullTelemetry,
-            );
-            let b = combined_color(
-                &pig,
-                2,
-                &costs,
-                &prio,
-                &cfg,
-                &parsched_telemetry::NullTelemetry,
-            );
+            let a = color(&pig, 2, &costs, &prio, &cfg);
+            let b = color(&pig, 2, &costs, &prio, &cfg);
             assert_eq!(a, b, "{policy:?} must be deterministic");
         }
     }
@@ -861,14 +817,7 @@ mod tests {
             },
             ..PinterConfig::default()
         };
-        let out = combined_color(
-            &pig,
-            1,
-            &costs,
-            &prio,
-            &cfg,
-            &parsched_telemetry::NullTelemetry,
-        );
+        let out = color(&pig, 1, &costs, &prio, &cfg);
         assert!(!out.spilled.is_empty());
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::allocator::{AllocError, BlockAllocation, BlockStrategy};
 use crate::combined::CombinedWorkspace;
-use crate::limits::Budget;
+use crate::limits::{Budget, DEFAULT_MAX_ROUNDS};
 use crate::pig::Pig;
 use crate::spill::SPILL_REGION;
 use parsched_graph::{BitSet, ClosureMode, Reachability, UnGraph};
@@ -478,7 +478,7 @@ pub enum GlobalScope {
 /// per spilled web, and `global.rounds` / `global.spilled_webs` /
 /// `global.removed_false_edges` / `global.inserted_mem_ops` totals on
 /// success (the table in `docs/GLOBAL.md`, "Observability").
-/// The round count is capped by `budget.max_spill_rounds`, the deadline
+/// The round count is capped by [`DEFAULT_MAX_ROUNDS`], the deadline
 /// is checked at round boundaries, the class PIG is held to
 /// `budget.max_pig_edges` (phase `pig.edges`), and region-restricted
 /// false-edge construction honors `budget.max_block_insts` (see
@@ -511,8 +511,7 @@ pub fn allocate_global_scoped(
     let mut spilled_once: std::collections::HashSet<Reg> = std::collections::HashSet::new();
     let mut combined_ws = CombinedWorkspace::default();
 
-    let max_rounds = budget.rounds();
-    for round in 1..=max_rounds {
+    for round in 1..=DEFAULT_MAX_ROUNDS {
         budget.check_deadline("global.deadline")?;
         let round_span = parsched_telemetry::span(telemetry, "global.round");
         let mut problem = {
@@ -653,7 +652,9 @@ pub fn allocate_global_scoped(
         inserted_mem_ops += inserted;
         current = rewritten;
     }
-    Err(AllocError::TooManyRounds { limit: max_rounds })
+    Err(AllocError::TooManyRounds {
+        limit: DEFAULT_MAX_ROUNDS,
+    })
 }
 
 /// Rewrites every register reference through its web's color: definitions

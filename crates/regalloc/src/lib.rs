@@ -38,9 +38,7 @@ mod problem;
 mod session;
 pub mod spill;
 
-pub use allocator::{
-    allocate_single_block, allocate_single_block_in, AllocError, BlockAllocation, BlockStrategy,
-};
+pub use allocator::{allocate_single_block_in, AllocError, BlockAllocation, BlockStrategy};
 pub use combined::{EdgeRemovalPolicy, PinterConfig, SpillMetric};
 pub use limits::{AllocLimits, Budget, BudgetExceeded, DEFAULT_MAX_ROUNDS};
 pub use pig::Pig;

@@ -3,9 +3,9 @@
 //! The combined allocator's parallelizable interference graph needs an
 //! undirected transitive closure of `Gs` (quadratic in block size) and the
 //! spill loop can iterate; on adversarial input either can run away. A
-//! [`Budget`] caps that super-linear work — instruction count per block,
-//! PIG edge count, spill-repair rounds — and can carry a wall-clock
-//! deadline. The allocators check it at their choke points and the
+//! [`Budget`] caps that super-linear work — instruction count per block
+//! and PIG edge count — and can carry a wall-clock deadline; the spill
+//! loop itself is bounded by [`DEFAULT_MAX_ROUNDS`]. The allocators check it at their choke points and the
 //! pipeline between phases; a trip surfaces as a typed [`BudgetExceeded`]
 //! error that a driver can downgrade on, instead of a hung or OOM-killed
 //! process.
@@ -61,9 +61,8 @@ impl Error for BudgetExceeded {}
 
 /// Resource caps for one compilation.
 ///
-/// All caps are optional; `None` means unlimited, and the default is
-/// unlimited apart from [`DEFAULT_MAX_ROUNDS`], which has always bounded
-/// the spill loop. Construct with [`Budget::unlimited`] and narrow with
+/// All caps are optional and `None` means unlimited; the spill loop is
+/// bounded by [`DEFAULT_MAX_ROUNDS`] whatever the budget. Construct with [`Budget::unlimited`] and narrow with
 /// the `with_*` builders:
 ///
 /// ```
@@ -84,9 +83,6 @@ pub struct Budget {
     /// Largest parallelizable interference graph (in edges) the combined
     /// allocator will color.
     pub max_pig_edges: Option<u64>,
-    /// Most spill-and-retry rounds an allocator may take; `None` uses
-    /// [`DEFAULT_MAX_ROUNDS`].
-    pub max_spill_rounds: Option<u32>,
     /// Wall-clock deadline for the whole compilation, checked at round
     /// boundaries and between pipeline phases.
     pub deadline: Option<Instant>,
@@ -97,8 +93,7 @@ pub struct Budget {
 pub type AllocLimits = Budget;
 
 impl Budget {
-    /// A budget with no caps (spill rounds still default to
-    /// [`DEFAULT_MAX_ROUNDS`]).
+    /// A budget with no caps.
     pub fn unlimited() -> Budget {
         Budget::default()
     }
@@ -115,12 +110,6 @@ impl Budget {
         self
     }
 
-    /// Caps the spill-and-retry rounds.
-    pub fn with_max_spill_rounds(mut self, n: u32) -> Budget {
-        self.max_spill_rounds = Some(n);
-        self
-    }
-
     /// Sets an absolute wall-clock deadline.
     pub fn with_deadline(mut self, at: Instant) -> Budget {
         self.deadline = Some(at);
@@ -130,11 +119,6 @@ impl Budget {
     /// Sets the deadline to `d` from now.
     pub fn with_deadline_in(self, d: Duration) -> Budget {
         self.with_deadline(Instant::now() + d)
-    }
-
-    /// The effective round bound.
-    pub fn rounds(&self) -> u32 {
-        self.max_spill_rounds.unwrap_or(DEFAULT_MAX_ROUNDS)
     }
 
     /// Errors if the wall-clock deadline has passed.
@@ -188,9 +172,7 @@ mod tests {
         let b = Budget::unlimited();
         assert_eq!(b.max_block_insts, None);
         assert_eq!(b.max_pig_edges, None);
-        assert_eq!(b.max_spill_rounds, None);
         assert!(b.deadline.is_none());
-        assert_eq!(b.rounds(), DEFAULT_MAX_ROUNDS);
         assert!(b.check_deadline("p").is_ok());
         assert!(b.check_block_insts("p", usize::MAX).is_ok());
         assert!(b.check_pig_edges("p", u64::MAX).is_ok());
@@ -200,7 +182,6 @@ mod tests {
     fn unlimited_lowers_to_default_limits() {
         let b = Budget::unlimited();
         assert_eq!(format!("{b:?}"), format!("{:?}", Budget::default()));
-        assert_eq!(b.max_spill_rounds, None);
         assert_eq!(b.max_block_insts, None);
         assert_eq!(b.max_pig_edges, None);
         assert!(b.deadline.is_none());
@@ -212,11 +193,9 @@ mod tests {
         let b = Budget::unlimited()
             .with_max_block_insts(7)
             .with_max_pig_edges(9)
-            .with_max_spill_rounds(3)
             .with_deadline(Instant::now() - Duration::from_millis(1));
         assert_eq!(b.max_block_insts, Some(7));
         assert_eq!(b.max_pig_edges, Some(9));
-        assert_eq!(b.max_spill_rounds, Some(3));
         assert!(b.check_deadline("t").is_err());
         let now = Budget::unlimited().with_deadline_in(Duration::ZERO);
         assert_eq!(now.check_deadline("t"), Err(BudgetExceeded::deadline("t")));
@@ -227,9 +206,7 @@ mod tests {
         let b = Budget::unlimited()
             .with_max_block_insts(10)
             .with_max_pig_edges(100)
-            .with_max_spill_rounds(3)
             .with_deadline(Instant::now() - Duration::from_millis(1));
-        assert_eq!(b.rounds(), 3);
         assert!(b.check_block_insts("p", 10).is_ok());
         let e = b.check_block_insts("pig.build", 11).unwrap_err();
         assert_eq!(e.actual, 11);

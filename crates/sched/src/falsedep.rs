@@ -261,17 +261,11 @@ pub fn rename_apart(block: &Block) -> Block {
 /// form, and the block's own register output dependences are tested
 /// against it. Zero for any code produced by PIG coloring with enough
 /// registers (Theorem 1).
-pub fn count_false_deps(block: &Block, machine: &MachineDesc) -> usize {
-    match count_false_deps_until(block, machine, None) {
-        Some(n) => n,
-        None => unreachable!("count_false_deps_until without a deadline cannot trip"),
-    }
-}
-
-/// [`count_false_deps`] with a cooperative deadline: the closure build
-/// polls `deadline` and the count returns `None` once it passes, so a
-/// caller inside a budgeted pipeline phase overshoots by at most one
-/// stride of work rather than the whole analysis.
+///
+/// The closure build polls `deadline` and the count returns `None` once it
+/// passes (never with `None`), so a caller inside a budgeted pipeline
+/// phase overshoots by at most one stride of work rather than the whole
+/// analysis.
 ///
 /// Unlike [`et_graph`], this never materializes `Et`/`Ef`: each candidate
 /// dependence edge is tested directly against the reachability relation
@@ -546,7 +540,10 @@ mod tests {
     #[test]
     fn intrinsic_count_matches_reference_count() {
         let m = machine();
-        assert_eq!(count_false_deps(&example1_bad_alloc(), &m), 1);
+        assert_eq!(
+            count_false_deps_until(&example1_bad_alloc(), &m, None),
+            Some(1)
+        );
         let good = block(
             r#"
             func @ex1good(r9) {
@@ -560,9 +557,9 @@ mod tests {
             }
             "#,
         );
-        assert_eq!(count_false_deps(&good, &m), 0);
+        assert_eq!(count_false_deps_until(&good, &m, None), Some(0));
         // Symbolic code has none by construction.
-        assert_eq!(count_false_deps(&example1_sym(), &m), 0);
+        assert_eq!(count_false_deps_until(&example1_sym(), &m, None), Some(0));
     }
 
     #[test]

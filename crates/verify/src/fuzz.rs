@@ -61,18 +61,23 @@ impl From<Result<CompileResult, ParschedError>> for RungOutcome {
     }
 }
 
-/// Compiles `func` on `strategy` alone — a one-rung [`Driver`], so a
-/// failure surfaces instead of degrading, and a panic is caught.
+/// Compiles `func` on `strategy` alone — a one-rung [`Driver`] under the
+/// [`BatchDriver`], so a failure surfaces instead of degrading, and a
+/// panic is caught.
 pub(crate) fn run_rung(
     func: &Function,
     machine: &MachineDesc,
     strategy: Strategy,
-    telemetry: &dyn Telemetry,
+    telemetry: &(dyn Telemetry + Sync),
 ) -> RungOutcome {
-    Driver::new(Pipeline::new(machine.clone()))
-        .with_ladder(vec![strategy])
-        .compile_resilient(func, telemetry)
-        .into()
+    let driver = Driver::new(Pipeline::new(machine.clone())).with_ladder(vec![strategy]);
+    let mut out = BatchDriver::new(driver)
+        .with_jobs(1)
+        .compile_module(std::slice::from_ref(func), telemetry);
+    match out.results.pop() {
+        Some(slot) => slot.into(),
+        None => unreachable!("a one-function module has one result slot"),
+    }
 }
 
 /// The verifier of one generated case: every checker, plus a two-run

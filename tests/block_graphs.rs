@@ -16,7 +16,7 @@ use parsched::graph::{DiGraph, UnGraph};
 use parsched::ir::liveness::Liveness;
 use parsched::ir::{parse_function, Block, BlockId, Function, Inst, InstKind, Reg};
 use parsched::machine::{presets, MachineDesc};
-use parsched::regalloc::combined::combined_color;
+use parsched::regalloc::combined::{combined_color_in, CombinedWorkspace};
 use parsched::regalloc::spill::insert_spill_code;
 use parsched::regalloc::{BlockAllocProblem, Pig, PinterConfig};
 use parsched::sched::falsedep::{count_false_deps_in, count_false_deps_until, rename_apart};
@@ -439,7 +439,8 @@ fn check_interference_rounds(func: &Function, machine: &MachineDesc, context: &s
         let priority: Vec<u32> = (0..problem.len())
             .map(|n| problem.def_site(n).map_or(0, |i| heights[i]))
             .collect();
-        let out = combined_color(
+        let out = combined_color_in(
+            &mut CombinedWorkspace::default(),
             &pig,
             machine.num_regs(),
             &costs,

@@ -175,6 +175,37 @@ fn exact_refusals_keep_the_solvers_messages() {
     }
 }
 
+/// The exact solver checks the block allocators' single-definition rules
+/// with their own problem builder, so a redefined register and a def that
+/// shadows a live-in value are refused by `exact` and `combined` alike.
+#[test]
+fn exact_and_combined_refuse_single_definition_violations_alike() {
+    use parsched::machine::presets;
+    use parsched::telemetry::NullTelemetry;
+    use parsched::{Pipeline, Strategy};
+    let pipeline = Pipeline::new(presets::paper_machine(4));
+    for (src, expected) in [
+        (
+            "func @d(s0) {\nentry:\n    s1 = add s0, 1\n    s1 = add s0, 2\n    ret s1\n}",
+            "register s1 defined more than once in the block",
+        ),
+        (
+            "func @l(s0) {\nentry:\n    s1 = add s0, 1\n    s0 = add s1, 1\n    ret s0\n}",
+            "register s0 is both live-in and defined in the block",
+        ),
+    ] {
+        let func = parse_function(src).unwrap();
+        for strategy in [Strategy::exact(), Strategy::combined()] {
+            let e = pipeline
+                .compile(&func, &strategy, &NullTelemetry)
+                .unwrap_err();
+            assert_eq!(e.to_string(), expected, "{}", strategy.label());
+            assert_eq!(e.exit_code(), 5, "{}: {e}", strategy.label());
+            assert_eq!(e.class(), "alloc", "{}: {e}", strategy.label());
+        }
+    }
+}
+
 /// More parameters live at entry than registers: they interfere pairwise
 /// and a spilled one is still live at entry, so every iterative strategy
 /// refuses in its first round with the solver's wording (exit 5 on the

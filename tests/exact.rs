@@ -71,17 +71,18 @@ fn exact_output_passes_every_checker_and_the_oracle() {
     let exact = Strategy::exact();
     for (i, (func, machine)) in corpus(11, 30, 10).iter().enumerate() {
         let driver = Driver::new(Pipeline::new(machine.clone())).with_ladder(vec![exact]);
-        let result = match driver.compile_resilient(func, &NullTelemetry) {
-            Ok(r) => r,
-            // Typed refusals (infeasible register file) are legitimate.
-            Err(e) => {
-                assert!(
-                    !matches!(e, ParschedError::Panicked { .. }),
-                    "case {i}: exact panicked: {e}"
-                );
-                continue;
-            }
-        };
+        let result =
+            match driver.compile_resilient_in(&mut AllocSession::new(), func, &NullTelemetry) {
+                Ok(r) => r,
+                // Typed refusals (infeasible register file) are legitimate.
+                Err(e) => {
+                    assert!(
+                        !matches!(e, ParschedError::Panicked { .. }),
+                        "case {i}: exact panicked: {e}"
+                    );
+                    continue;
+                }
+            };
         let verifier = Verifier::new(machine).strategy(exact).oracle(OracleConfig {
             seed: i as u64,
             runs: 2,
@@ -119,10 +120,11 @@ fn exact_is_never_worse_than_any_heuristic_rung() {
         }
         for rung in rungs {
             let driver = Driver::new(Pipeline::new(machine.clone())).with_ladder(vec![rung]);
-            let r = match driver.compile_resilient(func, &NullTelemetry) {
-                Ok(r) => r,
-                Err(_) => continue,
-            };
+            let r =
+                match driver.compile_resilient_in(&mut AllocSession::new(), func, &NullTelemetry) {
+                    Ok(r) => r,
+                    Err(_) => continue,
+                };
             assert!(
                 sol.objective() <= objective(&r.stats),
                 "case {i} ({} on {} / {} regs): exact {:?} worse than rung {} {:?}",

@@ -255,7 +255,7 @@ fn web_path_honors_the_pig_edge_budget() {
         );
         let r = Driver::new(pipeline)
             .with_budget(budget)
-            .compile_resilient(&func, &NullTelemetry)
+            .compile_resilient_in(&mut AllocSession::new(), &func, &NullTelemetry)
             .expect("the ladder degrades");
         assert_eq!(r.degradation, DegradationLevel::SchedThenAlloc, "{scope:?}");
     }

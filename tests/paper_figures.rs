@@ -7,7 +7,7 @@ use parsched::ir::liveness::Liveness;
 use parsched::ir::{BlockId, Reg};
 use parsched::regalloc::{BlockAllocProblem, Pig};
 use parsched::sched::falsedep::{
-    count_false_deps, et_graph, false_dependence_graph, introduced_false_deps,
+    count_false_deps_until, et_graph, false_dependence_graph, introduced_false_deps,
 };
 use parsched::sched::{DepGraph, DepKind};
 use parsched::telemetry::NullTelemetry;
@@ -114,7 +114,10 @@ fn figure3_pig_of_example1() {
     );
     // The paper's concrete allocation passes both validity and Theorem 1.
     let good = paper::example1_good_alloc();
-    assert_eq!(count_false_deps(good.block(BlockId(0)), &m), 0);
+    assert_eq!(
+        count_false_deps_until(good.block(BlockId(0)), &m, None),
+        Some(0)
+    );
 }
 
 /// Example 1(c): the paper's r1/r2-reusing allocation introduces exactly
@@ -129,7 +132,10 @@ fn example1c_false_dependence() {
     let fds = introduced_false_deps(&ef, &bad_deps);
     assert_eq!(fds.len(), 1);
     assert_eq!((fds[0].from, fds[0].to), (1, 3));
-    assert_eq!(count_false_deps(bad.block(BlockId(0)), &m), 1);
+    assert_eq!(
+        count_false_deps_until(bad.block(BlockId(0)), &m, None),
+        Some(1)
+    );
 }
 
 /// Figure 4: Example 2's plain interference graph is 3-colorable, but the
@@ -169,7 +175,10 @@ fn figure5_assignment_is_false_dependence_free() {
     distinct.sort();
     distinct.dedup();
     assert_eq!(distinct.len(), 4);
-    assert_eq!(count_false_deps(alloc.block(BlockId(0)), &m), 0);
+    assert_eq!(
+        count_false_deps_until(alloc.block(BlockId(0)), &m, None),
+        Some(0)
+    );
     // And it computes the same value as the symbolic form.
     use parsched::ir::interp::{Interpreter, Memory};
     let mut mem = Memory::new();

@@ -91,7 +91,9 @@ fn thousand_inst_block_compiles_under_budget() {
     assert!(func.inst_count() > 1000);
     let driver = Driver::new(Pipeline::new(presets::paper_machine(8)))
         .with_budget(Budget::unlimited().with_max_block_insts(1500));
-    let r = driver.compile_resilient(&func, &NullTelemetry).unwrap();
+    let r = driver
+        .compile_resilient_in(&mut AllocSession::new(), &func, &NullTelemetry)
+        .unwrap();
     assert!(r.stats.cycles > 0);
     run_equal(&func, &r.function, &[3]);
 }
@@ -103,7 +105,9 @@ fn tiny_instruction_budget_degrades_but_succeeds() {
     let func = pathological(120, 6);
     let driver = Driver::new(Pipeline::new(presets::paper_machine(6)))
         .with_budget(Budget::unlimited().with_max_block_insts(16));
-    let r = driver.compile_resilient(&func, &NullTelemetry).unwrap();
+    let r = driver
+        .compile_resilient_in(&mut AllocSession::new(), &func, &NullTelemetry)
+        .unwrap();
     assert_ne!(
         r.degradation,
         DegradationLevel::None,
@@ -115,13 +119,14 @@ fn tiny_instruction_budget_degrades_but_succeeds() {
 #[test]
 fn dense_interference_on_starved_machine_reaches_a_rung() {
     // 16 values simultaneously live on a 2-register machine: massive
-    // spilling on every rung. A round budget keeps the iterative rungs
-    // from grinding; the driver must still land somewhere (the floor
-    // ignores the round cap by design).
+    // spilling on every rung, each iterative rung bounded by the default
+    // round cap; the driver must still land somewhere (the floor spills
+    // everything in one round).
     let func = pathological(48, 16);
-    let driver = Driver::new(Pipeline::new(presets::paper_machine(2)))
-        .with_budget(Budget::unlimited().with_max_spill_rounds(6));
-    let r = driver.compile_resilient(&func, &NullTelemetry).unwrap();
+    let driver = Driver::new(Pipeline::new(presets::paper_machine(2)));
+    let r = driver
+        .compile_resilient_in(&mut AllocSession::new(), &func, &NullTelemetry)
+        .unwrap();
     assert!(r.stats.spilled_values > 0);
     run_equal(&func, &r.function, &[1]);
 }
@@ -150,7 +155,9 @@ fn passed_deadline_is_an_error_not_a_hang() {
     let driver = Driver::new(Pipeline::new(presets::paper_machine(8)))
         .with_budget(Budget::unlimited().with_deadline(Instant::now() - Duration::from_secs(1)));
     let start = Instant::now();
-    let err = driver.compile_resilient(&func, &NullTelemetry).unwrap_err();
+    let err = driver
+        .compile_resilient_in(&mut AllocSession::new(), &func, &NullTelemetry)
+        .unwrap_err();
     assert!(start.elapsed() < Duration::from_secs(10));
     assert_eq!(err.exit_code(), 8, "{err}");
 }
@@ -160,7 +167,9 @@ fn generous_deadline_succeeds() {
     let func = pathological(100, 4);
     let driver = Driver::new(Pipeline::new(presets::paper_machine(8)))
         .with_budget(Budget::unlimited().with_deadline_in(Duration::from_secs(60)));
-    let r = driver.compile_resilient(&func, &NullTelemetry).unwrap();
+    let r = driver
+        .compile_resilient_in(&mut AllocSession::new(), &func, &NullTelemetry)
+        .unwrap();
     run_equal(&func, &r.function, &[2]);
 }
 
@@ -172,7 +181,7 @@ fn panicking_telemetry_fails_a_rung_not_the_process() {
     // different phases; the driver must always contain it.
     for fuse in [0, 1, 5, 25, 100, 400] {
         let faulty = FaultyTelemetry::after(fuse);
-        match driver.compile_resilient(&func, &faulty) {
+        match driver.compile_resilient_in(&mut AllocSession::new(), &func, &faulty) {
             Ok(r) => run_equal(&func, &r.function, &[2]),
             Err(e) => panic!("fuse {fuse}: driver returned error instead of degrading: {e}"),
         }
@@ -195,7 +204,9 @@ fn telemetry_panic_in_every_rung_is_a_typed_error() {
         fn event(&self, _name: &str, _detail: &str) {}
     }
     let driver = Driver::new(Pipeline::new(presets::paper_machine(4)));
-    let err = driver.compile_resilient(&func, &AlwaysPanics).unwrap_err();
+    let err = driver
+        .compile_resilient_in(&mut AllocSession::new(), &func, &AlwaysPanics)
+        .unwrap_err();
     assert_eq!(err.exit_code(), 9, "{err}");
     assert!(matches!(err, ParschedError::Panicked { .. }));
 }
@@ -206,7 +217,9 @@ fn malformed_ir_is_rejected_before_the_ladder() {
     let func =
         parse_function("func @bad(s0) {\nentry:\n    s1 = add s9, 1\n    ret s1\n}").unwrap();
     let driver = Driver::new(Pipeline::new(presets::paper_machine(4)));
-    let err = driver.compile_resilient(&func, &NullTelemetry).unwrap_err();
+    let err = driver
+        .compile_resilient_in(&mut AllocSession::new(), &func, &NullTelemetry)
+        .unwrap_err();
     assert_eq!(err.exit_code(), 4, "{err}");
 }
 

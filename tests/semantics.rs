@@ -4,6 +4,7 @@
 //! all non-spill memory effects.
 
 use parsched::ir::interp::{Interpreter, Memory};
+use parsched::ir::simplify::merge_chains;
 use parsched::ir::Function;
 use parsched::machine::presets;
 use parsched::regalloc::spill::SPILL_REGION;
@@ -174,9 +175,9 @@ fn chain_merging_pipeline_preserves_semantics() {
     };
     for seed in 0..8 {
         let f = random_cfg_function(seed + 100, &params);
-        let p = Pipeline::new(presets::paper_machine(10)).with_chain_merging(true);
+        let p = Pipeline::new(presets::paper_machine(10));
         let r = p
-            .compile(&f, &Strategy::combined(), &NullTelemetry)
+            .compile(&merge_chains(&f), &Strategy::combined(), &NullTelemetry)
             .unwrap();
         assert_equivalent(&f, &r.function, &format!("merged cfg seed {seed}"));
     }

@@ -9,11 +9,11 @@ use parsched::graph::UnGraph;
 use parsched::ir::liveness::Liveness;
 use parsched::ir::{print_function, BlockId, Reg};
 use parsched::machine::{presets, MachineDesc};
-use parsched::regalloc::combined::combined_color;
+use parsched::regalloc::combined::{combined_color_in, CombinedWorkspace};
 use parsched::regalloc::spill::insert_spill_code;
 use parsched::regalloc::{
-    allocate_single_block, allocate_single_block_in, AllocSession, BlockAllocProblem,
-    BlockStrategy, Budget, Pig, PinterConfig,
+    allocate_single_block_in, AllocSession, BlockAllocProblem, BlockStrategy, Budget, Pig,
+    PinterConfig,
 };
 use parsched::sched::falsedep::et_graph;
 use parsched::sched::{BlockRemap, DepGraph};
@@ -118,7 +118,8 @@ fn check_spill_loop(func: &parsched::ir::Function, machine: &MachineDesc, case: 
         let priority: Vec<u32> = (0..problem.len())
             .map(|n| problem.def_site(n).map_or(0, |i| heights[i]))
             .collect();
-        let out = combined_color(
+        let out = combined_color_in(
+            &mut CombinedWorkspace::default(),
             &pig,
             k,
             &costs,
@@ -202,8 +203,13 @@ fn session_reuse_across_functions_is_byte_identical() {
     let strategy = BlockStrategy::Pinter(PinterConfig::default());
     let budget = Budget::unlimited();
 
-    let fresh1 = allocate_single_block(&f1, &machine, strategy, &budget, &NullTelemetry).unwrap();
-    let fresh2 = allocate_single_block(&f2, &machine, strategy, &budget, &NullTelemetry).unwrap();
+    let fresh = |f| {
+        let mut session = AllocSession::new();
+        allocate_single_block_in(&mut session, f, &machine, strategy, &budget, &NullTelemetry)
+            .unwrap()
+    };
+    let fresh1 = fresh(&f1);
+    let fresh2 = fresh(&f2);
 
     let mut session = AllocSession::new();
     let reused1 = allocate_single_block_in(

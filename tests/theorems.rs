@@ -9,7 +9,7 @@ use parsched::ir::{parse_module, print_function, BlockId};
 use parsched::machine::presets;
 use parsched::regalloc::assignment::{apply_coloring, check_function_allocation};
 use parsched::regalloc::{AllocSession, BlockAllocProblem, Pig};
-use parsched::sched::falsedep::count_false_deps;
+use parsched::sched::falsedep::count_false_deps_until;
 use parsched::sched::DepGraph;
 use parsched::sched::SchedPriority;
 use parsched::telemetry::NullTelemetry;
@@ -78,7 +78,10 @@ fn theorem1_optimal_pig_coloring_is_false_dep_free() {
         // Valid allocation…
         check_function_allocation(&f, &allocated, &p, &colors).unwrap();
         // …with zero false dependences (Theorem 1).
-        assert_eq!(count_false_deps(allocated.block(BlockId(0)), &machine), 0);
+        assert_eq!(
+            count_false_deps_until(allocated.block(BlockId(0)), &machine, None),
+            Some(0)
+        );
     }
 }
 
@@ -107,9 +110,9 @@ fn theorem2_every_pig_edge_is_load_bearing() {
             colors[v] = colors[u];
             let allocated = apply_coloring(&f, &p, &colors);
             let check = check_function_allocation(&f, &allocated, &p, &colors);
-            let false_deps = count_false_deps(allocated.block(BlockId(0)), &machine);
+            let false_deps = count_false_deps_until(allocated.block(BlockId(0)), &machine, None);
             assert!(
-                check.is_err() || false_deps > 0,
+                check.is_err() || false_deps != Some(0),
                 "merging PIG edge ({u},{v}) cost nothing — contradicts Theorem 2"
             );
         }
@@ -195,7 +198,10 @@ fn theorem1_allocated_pairs_stay_within_ef() {
             }
         }
         // And no co-issue option died to a false *output* dependence:
-        assert_eq!(count_false_deps(allocated.block(BlockId(0)), &machine), 0);
+        assert_eq!(
+            count_false_deps_until(allocated.block(BlockId(0)), &machine, None),
+            Some(0)
+        );
     }
 }
 
@@ -207,7 +213,10 @@ fn symbolic_code_has_no_false_deps() {
     for (seed, params) in small_block_params(15) {
         let f = random_dag_function(seed, &params);
         let machine = parsched::paper::machine(32);
-        assert_eq!(count_false_deps(f.block(BlockId(0)), &machine), 0);
+        assert_eq!(
+            count_false_deps_until(f.block(BlockId(0)), &machine, None),
+            Some(0)
+        );
     }
 }
 

@@ -5,6 +5,7 @@
 
 use parsched::ir::{parse_function, BlockId, Function};
 use parsched::machine::presets;
+use parsched::regalloc::AllocSession;
 use parsched::sched::timing::in_order_completion;
 use parsched::telemetry::NullTelemetry;
 use parsched::{
@@ -61,7 +62,7 @@ fn ladder_times_verifier_matrix() {
                 let driver =
                     Driver::new(Pipeline::new(machine.clone())).with_ladder(vec![strategy]);
                 let label = format!("{} @{} regs {regs}", strategy.label(), func.name());
-                match driver.compile_resilient(&func, &NullTelemetry) {
+                match driver.compile_resilient_in(&mut AllocSession::new(), &func, &NullTelemetry) {
                     Ok(result) => {
                         let report = Verifier::new(&machine).strategy(strategy).verify(
                             &func,
@@ -100,7 +101,7 @@ fn spill_everything_passes_spill_checker() {
     let driver =
         Driver::new(Pipeline::new(machine.clone())).with_ladder(vec![Strategy::SpillEverything]);
     let result = driver
-        .compile_resilient(&func, &NullTelemetry)
+        .compile_resilient_in(&mut AllocSession::new(), &func, &NullTelemetry)
         .expect("floor rung succeeds");
     assert!(result.stats.spilled_values > 0, "floor must spill");
     let report = Verifier::new(&machine)
@@ -227,7 +228,9 @@ fn schedule_checker_accepts_exactly_the_in_order_completion() {
             for &strategy in &strategies {
                 let driver =
                     Driver::new(Pipeline::new(machine.clone())).with_ladder(vec![strategy]);
-                let Ok(result) = driver.compile_resilient(&func, &NullTelemetry) else {
+                let Ok(result) =
+                    driver.compile_resilient_in(&mut AllocSession::new(), &func, &NullTelemetry)
+                else {
                     continue;
                 };
                 compiled += 1;
