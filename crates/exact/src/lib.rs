@@ -189,7 +189,7 @@ impl ExactSolution {
 /// register assignments × spill subsets.
 ///
 /// Emits one `exact.solve` span and the `exact.nodes`, `exact.pruned`,
-/// and `exact.proven_optimal` counters on `telemetry`.
+/// `exact.seeded` and `exact.proven_optimal` counters on `telemetry`.
 ///
 /// # Errors
 /// Returns [`ExactError`] for multi-block functions, functions over the

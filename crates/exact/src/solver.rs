@@ -14,10 +14,16 @@
 //! write-after-write interaction is exactly what a purely symbolic search
 //! gets wrong: which register a value reuses changes the output
 //! dependences of the emitted code, so the search must price it.
+//!
+//! Once a block's buffers are warm, a search node allocates only for the
+//! dominance entry it stores: a step is undone from a record on
+//! [`NodeState`]'s undo stacks and a pooled clock snapshot, ready lists
+//! share one stack, and the dominance probe is built in scratch that is
+//! copied only when it is stored.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
+use parsched_graph::FastMap;
 use parsched_ir::liveness::Liveness;
 use parsched_ir::{BlockId, Function, Inst, Reg};
 use parsched_machine::MachineDesc;
@@ -69,46 +75,27 @@ pub(crate) fn run(
         incomplete: false,
         min_regs_lb: u32::MAX,
         best: None,
+        dom: FastMap::default(),
+        probe: Vec::new(),
     };
 
     let candidates = spill_candidates(func);
-    // Seed an incumbent from the maximal spill set in program order, so a
-    // tripped budget still returns a valid (if poor) solution whenever one
-    // exists at all.
-    if !candidates.is_empty() {
-        let mut next_slot = 0i64;
-        let (rewritten, inserted, _) = parsched_regalloc::spill::insert_spill_code(
-            func,
-            BlockId(0),
-            &candidates,
-            &mut next_slot,
-            &NullTelemetry,
-        );
-        search.seed_program_order(&rewritten, candidates.len() as u32, inserted);
-    }
-
+    let all = candidates.len();
     // Iterative deepening over spill-set size: any solution with fewer
     // spills lexicographically beats every larger spill set, so the first
     // level that ends with an incumbent at (or below) its size is final.
     let mut closed_at_level = false;
-    'levels: for k in 0..=candidates.len() {
-        let mut subset = Combinations::new(candidates.len(), k);
+    let mut reached_all_spilled = false;
+    'levels: for k in 0..=all {
+        reached_all_spilled = k == all;
+        let mut subset = Combinations::new(all, k);
         while let Some(picked) = subset.next() {
-            let (rewritten, inserted) = if k == 0 {
-                (func.clone(), 0)
-            } else {
-                let spills: Vec<Reg> = picked.iter().map(|&i| candidates[i]).collect();
-                let mut next_slot = 0i64;
-                let (f, ins, _) = parsched_regalloc::spill::insert_spill_code(
-                    func,
-                    BlockId(0),
-                    &spills,
-                    &mut next_slot,
-                    &NullTelemetry,
-                );
-                (f, ins)
-            };
-            search.search_block(&rewritten, k as u32, inserted);
+            let spills: Vec<Reg> = picked.iter().map(|&i| candidates[i]).collect();
+            let (rewritten, inserted) = spill_rewrite(func, &spills);
+            // The all-spilled level's one subset in program order is the
+            // fallback seed; it is installed before that level's bounds
+            // cut against the incumbent.
+            search.search_block(&rewritten, k as u32, inserted, k == all && k > 0);
             if search.aborted {
                 break 'levels;
             }
@@ -121,10 +108,24 @@ pub(crate) fn run(
         }
     }
 
+    // A budget that trips before the all-spilled level with no incumbent
+    // still returns a valid (if poor) solution whenever one exists: the
+    // maximal spill set in program order, built only now. It charges no
+    // nodes.
+    let seeded = search.best.is_none() && !reached_all_spilled;
+    if seeded {
+        let (rewritten, inserted) = spill_rewrite(func, &candidates);
+        if let Some(ctx) = BlockCtx::build(&rewritten, machine) {
+            let mut st = NodeState::root(&ctx, machine);
+            search.try_program_order(&ctx, &mut st, all as u32, inserted);
+        }
+    }
+
     let proven = closed_at_level && !search.aborted && !search.incomplete;
     if telemetry.enabled() {
         telemetry.counter("exact.nodes", search.nodes);
         telemetry.counter("exact.pruned", search.pruned);
+        telemetry.counter("exact.seeded", u64::from(seeded));
         telemetry.counter("exact.proven_optimal", u64::from(proven));
     }
     match search.best {
@@ -147,6 +148,23 @@ pub(crate) fn run(
             available: machine.num_regs(),
         }),
     }
+}
+
+/// `func` with `spills` rewritten through memory, and the number of
+/// memory operations inserted.
+fn spill_rewrite(func: &Function, spills: &[Reg]) -> (Function, usize) {
+    if spills.is_empty() {
+        return (func.clone(), 0);
+    }
+    let mut next_slot = 0i64;
+    let (f, inserted, _) = parsched_regalloc::spill::insert_spill_code(
+        func,
+        BlockId(0),
+        spills,
+        &mut next_slot,
+        &NullTelemetry,
+    );
+    (f, inserted)
 }
 
 /// Symbolic registers the spill rewriter can usefully spill: anything
@@ -188,6 +206,11 @@ struct Search<'a> {
     /// Minimum static register lower bound seen, for [`ExactError::Infeasible`].
     min_regs_lb: u32,
     best: Option<Incumbent>,
+    /// Prefix-dominance store of the block being searched, by prefix set.
+    dom: FastMap<u64, Vec<DomEntry>>,
+    /// The entry [`Search::dominated`] builds before it knows whether the
+    /// entry is stored, laid out as [`DomEntry::data`].
+    probe: Vec<u32>,
 }
 
 impl Search<'_> {
@@ -209,37 +232,33 @@ impl Search<'_> {
         !self.aborted
     }
 
-    /// Evaluates the program order of `func` as an incumbent candidate
-    /// without searching (the greedy seed).
-    fn seed_program_order(&mut self, func: &Function, spills: u32, inserted: usize) {
-        let ctx = match BlockCtx::build(func, self.machine) {
-            Some(ctx) => ctx,
-            None => return,
-        };
-        let order: Vec<usize> = (0..ctx.n).collect();
-        self.try_order(&ctx, &order, spills, inserted);
-    }
-
-    /// Walks `order` through the physical state under the deterministic
-    /// maximum-reuse policy (never take a fresh register when a free one
-    /// exists) and installs the result as the incumbent if it is
-    /// lexicographically better. This is the greedy seed, not the search:
-    /// the fresh-register branch is never taken here.
-    fn try_order(&mut self, ctx: &BlockCtx, order: &[usize], spills: u32, inserted: usize) {
-        let mut st = NodeState::root(ctx, self.machine);
-        if st.max_pressure > self.machine.num_regs() {
-            return;
+    /// Walks program order through the physical state from `st`'s root
+    /// under the deterministic maximum-reuse policy (never take a fresh
+    /// register when a free one exists), installs the result as the
+    /// incumbent if it is lexicographically better, and rewinds `st` to
+    /// the root. This is the greedy seed, not the search: the
+    /// fresh-register branch is never taken here.
+    fn try_program_order<'c>(
+        &mut self,
+        ctx: &'c BlockCtx,
+        st: &mut NodeState<'c>,
+        spills: u32,
+        inserted: usize,
+    ) {
+        let num_regs = self.machine.num_regs();
+        let machine = self.machine;
+        let fits = st.max_pressure <= num_regs
+            && (0..ctx.n).all(|j| match st.def_options(ctx, machine, j) {
+                Some((f_min, _)) => {
+                    st.apply(ctx, j, f_min);
+                    st.max_pressure <= num_regs
+                }
+                None => false,
+            });
+        if fits {
+            self.install(ctx, st, spills, inserted);
         }
-        for &j in order {
-            let Some((f_min, _)) = st.def_options(ctx, self.machine, j) else {
-                return;
-            };
-            st.apply(ctx, j, f_min);
-            if st.max_pressure > self.machine.num_regs() {
-                return;
-            }
-        }
-        self.install(ctx, &st, spills, inserted);
+        st.rewind(ctx);
     }
 
     /// Installs a completed state as the incumbent if it beats the
@@ -267,8 +286,10 @@ impl Search<'_> {
         });
     }
 
-    /// Runs the branch-and-bound over one spill-rewritten block.
-    fn search_block(&mut self, func: &Function, spills: u32, inserted: usize) {
+    /// Runs the branch-and-bound over one spill-rewritten block. With
+    /// `seed_first` the program-order incumbent goes in before the block
+    /// is charged and bounded rather than after.
+    fn search_block(&mut self, func: &Function, spills: u32, inserted: usize, seed_first: bool) {
         let ctx = match BlockCtx::build(func, self.machine) {
             Some(ctx) => ctx,
             None => {
@@ -276,6 +297,10 @@ impl Search<'_> {
                 return;
             }
         };
+        let mut st = NodeState::root(&ctx, self.machine);
+        if seed_first {
+            self.try_program_order(&ctx, &mut st, spills, inserted);
+        }
         if !self.charge(1 + ctx.n as u64) {
             return;
         }
@@ -295,26 +320,20 @@ impl Search<'_> {
         }
         // Greedy incumbent for this subset: program order first, so the
         // bound pruning below starts with something to cut against.
-        self.try_order(&ctx, &(0..ctx.n).collect::<Vec<_>>(), spills, inserted);
+        if !seed_first {
+            self.try_program_order(&ctx, &mut st, spills, inserted);
+        }
 
-        let mut st = NodeState::root(&ctx, self.machine);
         if st.max_pressure > self.machine.num_regs() {
             // Entry liveness alone overflows the file.
             self.pruned += 1;
             return;
         }
-        let mut dom: HashMap<u64, Vec<DomEntry>> = HashMap::new();
-        self.dfs(&ctx, &mut st, &mut dom, spills, inserted);
+        self.dom.clear();
+        self.dfs(&ctx, &mut st, spills, inserted);
     }
 
-    fn dfs(
-        &mut self,
-        ctx: &BlockCtx,
-        st: &mut NodeState,
-        dom: &mut HashMap<u64, Vec<DomEntry>>,
-        spills: u32,
-        inserted: usize,
-    ) {
+    fn dfs<'c>(&mut self, ctx: &'c BlockCtx, st: &mut NodeState<'c>, spills: u32, inserted: usize) {
         if self.aborted {
             return;
         }
@@ -322,12 +341,17 @@ impl Search<'_> {
             self.install(ctx, st, spills, inserted);
             return;
         }
-        let mut ready: Vec<usize> = (0..ctx.n)
-            .filter(|&j| st.mask & (1 << j) == 0 && ctx.pred_mask[j] & !st.mask == 0)
-            .collect();
-        // Tallest first: good incumbents early make the bounds bite.
-        ready.sort_by_key(|&j| (std::cmp::Reverse(ctx.timing.heights()[j]), j));
-        for j in ready {
+        // Tallest first: good incumbents early make the bounds bite. The
+        // node's ready list sits on the shared stack above its parent's.
+        let start = st.ready.len();
+        for &j in &ctx.by_height {
+            if st.mask & (1 << j) == 0 && ctx.pred_mask[j] & !st.mask == 0 {
+                st.ready.push(j);
+            }
+        }
+        let end = st.ready.len();
+        'ready: for at in start..end {
+            let j = st.ready[at];
             // Register choices for this step: maximum reuse always, plus
             // progressively more fresh registers when every free register
             // would delay the issue (the write-after-write branch). `None`
@@ -338,9 +362,9 @@ impl Search<'_> {
             };
             for fresh in f_min..=f_max {
                 if !self.charge(1) {
-                    return;
+                    break 'ready;
                 }
-                let frame = st.apply(ctx, j, fresh);
+                st.apply(ctx, j, fresh);
                 let feasible = st.max_pressure <= self.machine.num_regs();
                 let mut cut = !feasible;
                 if !cut && self.prune {
@@ -350,21 +374,22 @@ impl Search<'_> {
                             cut = true;
                         }
                     }
-                    if !cut && self.dominated(ctx, st, dom) {
+                    if !cut && self.dominated(ctx, st) {
                         cut = true;
                     }
                 }
                 if cut {
                     self.pruned += 1;
                 } else {
-                    self.dfs(ctx, st, dom, spills, inserted);
+                    self.dfs(ctx, st, spills, inserted);
                 }
-                st.undo(ctx, frame);
+                st.undo(ctx);
                 if self.aborted {
-                    return;
+                    break 'ready;
                 }
             }
         }
+        st.ready.truncate(start);
     }
 
     /// Prefix dominance over the *physical* state: a stored state with the
@@ -377,49 +402,50 @@ impl Search<'_> {
     /// redundant. Pending-write cycles are clamped to the state's own
     /// in-order floor before comparing: a constraint at or below the floor
     /// can never bind again, so clamping strengthens the rule soundly.
-    fn dominated(
-        &mut self,
-        ctx: &BlockCtx,
-        st: &NodeState,
-        dom: &mut HashMap<u64, Vec<DomEntry>>,
-    ) -> bool {
-        let num_regs = self.machine.num_regs();
-        let mut val_ready = vec![0u32; ctx.vals.len()];
-        for (v, r) in val_ready.iter_mut().enumerate() {
-            if st.alive[v] {
-                if let Some(reg) = st.assign[v] {
-                    *r = st.reg_ready[reg as usize].max(st.clock.floor());
-                }
-            }
-        }
-        let mut avail: Vec<u32> = (0..num_regs)
-            .filter(|&r| !st.reg_live[r as usize])
-            .map(|r| st.reg_ready[r as usize].max(st.clock.floor()))
-            .collect();
-        avail.sort_unstable();
+    fn dominated(&mut self, ctx: &BlockCtx, st: &NodeState) -> bool {
         let clock = &st.clock;
-        let entry = DomEntry {
+        let floor = clock.floor();
+        let probe = &mut self.probe;
+        probe.clear();
+        probe.extend((0..ctx.n).map(|j| clock.release(j)));
+        probe.extend((0..ctx.vals.len()).map(|v| match st.assign[v] {
+            Some(reg) if st.alive[v] => st.reg_ready[reg as usize].max(floor),
+            _ => 0,
+        }));
+        let avail_from = probe.len();
+        probe.extend(
+            (0..self.machine.num_regs() as usize)
+                .filter(|&r| !st.reg_live[r])
+                .map(|r| st.reg_ready[r].max(floor)),
+        );
+        probe[avail_from..].sort_unstable();
+        let head = DomHead {
             max_pressure: st.max_pressure,
             distinct: st.distinct,
             completion: clock.completion(),
             term_release: clock.term_release(),
-            floor: clock.floor(),
+            floor,
             floor_counts: st.floor_counts,
-            release: (0..ctx.n).map(|j| clock.release(j)).collect(),
-            val_ready: val_ready.into_boxed_slice(),
-            avail: avail.into_boxed_slice(),
         };
-        let unscheduled = !st.mask;
-        let stored = dom.entry(st.mask).or_default();
+        let probe: &[u32] = probe;
+        let cmp = DomCmp {
+            ctx,
+            unscheduled: !st.mask & ctx.all_mask,
+            alive: &st.alive,
+        };
+        let stored = self.dom.entry(st.mask).or_default();
         if stored
             .iter()
-            .any(|e| e.dominates(&entry, ctx.n, unscheduled, &st.alive))
+            .any(|e| cmp.dominates((&e.head, &e.data), (&head, probe)))
         {
             return true;
         }
-        stored.retain(|e| !entry.dominates(e, ctx.n, unscheduled, &st.alive));
+        stored.retain(|e| !cmp.dominates((&head, probe), (&e.head, &e.data)));
         if stored.len() < DOM_CAP {
-            stored.push(entry);
+            stored.push(DomEntry {
+                head,
+                data: probe.into(),
+            });
         }
         false
     }
@@ -429,65 +455,83 @@ impl Search<'_> {
 /// entries share the scheduled-set mask, so they agree on which values
 /// are alive and on the length of the free-register pool.
 struct DomEntry {
+    head: DomHead,
+    /// The pending release of every body instruction, then the
+    /// floor-clamped pending-write cycle of each *live* value's register
+    /// (dead slots are zero and never compared), then the sorted
+    /// floor-clamped pending-write cycles of every register not holding a
+    /// live value — fresh registers contribute their zero.
+    data: Box<[u32]>,
+}
+
+/// The scalar part of a [`DomEntry`].
+#[derive(Clone, Copy)]
+struct DomHead {
     max_pressure: u32,
     distinct: u32,
     completion: u32,
     term_release: u32,
     floor: u32,
     floor_counts: [u8; 7],
-    release: Box<[u32]>,
-    /// Floor-clamped pending-write cycle of each *live* value's register
-    /// (dead slots are zero and never compared).
-    val_ready: Box<[u32]>,
-    /// Sorted floor-clamped pending-write cycles of every register not
-    /// holding a live value — fresh registers contribute their zero.
-    avail: Box<[u32]>,
 }
 
-impl DomEntry {
-    /// Whether `self` dominates `other` (same prefix set assumed). The
-    /// frontier condition: strictly earlier floor, or the same floor with
-    /// a sub-multiset of same-cycle issues — either way every future issue
-    /// of `other` can be mirrored no later from `self`. The register
-    /// conditions carry the mirror through the assignment: per live value
-    /// the same value's register is no more constrained, and the sorted
-    /// free pools match componentwise (with `distinct` ≤ guaranteeing the
-    /// mirror never runs out of fresh registers).
-    fn dominates(&self, other: &DomEntry, n: usize, unscheduled: u64, alive: &[bool]) -> bool {
-        if self.max_pressure > other.max_pressure
-            || self.distinct > other.distinct
-            || self.completion > other.completion
-            || self.term_release > other.term_release
-            || self.floor > other.floor
+/// What two entries of one prefix set are compared under.
+struct DomCmp<'a> {
+    ctx: &'a BlockCtx<'a>,
+    /// Unscheduled body instructions.
+    unscheduled: u64,
+    alive: &'a [bool],
+}
+
+impl DomCmp<'_> {
+    /// Whether entry `a` dominates entry `b`. The frontier condition:
+    /// strictly earlier floor, or the same floor with a sub-multiset of
+    /// same-cycle issues — either way every future issue of `b` can be
+    /// mirrored no later from `a`. The register conditions carry the
+    /// mirror through the assignment: per live value the same value's
+    /// register is no more constrained, and the sorted free pools match
+    /// componentwise (with `distinct` ≤ guaranteeing the mirror never runs
+    /// out of fresh registers).
+    fn dominates(&self, (a, a_data): (&DomHead, &[u32]), (b, b_data): (&DomHead, &[u32])) -> bool {
+        if a.max_pressure > b.max_pressure
+            || a.distinct > b.distinct
+            || a.completion > b.completion
+            || a.term_release > b.term_release
+            || a.floor > b.floor
         {
             return false;
         }
-        if self.floor == other.floor
-            && self
-                .floor_counts
+        if a.floor == b.floor
+            && a.floor_counts
                 .iter()
-                .zip(other.floor_counts.iter())
-                .any(|(a, b)| a > b)
+                .zip(b.floor_counts.iter())
+                .any(|(x, y)| x > y)
         {
             return false;
         }
-        if !(0..n)
-            .filter(|&j| unscheduled & (1 << j) != 0)
-            .all(|j| self.release[j] <= other.release[j])
-        {
-            return false;
+        let mut rest = self.unscheduled;
+        while rest != 0 {
+            let j = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            if a_data[j] > b_data[j] {
+                return false;
+            }
         }
-        if alive
+        let n = self.ctx.n;
+        let (a_vals, b_vals) = (&a_data[n..], &b_data[n..]);
+        if self
+            .alive
             .iter()
             .enumerate()
-            .any(|(v, &a)| a && self.val_ready[v] > other.val_ready[v])
+            .any(|(v, &live)| live && a_vals[v] > b_vals[v])
         {
             return false;
         }
-        self.avail
+        let avail_from = self.ctx.vals.len();
+        a_vals[avail_from..]
             .iter()
-            .zip(other.avail.iter())
-            .all(|(a, b)| a <= b)
+            .zip(&b_vals[avail_from..])
+            .all(|(x, y)| x <= y)
     }
 }
 
@@ -519,10 +563,15 @@ impl ValueInfo {
 struct BlockCtx<'m> {
     func: Function,
     n: usize,
+    /// Every body position, as a bitmask.
+    all_mask: u64,
     timing: BlockTiming<'m>,
     pred_mask: Vec<u64>,
+    /// Body positions tallest first (ties by position): the search's
+    /// expansion order.
+    by_height: Vec<usize>,
     vals: Vec<ValueInfo>,
-    val_of: HashMap<Reg, usize>,
+    val_of: FastMap<Reg, usize>,
     use_vals: Vec<Vec<usize>>,
     def_vals: Vec<Vec<usize>>,
     live_ins: Vec<usize>,
@@ -547,12 +596,14 @@ impl<'m> BlockCtx<'m> {
         let pred_mask: Vec<u64> = (0..n)
             .map(|i| graph.preds(i).iter().fold(0, |m, &p| m | 1 << p))
             .collect();
+        let mut by_height: Vec<usize> = (0..n).collect();
+        by_height.sort_unstable_by_key(|&j| (std::cmp::Reverse(timing.heights()[j]), j));
 
         let term_uses: Vec<Reg> = block.terminator().map(Inst::uses).unwrap_or_default();
 
         // Single-assignment value view (preconditions already verified).
         let mut vals: Vec<ValueInfo> = Vec::new();
-        let mut val_of: HashMap<Reg, usize> = HashMap::new();
+        let mut val_of: FastMap<Reg, usize> = FastMap::default();
         let mut use_vals: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut def_vals: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (i, inst) in body.iter().enumerate() {
@@ -582,36 +633,7 @@ impl<'m> BlockCtx<'m> {
         }
         let live_ins: Vec<usize> = (0..vals.len()).filter(|&v| vals[v].def.is_none()).collect();
 
-        // Reachability of the (index-increasing) dependence DAG, via the
-        // same query engine the heuristic pipeline uses.
-        let reach = match parsched_graph::Reachability::build(
-            graph,
-            parsched_graph::ClosureMode::Auto,
-            None,
-        ) {
-            Some(r) => r,
-            None => unreachable!("no deadline is set"),
-        };
-        // Must-overlap bound: value v is live at i in *every* order when
-        // its def precedes i (or is i) and some use at/after i (or the
-        // terminator) follows.
-        let mut regs_lb = live_ins.len() as u32;
-        for i in 0..n {
-            let mut live_here = 0u32;
-            for v in &vals {
-                let def_before = match v.def {
-                    None => true,
-                    Some(d) => d == i || reach.reaches(d, i),
-                };
-                let use_after = v.term_uses > 0
-                    || v.use_mask & (1u64 << i) != 0
-                    || reach.row_iter(i).any(|j| v.use_mask & (1u64 << j) != 0);
-                if def_before && use_after && v.uses > 0 {
-                    live_here += 1;
-                }
-            }
-            regs_lb = regs_lb.max(live_here);
-        }
+        let regs_lb = must_overlap_bound(&vals, &descendant_masks(&pred_mask), live_ins.len());
         let mut cycles_lb = timing.heights().iter().copied().max().unwrap_or(0);
         if block.terminator().is_some() {
             cycles_lb = cycles_lb.max(1);
@@ -620,8 +642,10 @@ impl<'m> BlockCtx<'m> {
         Some(BlockCtx {
             func: func.clone(),
             n,
+            all_mask: if n == MASK_CAP { !0 } else { (1 << n) - 1 },
             timing,
             pred_mask,
+            by_height,
             vals,
             val_of,
             use_vals,
@@ -647,6 +671,45 @@ impl<'m> BlockCtx<'m> {
         });
         out
     }
+}
+
+/// Each body position's strict descendants in the dependence DAG, as
+/// bitmasks, from the predecessor masks in one reverse pass: every edge
+/// points forward, so a position's descendants are complete before its
+/// predecessors read them.
+fn descendant_masks(pred_mask: &[u64]) -> Vec<u64> {
+    let mut desc = vec![0u64; pred_mask.len()];
+    for i in (0..pred_mask.len()).rev() {
+        let below = desc[i] | 1 << i;
+        let mut preds = pred_mask[i];
+        while preds != 0 {
+            desc[preds.trailing_zeros() as usize] |= below;
+            preds &= preds - 1;
+        }
+    }
+    desc
+}
+
+/// Must-overlap bound: value v is live at i in *every* order when its def
+/// precedes i (or is i) and some use at/after i (or the terminator)
+/// follows. The bound is the most such values at any position, and at
+/// least the live-ins.
+fn must_overlap_bound(vals: &[ValueInfo], desc: &[u64], live_ins: usize) -> u32 {
+    let mut regs_lb = live_ins as u32;
+    for (i, &below) in desc.iter().enumerate() {
+        let here = 1u64 << i;
+        let at_or_after = below | here;
+        let live_here = vals
+            .iter()
+            .filter(|v| {
+                let def_before = v.def.is_none_or(|d| (desc[d] | 1 << d) & here != 0);
+                let use_after = v.term_uses > 0 || v.use_mask & at_or_after != 0;
+                def_before && use_after && v.uses > 0
+            })
+            .count() as u32;
+        regs_lb = regs_lb.max(live_here);
+    }
+    regs_lb
 }
 
 /// Mutable search state for one prefix, updated and undone in place.
@@ -676,18 +739,30 @@ struct NodeState<'c> {
     /// Registers ever taken — indices `0..distinct` — and the final
     /// `registers_used` of the emitted code at a leaf.
     distinct: u32,
+    /// One undo record per applied step, innermost last.
+    frames: Vec<Frame>,
+    /// Values that died at each applied step, in step order.
+    died: Vec<usize>,
+    /// `(register, previous reg_ready)` per def of each applied step.
+    def_regs: Vec<(u32, u32)>,
+    /// The clock before the step at each depth; the buffers are reused.
+    clocks: Vec<IssueClock<'c>>,
+    /// [`NodeState::apply`]'s scratch: the free pool as `(reg_ready,
+    /// register)`, cut down to the registers chosen for the step's defs.
+    free: Vec<(u32, u32)>,
+    /// Ready lists of the open search nodes, stacked by depth.
+    ready: Vec<usize>,
 }
 
-/// Undo record for one [`NodeState::apply`].
-struct Frame<'c> {
+/// Undo record for one [`NodeState::apply`]; the step's died values and
+/// def registers sit on the state's stacks from `died_from`/`def_from`.
+struct Frame {
     j: usize,
-    died: Vec<usize>,
-    /// `(register, previous reg_ready)` per def, in `def_vals[j]` order.
-    def_regs: Vec<(u32, u32)>,
+    died_from: usize,
+    def_from: usize,
     distinct: u32,
     floor_counts: [u8; 7],
     max_pressure: u32,
-    clock: IssueClock<'c>,
 }
 
 impl<'c> NodeState<'c> {
@@ -725,31 +800,35 @@ impl<'c> NodeState<'c> {
             reg_ready: vec![0; pool],
             reg_live,
             distinct: cur_live,
+            frames: Vec::with_capacity(ctx.n),
+            died: Vec::new(),
+            def_regs: Vec::new(),
+            clocks: Vec::with_capacity(ctx.n),
+            free: Vec::with_capacity(pool),
+            ready: Vec::new(),
         }
     }
 
-    /// The registers freed by scheduling `j` next, without mutating: every
-    /// currently free taken register plus the registers of values whose
-    /// last use is `j`, as `(reg_ready, register)` pairs.
-    fn freed_by(&self, ctx: &BlockCtx, j: usize) -> Vec<(u32, u32)> {
-        let mut free: Vec<(u32, u32)> = (0..self.distinct)
-            .filter(|&r| !self.reg_live[r as usize])
-            .map(|r| (self.reg_ready[r as usize], r))
-            .collect();
-        for &v in &ctx.use_vals[j] {
-            if self.alive[v] {
-                let occurrences = ctx.use_vals[j].iter().filter(|&&u| u == v).count() as u32;
-                if self.remaining[v] == occurrences {
-                    if let Some(r) = self.assign[v] {
-                        if !free.contains(&(self.reg_ready[r as usize], r)) {
-                            free.push((self.reg_ready[r as usize], r));
-                        }
-                    }
+    /// How many registers scheduling `j` next leaves free — every free
+    /// taken register plus the registers of values whose last use is `j`
+    /// — have their pending write at or before cycle `by`.
+    fn freed_count(&self, ctx: &BlockCtx, j: usize, by: u32) -> u32 {
+        let mut count = (0..self.distinct as usize)
+            .filter(|&r| !self.reg_live[r] && self.reg_ready[r] <= by)
+            .count() as u32;
+        let uses = &ctx.use_vals[j];
+        for (at, &v) in uses.iter().enumerate() {
+            if !self.alive[v] || uses[..at].contains(&v) {
+                continue;
+            }
+            let occurrences = uses.iter().filter(|&&u| u == v).count() as u32;
+            if self.remaining[v] == occurrences {
+                if let Some(r) = self.assign[v] {
+                    count += u32::from(self.reg_ready[r as usize] <= by);
                 }
             }
         }
-        free.sort_unstable();
-        free
+        count
     }
 
     /// The fresh-register branch range for scheduling `j` next:
@@ -766,9 +845,8 @@ impl<'c> NodeState<'c> {
         if k == 0 {
             return Some((0, 0));
         }
-        let free = self.freed_by(ctx, j);
         let fresh_avail = machine.num_regs().saturating_sub(self.distinct);
-        let f_min = k.saturating_sub(free.len() as u32);
+        let f_min = k.saturating_sub(self.freed_count(ctx, j, u32::MAX));
         let f_max = k.min(fresh_avail);
         if f_min > f_max {
             return None;
@@ -776,9 +854,10 @@ impl<'c> NodeState<'c> {
         if f_min == f_max {
             return Some((f_min, f_min));
         }
+        // The `k - f_min` oldest freed registers are all delay-free
+        // exactly when at least that many freed registers are.
         let c_base = self.clock.next_free(j, 0);
-        let reuse = (k - f_min) as usize;
-        if free[..reuse].iter().all(|&(ready, _)| ready <= c_base) {
+        if self.freed_count(ctx, j, c_base) >= k - f_min {
             return Some((f_min, f_min));
         }
         Some((f_min, f_max))
@@ -789,17 +868,20 @@ impl<'c> NodeState<'c> {
     /// the write-after-write constraints of the chosen registers (the
     /// checker's replay policy) and updates liveness, releases, the
     /// frontier, and the register state. `fresh` must come from
-    /// [`NodeState::def_options`].
-    fn apply(&mut self, ctx: &BlockCtx, j: usize, fresh: u32) -> Frame<'c> {
-        let mut frame = Frame {
+    /// [`NodeState::def_options`]; [`NodeState::undo`] reverts the step.
+    fn apply(&mut self, ctx: &BlockCtx, j: usize, fresh: u32) {
+        match self.clocks.get_mut(self.order.len()) {
+            Some(saved) => saved.clone_from(&self.clock),
+            None => self.clocks.push(self.clock.clone()),
+        }
+        self.frames.push(Frame {
             j,
-            died: Vec::new(),
-            def_regs: Vec::new(),
+            died_from: self.died.len(),
+            def_from: self.def_regs.len(),
             distinct: self.distinct,
             floor_counts: self.floor_counts,
             max_pressure: self.max_pressure,
-            clock: self.clock.clone(),
-        };
+        });
 
         // Deaths first: a def may take a register its own operand frees.
         for &v in &ctx.use_vals[j] {
@@ -810,27 +892,35 @@ impl<'c> NodeState<'c> {
                 if let Some(r) = self.assign[v] {
                     self.reg_live[r as usize] = false;
                 }
-                frame.died.push(v);
+                self.died.push(v);
             }
         }
 
-        // Pick registers: the `defs - fresh` oldest free ones, then fresh.
+        // Pick registers into `free`: the `defs - fresh` oldest free ones,
+        // then fresh.
         let defs = &ctx.def_vals[j];
-        let mut chosen: Vec<u32> = Vec::with_capacity(defs.len());
-        if !defs.is_empty() {
-            let mut free: Vec<(u32, u32)> = (0..self.distinct)
-                .filter(|&r| !self.reg_live[r as usize])
-                .map(|r| (self.reg_ready[r as usize], r))
-                .collect();
-            free.sort_unstable();
-            let reuse = defs.len() - fresh as usize;
-            chosen.extend(free[..reuse].iter().map(|&(_, r)| r));
-            chosen.extend(self.distinct..self.distinct + fresh);
-            self.distinct += fresh;
+        let reuse = defs.len() - fresh as usize;
+        self.free.clear();
+        if reuse > 0 {
+            let (reg_live, reg_ready) = (&self.reg_live, &self.reg_ready);
+            self.free.extend(
+                (0..self.distinct)
+                    .filter(|&r| !reg_live[r as usize])
+                    .map(|r| (reg_ready[r as usize], r)),
+            );
+            self.free.sort_unstable();
+            self.free.truncate(reuse);
         }
+        self.free
+            .extend((self.distinct..self.distinct + fresh).map(|r| (0, r)));
+        self.distinct += fresh;
 
         // Issue under the chosen registers' pending-write constraints.
-        let earliest = chosen.iter().map(|&r| self.reg_ready[r as usize]).max();
+        let earliest = self
+            .free
+            .iter()
+            .map(|&(_, r)| self.reg_ready[r as usize])
+            .max();
         let old_floor = self.clock.floor();
         let c = self.clock.issue(j, earliest.unwrap_or(0));
 
@@ -842,8 +932,8 @@ impl<'c> NodeState<'c> {
         self.floor_counts[ctx.timing.class(j) as usize] += 1;
 
         self.max_pressure = self.max_pressure.max(self.cur_live + defs.len() as u32);
-        for (&v, &r) in defs.iter().zip(chosen.iter()) {
-            frame.def_regs.push((r, self.reg_ready[r as usize]));
+        for (&v, &(_, r)) in defs.iter().zip(&self.free) {
+            self.def_regs.push((r, self.reg_ready[r as usize]));
             self.assign[v] = Some(r);
             self.reg_ready[r as usize] = c + 1;
             // Dead defs hold their register only transiently: the write
@@ -854,12 +944,15 @@ impl<'c> NodeState<'c> {
                 self.reg_live[r as usize] = true;
             }
         }
-        frame
     }
 
-    fn undo(&mut self, ctx: &BlockCtx, frame: Frame<'c>) {
+    /// Reverts the last [`NodeState::apply`].
+    fn undo(&mut self, ctx: &BlockCtx) {
+        let Some(frame) = self.frames.pop() else {
+            return;
+        };
         let j = frame.j;
-        for (&v, &(r, old_ready)) in ctx.def_vals[j].iter().zip(frame.def_regs.iter()) {
+        for (&v, &(r, old_ready)) in ctx.def_vals[j].iter().zip(&self.def_regs[frame.def_from..]) {
             if ctx.vals[v].uses > 0 {
                 self.alive[v] = false;
                 self.cur_live -= 1;
@@ -868,22 +961,31 @@ impl<'c> NodeState<'c> {
             self.reg_ready[r as usize] = old_ready;
             self.assign[v] = None;
         }
+        self.def_regs.truncate(frame.def_from);
         self.distinct = frame.distinct;
-        for &v in &frame.died {
+        for &v in &self.died[frame.died_from..] {
             self.alive[v] = true;
             self.cur_live += 1;
             if let Some(r) = self.assign[v] {
                 self.reg_live[r as usize] = true;
             }
         }
+        self.died.truncate(frame.died_from);
         for &v in &ctx.use_vals[j] {
             self.remaining[v] += 1;
         }
         self.floor_counts = frame.floor_counts;
         self.max_pressure = frame.max_pressure;
-        self.clock = frame.clock;
         self.mask &= !(1 << j);
         self.order.pop();
+        std::mem::swap(&mut self.clock, &mut self.clocks[self.order.len()]);
+    }
+
+    /// Reverts every applied step, back to the root.
+    fn rewind(&mut self, ctx: &BlockCtx) {
+        while !self.frames.is_empty() {
+            self.undo(ctx);
+        }
     }
 
     /// Admissible completion bound: scheduled work plus, for every pending
@@ -892,11 +994,12 @@ impl<'c> NodeState<'c> {
     fn cycle_bound(&self, ctx: &BlockCtx) -> u32 {
         // Every result the terminator reads is in `completion` already.
         let mut bound = self.clock.completion();
-        for j in 0..ctx.n {
-            if self.mask & (1 << j) == 0 {
-                bound = bound
-                    .max(self.clock.release(j).max(self.clock.floor()) + ctx.timing.heights()[j]);
-            }
+        let floor = self.clock.floor();
+        let mut rest = !self.mask & ctx.all_mask;
+        while rest != 0 {
+            let j = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            bound = bound.max(self.clock.release(j).max(floor) + ctx.timing.heights()[j]);
         }
         bound
     }
@@ -954,6 +1057,112 @@ impl Combinations {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parsched_graph::{ClosureMode, Reachability};
+    use parsched_machine::presets;
+    use parsched_workload::{expr_tree_function, random_dag_function, DagParams, SplitMix64};
+
+    /// The seeded corpus of `tests/exact.rs`: DAG blocks and expression
+    /// trees on five machine presets with 4–8 registers.
+    fn corpus(seed: u64, count: usize, max_size: usize) -> Vec<(Function, MachineDesc)> {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let mut out = Vec::new();
+        while out.len() < count {
+            let func = if rng.gen_range_usize(0, 2) == 0 {
+                random_dag_function(
+                    rng.next_u64(),
+                    &DagParams {
+                        size: rng.gen_range_usize(3, max_size),
+                        load_fraction: rng.gen_range_i64(0, 30) as f64 / 100.0,
+                        float_fraction: rng.gen_range_i64(0, 40) as f64 / 100.0,
+                        window: rng.gen_range_usize(2, 5),
+                    },
+                )
+            } else {
+                expr_tree_function(rng.next_u64(), 2, rng.gen_range_i64(0, 40) as f64 / 100.0)
+            };
+            if parsched_ir::verify::verify_function(&func, false).is_err() {
+                continue;
+            }
+            let regs = *rng.pick(&[4u32, 6, 8]);
+            let machine = match rng.gen_range_usize(0, 5) {
+                0 => presets::single_issue(regs),
+                1 => presets::paper_machine(regs),
+                2 => presets::mips_r3000(regs),
+                3 => presets::rs6000(regs),
+                _ => presets::wide(4, regs),
+            };
+            out.push((func, machine));
+        }
+        out
+    }
+
+    /// The static bounds as first derived: the must-overlap register bound
+    /// over the general [`Reachability`] closure of the dependence DAG,
+    /// and the critical-path cycle bound.
+    fn reference_bounds(ctx: &BlockCtx, machine: &MachineDesc) -> (u32, u32) {
+        let block = ctx.func.block(BlockId(0));
+        let deps = DepGraph::build(block, &NullTelemetry);
+        let Some(reach) = Reachability::build(deps.graph(), ClosureMode::Auto, None) else {
+            unreachable!("no deadline is set");
+        };
+        let mut regs_lb = ctx.live_ins.len() as u32;
+        for i in 0..ctx.n {
+            let mut live_here = 0u32;
+            for v in &ctx.vals {
+                let def_before = match v.def {
+                    None => true,
+                    Some(d) => d == i || reach.reaches(d, i),
+                };
+                let use_after = v.term_uses > 0
+                    || v.use_mask & (1u64 << i) != 0
+                    || reach.row_iter(i).any(|j| v.use_mask & (1u64 << j) != 0);
+                if def_before && use_after && v.uses > 0 {
+                    live_here += 1;
+                }
+            }
+            regs_lb = regs_lb.max(live_here);
+        }
+        let timing = BlockTiming::new(block, &deps, machine);
+        let mut cycles_lb = timing.heights().iter().copied().max().unwrap_or(0);
+        if block.terminator().is_some() {
+            cycles_lb = cycles_lb.max(1);
+        }
+        (regs_lb, cycles_lb)
+    }
+
+    #[test]
+    fn mask_bounds_match_the_reachability_reference() {
+        let mut compared = 0;
+        for (seed, count, max_size) in [(11, 30, 10), (23, 20, 10), (37, 15, 7)] {
+            for (func, machine) in corpus(seed, count, max_size) {
+                if BlockAllocProblem::build(&func, BlockId(0), &Liveness::compute(&func, &[]))
+                    .is_err()
+                {
+                    continue;
+                }
+                // The block itself, each one-value spill and the
+                // all-spilled form.
+                let candidates = spill_candidates(&func);
+                let mut forms = vec![func.clone()];
+                forms.extend(candidates.iter().map(|&c| spill_rewrite(&func, &[c]).0));
+                forms.push(spill_rewrite(&func, &candidates).0);
+                for form in &forms {
+                    let Some(ctx) = BlockCtx::build(form, &machine) else {
+                        continue;
+                    };
+                    assert_eq!(
+                        (ctx.regs_lb, ctx.cycles_lb),
+                        reference_bounds(&ctx, &machine),
+                        "{} on {}",
+                        form.name(),
+                        machine.name()
+                    );
+                    compared += 1;
+                }
+            }
+        }
+        assert!(compared >= 200, "only {compared} blocks compared");
+    }
 
     #[test]
     fn combinations_enumerate_in_order() {

@@ -587,12 +587,12 @@ struct CompileFailure {
     message: String,
 }
 
-/// One full compile attempt over every function of the module, through
-/// the batch driver on this worker's thread: the driver's per-function
-/// loop and panic net are the daemon's. Returns the serialized response
-/// body plus whether it is cacheable (no degradation anywhere — shed or
-/// degraded output must never be pinned); a module with a failed function
-/// answers with the first failure in input order.
+/// One full compile attempt over the functions of the module, through the
+/// batch driver on this worker's thread: the driver's panic net is the
+/// daemon's. Returns the serialized response body plus whether it is
+/// cacheable (no degradation anywhere — shed or degraded output must never
+/// be pinned); a module with a failed function answers with the first
+/// failure in input order, and the functions after it are not compiled.
 fn compile_module_once(
     inner: &Inner,
     machine: &MachineDesc,
@@ -611,26 +611,28 @@ fn compile_module_once(
     let driver = Driver::new(Pipeline::new(machine.clone()))
         .with_budget(budget)
         .with_ladder(ladder_for(strategy, shed_rungs));
-    let out = BatchDriver::new(driver)
-        .with_jobs(1)
-        .compile_module(funcs, &inner.flight);
+    let batch = BatchDriver::new(driver).with_jobs(1);
 
     let mut compiled = Vec::with_capacity(funcs.len());
     let mut worst = parsched::DegradationLevel::None;
     let mut stats = parsched::CompileStats::default();
-    for result in out.results {
-        let result = result.map_err(|e| CompileFailure {
-            code: e.exit_code(),
-            class: e.class().to_string(),
-            message: e.to_string(),
-        })?;
-        worst = worst.max(result.degradation);
-        stats.registers_used = stats.registers_used.max(result.stats.registers_used);
-        stats.spilled_values += result.stats.spilled_values;
-        stats.inserted_mem_ops += result.stats.inserted_mem_ops;
-        stats.cycles += result.stats.cycles;
-        stats.inst_count += result.stats.inst_count;
-        compiled.push(result.function);
+    // One function per call, so the first failure ends the module.
+    for func in funcs {
+        let out = batch.compile_module(std::slice::from_ref(func), &inner.flight);
+        for result in out.results {
+            let result = result.map_err(|e| CompileFailure {
+                code: e.exit_code(),
+                class: e.class().to_string(),
+                message: e.to_string(),
+            })?;
+            worst = worst.max(result.degradation);
+            stats.registers_used = stats.registers_used.max(result.stats.registers_used);
+            stats.spilled_values += result.stats.spilled_values;
+            stats.inserted_mem_ops += result.stats.inserted_mem_ops;
+            stats.cycles += result.stats.cycles;
+            stats.inst_count += result.stats.inst_count;
+            compiled.push(result.function);
+        }
     }
     let body = Writer::compact()
         .object(Layout::Line, |w| {
@@ -742,13 +744,18 @@ mod tests {
         assert!(report.flight_dump.contains("drain"));
     }
 
-    #[test]
-    fn a_module_answers_with_its_failing_functions_error() {
-        // The first function compiles on three registers; the second has
-        // four parameters live at entry, so every rung refuses it.
-        let wide = "func @wide(s0, s1, s2, s3) {\nentry:\n    s4 = add s0, s1\n    \
-                    s5 = add s2, s3\n    s6 = add s4, s5\n    ret s6\n}";
-        let src = format!("{SRC}\n{wide}");
+    /// A module with four parameters live at entry: every rung refuses it
+    /// on three registers.
+    const WIDE: &str = "func @wide(s0, s1, s2, s3) {\nentry:\n    s4 = add s0, s1\n    \
+                        s5 = add s2, s3\n    s6 = add s4, s5\n    ret s6\n}";
+
+    const WIDE_REFUSAL: &str = "\"code\":5,\"class\":\"alloc\",\"error\":\"allocation infeasible: \
+                                entry live set needs at least 4 registers, machine has 3\"}";
+
+    /// Compiles `src` at `--regs 3` on a fresh one-worker service and
+    /// returns the response line, the final stats and the number of
+    /// `pipeline.compile` spans in the flight dump.
+    fn compile_on_three_regs(src: &str) -> (String, ServiceStats, usize) {
         let svc = Service::start(ServiceConfig {
             workers: 1,
             ..ServiceConfig::default()
@@ -757,18 +764,37 @@ mod tests {
         svc.handle_line(
             &format!(
                 "{{\"id\":5,\"op\":\"compile\",\"regs\":3,\"src\":\"{}\"}}",
-                escape_json(&src)
+                escape_json(src)
             ),
             &tx,
         );
-        assert_eq!(
-            recv_one(&rx),
-            "{\"id\":5,\"code\":5,\"class\":\"alloc\",\"error\":\"allocation infeasible: \
-             entry live set needs at least 4 registers, machine has 3\"}"
-        );
+        let line = recv_one(&rx);
         let stats = svc.stats();
+        let report = svc.shutdown_and_join();
+        let spans = report
+            .flight_dump
+            .matches("\"kind\":\"span\",\"name\":\"pipeline.compile\"")
+            .count();
+        (line, stats, spans)
+    }
+
+    #[test]
+    fn a_module_answers_with_its_failing_functions_error() {
+        // The first function compiles on three registers; the second is
+        // refused.
+        let (line, stats, spans) = compile_on_three_regs(&format!("{SRC}\n{WIDE}"));
+        assert_eq!(line, format!("{{\"id\":5,{WIDE_REFUSAL}"));
         assert_eq!((stats.failed, stats.retries), (1, 0));
-        svc.shutdown_and_join();
+        assert!(spans > 0, "the flight recorder sees the first compile");
+
+        // A failing first function answers alike and ends the module: the
+        // flight dump holds no compile span beyond the refusal's own.
+        let later = "func @g(s0) {\nentry:\n    s1 = mul s0, s0\n    ret s1\n}";
+        let (_, _, refusal_spans) = compile_on_three_regs(WIDE);
+        let (line, stats, spans) = compile_on_three_regs(&format!("{WIDE}\n{SRC}\n{later}"));
+        assert_eq!(line, format!("{{\"id\":5,{WIDE_REFUSAL}"));
+        assert_eq!((stats.failed, stats.retries), (1, 0));
+        assert_eq!(spans, refusal_spans, "later functions were compiled");
     }
 
     #[test]

@@ -158,7 +158,7 @@ pub(crate) struct Overflow {
 
 /// In-order issue on one block: unit bookings, dependence releases, the
 /// floor (latest issue so far), completion and the terminator's release.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct IssueClock<'t> {
     timing: &'t BlockTiming<'t>,
     rt: ReservationTable,
@@ -166,6 +166,30 @@ pub struct IssueClock<'t> {
     floor: u32,
     completion: u32,
     term_release: u32,
+}
+
+impl Clone for IssueClock<'_> {
+    fn clone(&self) -> Self {
+        IssueClock {
+            timing: self.timing,
+            rt: self.rt.clone(),
+            release: self.release.clone(),
+            floor: self.floor,
+            completion: self.completion,
+            term_release: self.term_release,
+        }
+    }
+
+    /// Reuses `self`'s buffers, so a search that snapshots its clock at
+    /// every step allocates nothing once its snapshots are warm.
+    fn clone_from(&mut self, source: &Self) {
+        self.timing = source.timing;
+        self.rt.clone_from(&source.rt);
+        self.release.clone_from(&source.release);
+        self.floor = source.floor;
+        self.completion = source.completion;
+        self.term_release = source.term_release;
+    }
 }
 
 impl IssueClock<'_> {

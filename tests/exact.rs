@@ -13,11 +13,16 @@
 //!    dominance rules returns the same objective as the brute-force
 //!    enumeration of the identical space (blocks of at most 8
 //!    instructions, where enumeration is cheap).
+//!
+//! A budget sweep adds that a tripped node budget degrades only the
+//! proof: whatever the solver returns passes every checker, and a proven
+//! answer is the default budget's.
 
 use parsched::exact::{solve, solve_brute_force, ExactConfig};
 use parsched::ir::Function;
 use parsched::machine::{presets, MachineDesc};
 use parsched::prelude::*;
+use parsched::telemetry::Recorder;
 use parsched_verify::{OracleConfig, Verifier};
 use parsched_workload::{expr_tree_function, random_dag_function, DagParams, SplitMix64};
 
@@ -171,5 +176,68 @@ fn pruned_search_matches_brute_force_on_tiny_blocks() {
     assert!(
         compared >= 5,
         "corpus too small: only {compared} comparisons"
+    );
+}
+
+/// Budget sweep: at every node budget, from one that trips before the
+/// first block is searched (so only the program-order fallback seed can
+/// answer) to one no block reaches, an answer passes every checker and
+/// the oracle, and a proven answer has the default budget's objective.
+#[test]
+fn every_node_budget_answers_soundly_and_proves_only_the_optimum() {
+    let (mut seeded, mut proven, mut unproven) = (0, 0, 0);
+    for (i, (func, machine)) in corpus(11, 30, 10).iter().enumerate() {
+        let default = solve(func, machine, &ExactConfig::default(), None, &NullTelemetry);
+        for max_nodes in [1, 2, 5, 50, 500, 20_000] {
+            let cfg = ExactConfig {
+                max_nodes,
+                ..ExactConfig::default()
+            };
+            let rec = Recorder::new();
+            let Ok(sol) = solve(func, machine, &cfg, None, &rec) else {
+                continue;
+            };
+            seeded += rec.counter_value("exact.seeded");
+            if sol.proven_optimal {
+                proven += 1;
+                let optimum = default.as_ref().map(|d| d.objective());
+                assert_eq!(
+                    Ok(sol.objective()),
+                    optimum.map_err(|e| e.to_string()),
+                    "case {i} at {max_nodes} nodes: proven answer is not the optimum"
+                );
+            } else {
+                unproven += 1;
+            }
+            let strategy = Strategy::Exact(cfg);
+            let driver = Driver::new(Pipeline::new(machine.clone())).with_ladder(vec![strategy]);
+            let result =
+                match driver.compile_resilient_in(&mut AllocSession::new(), func, &NullTelemetry) {
+                    Ok(r) => r,
+                    Err(e) => panic!("case {i} at {max_nodes} nodes: solved, then refused: {e}"),
+                };
+            assert_eq!(
+                result.stats.cycles,
+                sol.cycles(),
+                "case {i} at {max_nodes} nodes"
+            );
+            let verifier = Verifier::new(machine)
+                .strategy(strategy)
+                .oracle(OracleConfig {
+                    seed: i as u64,
+                    runs: 2,
+                });
+            let report = verifier.verify(func, &result, &NullTelemetry);
+            assert!(
+                report.ok(),
+                "case {i} at {max_nodes} nodes: failed verification: {:?}",
+                report.violations
+            );
+        }
+    }
+    assert!(
+        seeded > 0 && proven > 0 && unproven > 0,
+        "sweep must reach the fallback seed ({seeded}), proofs ({proven}) and \
+         unproven answers ({unproven})"
     );
 }
