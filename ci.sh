@@ -226,18 +226,18 @@ echo "==> benchmark smoke (perfbench: every check, throughput floor)"
 # is a median compile_insts_per_s on a 2-vCPU x86-64 VM divided by 2.5,
 # the slowdown ratio the retired compare-against-baseline gate allowed.
 # The pig-large and spill-tight medians are those measured for the change
-# that colors every spill round from dense rows (seed 1, 10 s, --trace 0,
-# interleaved with its parent): 77.3 k (10 pairs) and 24.9 k insts/s
-# (5 pairs), each past its parent's quartile spread (parent medians
-# 56.1 k and 19.7 k). The gap-small median is the one measured for the
-# change that made the exact solver pay only for its search (seed 1,
-# 20 s, --trace 0, 10 interleaved pairs): 136.4 k insts/s against its
-# parent's 74.3 k.
+# that made register dependences killing and interference graphs bit rows
+# (seed 1, 10 s, --trace 0, interleaved with its parent): 115.7 k
+# (6 pairs) and 34.7 k insts/s (10 pairs), each past its parent's
+# quartile spread (parent medians 95.4 k and 27.3 k). The gap-small
+# median is the one measured for the change that made the exact solver
+# pay only for its search (seed 1, 20 s, --trace 0, 10 interleaved
+# pairs): 136.4 k insts/s against its parent's 74.3 k.
 # Each run includes building perfbench (release, offline) on first use;
 # the build must leave the frozen perfbench/Cargo.lock as it was.
 lock_before=$(cksum < perfbench/Cargo.lock)
 bench_out=$(mktemp /tmp/parsched-bench-smoke.XXXXXX)
-for spec in pig-large:30900 spill-tight:9900 gap-small:54500; do
+for spec in pig-large:46200 spill-tight:13800 gap-small:54500; do
     workload=${spec%%:*}
     floor=${spec#*:}
     if ! timeout 120 bash perfbench/run.sh --workload "$workload" --seed 0 \

@@ -25,7 +25,7 @@ pub fn dsatur_coloring(g: &UnGraph) -> Coloring {
             c += 1;
         }
         colors[v] = c;
-        for &u in g.neighbors(v) {
+        for u in g.neighbors(v) {
             saturation[u].insert(c);
         }
     }

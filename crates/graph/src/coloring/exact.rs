@@ -152,7 +152,7 @@ fn try_color(
     }
     let v = order[idx];
     let mut used = 0u64; // bitmask of neighbor colors (num_colors <= 64)
-    for &u in g.neighbors(v) {
+    for u in g.neighbors(v) {
         if colors[u] != u32::MAX {
             used |= 1 << colors[u];
         }

@@ -10,28 +10,15 @@ use std::fmt;
 /// This is the representation for interference graphs `Gr`, false-dependence
 /// graphs `Gf`, and the parallelizable interference graph `G = Gr ∪ Gf`.
 /// Self-loops are rejected; parallel edges collapse.
+///
+/// The graph is its symmetric adjacency matrix and nothing else: neighbors
+/// come out of a row in ascending order, a degree is a row's popcount, and
+/// edges are listed in ascending `(u, v)` order, whatever order they were
+/// added in.
+#[derive(Clone)]
 pub struct UnGraph {
     adj: BitMatrix,
-    neighbors: Vec<Vec<NodeId>>,
     edge_count: usize,
-}
-
-impl Clone for UnGraph {
-    fn clone(&self) -> Self {
-        UnGraph {
-            adj: self.adj.clone(),
-            neighbors: self.neighbors.clone(),
-            edge_count: self.edge_count,
-        }
-    }
-
-    /// Reuses adjacency rows and neighbor lists (allocation-free once the
-    /// buffers have grown to size), preserving `source`'s neighbor order.
-    fn clone_from(&mut self, source: &Self) {
-        self.adj.clone_from(&source.adj);
-        self.neighbors.clone_from(&source.neighbors);
-        self.edge_count = source.edge_count;
-    }
 }
 
 impl UnGraph {
@@ -39,29 +26,28 @@ impl UnGraph {
     pub fn new(n: usize) -> Self {
         UnGraph {
             adj: BitMatrix::new(n),
-            neighbors: vec![Vec::new(); n],
             edge_count: 0,
         }
     }
 
+    /// The graph whose adjacency matrix is `adj`, which must be symmetric
+    /// with an empty diagonal (as every adjacency relation built with
+    /// paired [`BitMatrix::set`] calls is).
+    pub fn from_symmetric(adj: BitMatrix) -> Self {
+        let edge_count = adj.count() / 2;
+        UnGraph { adj, edge_count }
+    }
+
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.neighbors.len()
+        self.adj.size()
     }
 
     /// Removes every edge and changes the node count to `n`, reusing the
-    /// adjacency and neighbor-list buffers — the cheap way to rebuild a
-    /// graph of similar size every round.
+    /// adjacency rows — the cheap way to rebuild a graph of similar size
+    /// every round.
     pub fn reset(&mut self, n: usize) {
         self.adj.reset(n);
-        for vs in self.neighbors.iter_mut().take(n) {
-            vs.clear();
-        }
-        if self.neighbors.len() > n {
-            self.neighbors.truncate(n);
-        } else {
-            self.neighbors.resize_with(n, Vec::new);
-        }
         self.edge_count = 0;
     }
 
@@ -78,8 +64,6 @@ impl UnGraph {
         assert_ne!(u, v, "self-loop {u} in undirected graph");
         if self.adj.set(u, v) {
             self.adj.set(v, u);
-            self.neighbors[u].push(v);
-            self.neighbors[v].push(u);
             self.edge_count += 1;
             true
         } else {
@@ -91,8 +75,6 @@ impl UnGraph {
     pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> bool {
         if self.adj.unset(u, v) {
             self.adj.unset(v, u);
-            self.neighbors[u].retain(|&x| x != v);
-            self.neighbors[v].retain(|&x| x != u);
             self.edge_count -= 1;
             true
         } else {
@@ -105,14 +87,14 @@ impl UnGraph {
         self.adj.get(u, v)
     }
 
-    /// Neighbors of `u`.
-    pub fn neighbors(&self, u: NodeId) -> &[NodeId] {
-        &self.neighbors[u]
+    /// Neighbors of `u`, ascending.
+    pub fn neighbors(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.adj.row(u).iter()
     }
 
     /// Degree of `u`.
     pub fn degree(&self, u: NodeId) -> usize {
-        self.neighbors[u].len()
+        self.adj.row(u).count()
     }
 
     /// Borrows the adjacency row of `u` as a bit set (one bit per neighbor).
@@ -120,12 +102,9 @@ impl UnGraph {
         self.adj.row(u)
     }
 
-    /// Iterates over edges as `(u, v)` pairs with `u < v`.
+    /// Iterates over edges as `(u, v)` pairs with `u < v`, ascending.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.neighbors
-            .iter()
-            .enumerate()
-            .flat_map(|(u, vs)| vs.iter().filter(move |&&v| u < v).map(move |&v| (u, v)))
+        self.adj.edges()
     }
 
     /// Returns the complement graph: `{u, v}` present iff absent in `self`.
@@ -187,9 +166,37 @@ mod tests {
         let mut g = UnGraph::new(3);
         g.add_edge(2, 0);
         g.add_edge(1, 2);
-        let mut e: Vec<_> = g.edges().collect();
-        e.sort();
-        assert_eq!(e, vec![(0, 2), (1, 2)]);
+        g.add_edge(0, 1);
+        assert_eq!(g.edges().collect::<Vec<_>>(), vec![(0, 1), (0, 2), (1, 2)]);
+    }
+
+    #[test]
+    fn neighbors_ascend_whatever_the_insertion_order() {
+        let mut g = UnGraph::new(5);
+        for v in [4, 1, 3] {
+            g.add_edge(2, v);
+        }
+        g.add_edge(0, 2);
+        assert_eq!(g.neighbors(2).collect::<Vec<_>>(), vec![0, 1, 3, 4]);
+        assert_eq!(g.degree(2), 4);
+        g.remove_edge(3, 2);
+        assert_eq!(g.neighbors(2).collect::<Vec<_>>(), vec![0, 1, 4]);
+        assert_eq!(g.neighbors(3).count(), 0);
+    }
+
+    #[test]
+    fn from_symmetric_counts_each_edge_once() {
+        let mut g = UnGraph::new(4);
+        g.add_edge(0, 3);
+        g.add_edge(1, 2);
+        let mut adj = BitMatrix::new(4);
+        for (u, v) in [(3, 0), (2, 1)] {
+            adj.set(u, v);
+            adj.set(v, u);
+        }
+        let h = UnGraph::from_symmetric(adj);
+        assert_eq!(h.edge_count(), 2);
+        assert_eq!(h.edges().collect::<Vec<_>>(), g.edges().collect::<Vec<_>>());
     }
 
     #[test]

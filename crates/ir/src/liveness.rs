@@ -124,12 +124,21 @@ impl Liveness {
         result
     }
 
-    /// Maximum number of simultaneously-live registers at any instruction
-    /// boundary of `block` (the block's register pressure).
+    /// Maximum number of registers `block` occupies at once (the block's
+    /// register pressure): the values live into it, and at each
+    /// instruction `|live_out(i) ∪ defs(i)|` — a definition takes a
+    /// register at its own instruction even when nothing reads it.
     pub fn block_pressure(&self, func: &Function, block: BlockId) -> usize {
         let per = self.per_inst_live_out(func, block);
+        let at = |(live, inst): (&BTreeSet<Reg>, &crate::Inst)| {
+            let mut defs = inst.defs();
+            defs.sort_unstable();
+            defs.dedup();
+            live.len() + defs.iter().filter(|d| !live.contains(d)).count()
+        };
         per.iter()
-            .map(BTreeSet::len)
+            .zip(func.block(block).insts())
+            .map(at)
             .max()
             .unwrap_or(0)
             .max(self.live_in[block.0].len())
@@ -238,5 +247,26 @@ mod tests {
         .unwrap();
         let lv = Liveness::compute(&f, &[]);
         assert_eq!(lv.block_pressure(&f, BlockId(0)), 3);
+    }
+
+    #[test]
+    fn pressure_counts_a_dead_definition_at_its_instruction() -> Result<(), crate::ParseError> {
+        // Nothing reads s1, so no live-out set holds it, but s1 still
+        // needs a register next to s0 while `li 2` executes.
+        let f = parse_function(
+            r#"
+            func @dead() {
+            entry:
+                s0 = li 1
+                s1 = li 2
+                s2 = add s0, s0
+                ret s2
+            }
+            "#,
+        )?;
+        let lv = Liveness::compute(&f, &[]);
+        assert!(!lv.per_inst_live_out(&f, BlockId(0))[1].contains(&Reg::sym(1)));
+        assert_eq!(lv.block_pressure(&f, BlockId(0)), 2);
+        Ok(())
     }
 }

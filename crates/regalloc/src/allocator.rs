@@ -498,8 +498,7 @@ mod tests {
         use parsched_sched::falsedep::{false_dependence_graph, introduced_false_deps};
         let sym_deps = DepGraph::build(f.block(BlockId(0)), &NullTelemetry);
         let ef = false_dependence_graph(&sym_deps, &m, &NullTelemetry);
-        let alloc_deps = DepGraph::build(out.function.block(BlockId(0)), &NullTelemetry);
-        assert!(introduced_false_deps(&ef, &alloc_deps).is_empty());
+        assert!(introduced_false_deps(&ef, out.function.block(BlockId(0))).is_empty());
     }
 
     #[test]

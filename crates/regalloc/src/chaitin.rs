@@ -79,7 +79,7 @@ pub fn chaitin_color(
         };
         removed[v] = true;
         stack.push(v);
-        for &u in g.neighbors(v) {
+        for u in g.neighbors(v) {
             if !removed[u] {
                 degree[u] -= 1;
             }
@@ -91,7 +91,7 @@ pub fn chaitin_color(
     let mut spilled = Vec::new();
     for &v in stack.iter().rev() {
         let mut used = vec![false; k as usize];
-        for &u in g.neighbors(v) {
+        for u in g.neighbors(v) {
             if colors[u] != u32::MAX {
                 used[colors[u] as usize] = true;
             }

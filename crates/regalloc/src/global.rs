@@ -301,10 +301,9 @@ impl GlobalAllocProblem {
         &self.priority
     }
 
-    /// The global PIG, built from copies of the two edge sets (the web
-    /// loop moves them instead).
+    /// The global PIG of the two edge sets.
     pub fn pig(&self) -> Pig {
-        Pig::from_parts(self.er.clone(), self.false_edges.clone())
+        Pig::from_parts(&self.er, &self.false_edges)
     }
 
     /// Conservatively coalesces copy-related webs (Briggs criterion), in
@@ -355,9 +354,8 @@ impl GlobalAllocProblem {
             // Briggs: neighbors of the merged node with degree >= k.
             let significant = er
                 .neighbors(a)
-                .iter()
-                .chain(er.neighbors(b).iter().filter(|&&n| !er.has_edge(a, n)))
-                .filter(|&&n| er.degree(n) >= k)
+                .chain(er.neighbors(b).filter(|&n| !er.has_edge(a, n)))
+                .filter(|&n| er.degree(n) >= k)
                 .count();
             if significant >= k {
                 continue;
@@ -366,7 +364,7 @@ impl GlobalAllocProblem {
             parent[b] = a;
             merged_moves += 1;
             for g in [&mut er, &mut gf] {
-                for n in g.neighbors(b).to_vec() {
+                for n in g.neighbors(b).collect::<Vec<_>>() {
                     g.remove_edge(b, n);
                     g.add_edge(a, n);
                 }
@@ -569,12 +567,7 @@ pub fn allocate_global_scoped(
                 (out.colors, out.spilled, 0)
             }
             BlockStrategy::Pinter(cfg) => {
-                // After coloring the round reads only the webs and def-use
-                // chains, so the class graphs move into the PIG.
-                let pig = Pig::from_parts(
-                    std::mem::replace(&mut problem.er, UnGraph::new(0)),
-                    std::mem::replace(&mut problem.false_edges, UnGraph::new(0)),
-                );
+                let pig = problem.pig();
                 budget.check_pig_edges("pig.edges", pig.edge_count() as u64)?;
                 let out = crate::combined::combined_color_in(
                     &mut combined_ws,

@@ -19,16 +19,11 @@ use std::time::Instant;
 /// where (needed by the combined allocator's heuristics, Lemmas 2/3).
 ///
 /// Everything the allocator reads is a bit row: `G = Er ∪ Ef` and the three
-/// edge classes, with degrees taken by popcount. The neighbor-list graph
-/// [`Pig::graph`] is a view derived on first use (DOT output, figures,
-/// exact coloring, tests); the spill loop never builds it.
+/// edge classes, with degrees taken by popcount. The graph [`Pig::graph`]
+/// is a view of `G`'s rows built on first use (DOT output, figures, exact
+/// coloring, tests); the spill loop never builds it.
 #[derive(Debug, Clone)]
 pub struct Pig {
-    /// `Er`, kept for the view's neighbor order.
-    er: UnGraph,
-    /// The `Ef` handed to [`Pig::from_parts`], kept for the view's edge
-    /// order; `None` when `Ef` was accumulated in ascending edge order.
-    ef: Option<UnGraph>,
     adjacency: BitMatrix,
     interference_only: BitMatrix,
     false_only: BitMatrix,
@@ -163,8 +158,6 @@ impl Pig {
     /// An empty PIG, the starting point of an in-place rebuild.
     pub(crate) fn empty() -> Pig {
         Pig {
-            er: UnGraph::new(0),
-            ef: None,
             adjacency: BitMatrix::new(0),
             interference_only: BitMatrix::new(0),
             false_only: BitMatrix::new(0),
@@ -180,16 +173,14 @@ impl Pig {
     ///
     /// # Panics
     /// Panics if node counts differ.
-    pub fn from_parts(er: UnGraph, false_edges: UnGraph) -> Pig {
+    pub fn from_parts(er: &UnGraph, false_edges: &UnGraph) -> Pig {
         assert_eq!(
             er.node_count(),
             false_edges.node_count(),
             "Er and Ef must share a vertex set"
         );
         let mut pig = Pig::empty();
-        pig.classify(&er, |v| false_edges.row(v));
-        pig.er = er;
-        pig.ef = Some(false_edges);
+        pig.classify(er, |v| false_edges.row(v));
         pig
     }
 
@@ -206,8 +197,6 @@ impl Pig {
             "Er and Ef must share a vertex set"
         );
         self.classify(er, |v| ef.row(v));
-        self.er.clone_from(er);
-        self.ef = None;
     }
 
     /// Fills the rows of `G` and of the three edge classes from `Er` and
@@ -243,23 +232,11 @@ impl Pig {
         self.view = OnceLock::new();
     }
 
-    /// The combined graph `G` as neighbor lists, derived on first use:
-    /// `Er`'s neighbor lists, then each `Ef` edge added in `Ef`'s edge
-    /// order (ascending for session-built PIGs), so DOT output and exact
-    /// coloring see the same neighbor order on every path.
+    /// The combined graph `G` as an [`UnGraph`], built from its rows on
+    /// first use.
     pub fn graph(&self) -> &UnGraph {
-        self.view.get_or_init(|| {
-            let mut g = self.er.clone();
-            match &self.ef {
-                Some(ef) => ef.edges().for_each(|(u, v)| {
-                    g.add_edge(u, v);
-                }),
-                None => self.false_only.edges().for_each(|(u, v)| {
-                    g.add_edge(u, v);
-                }),
-            }
-            g
-        })
+        self.view
+            .get_or_init(|| UnGraph::from_symmetric(self.adjacency.clone()))
     }
 
     /// Number of vertices.
@@ -415,7 +392,7 @@ mod tests {
         assert!(ef.has_edge(1, 3), "s2 ∥ add");
         assert!(ef.has_edge(2, 3), "load a[i] ∥ add");
         assert!(!ef.has_edge(0, 2), "loads share the fetch unit");
-        assert_eq!(ef.neighbors(3), &[1, 2]);
+        assert_eq!(ef.neighbors(3).collect::<Vec<_>>(), [1, 2]);
     }
 
     #[test]
@@ -437,10 +414,7 @@ mod tests {
         for (_, group) in s.groups() {
             for (a, &u) in group.iter().enumerate() {
                 for &v in &group[a + 1..] {
-                    assert!(
-                        ef.neighbors(u).contains(&v),
-                        "scheduler paired {u} and {v} outside Ef"
-                    );
+                    assert!(ef.has_edge(u, v), "scheduler paired {u} and {v} outside Ef");
                 }
             }
         }

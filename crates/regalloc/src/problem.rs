@@ -91,7 +91,7 @@ impl BlockAllocProblem {
 
         // Rank every register the block mentions in `Reg` order: a bit set
         // over ranks then iterates like the `BTreeSet`s liveness hands out,
-        // so edges (and neighbor orders) come out as if built from those.
+        // so edges come out as if built from those.
         let mut regs: Vec<Reg> = live_in.iter().chain(live_out).copied().collect();
         for inst in block.insts() {
             inst.defs_into(&mut regs);

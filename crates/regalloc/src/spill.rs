@@ -7,6 +7,7 @@
 //! registers have point live ranges, so the rewritten block is strictly
 //! easier to color.
 
+use parsched_graph::{FastMap, FastSet};
 use parsched_ir::{Block, BlockId, Function, Inst, InstKind, MemAddr, Reg};
 use parsched_sched::BlockRemap;
 use std::collections::HashMap;
@@ -58,7 +59,7 @@ pub fn insert_spill_code(
     let mut new_block = Block::new(old_block.label());
 
     // Live-in spills (parameters or upstream values): store on entry.
-    let defined_in_block: Vec<Reg> = old_block.insts().iter().flat_map(Inst::defs).collect();
+    let defined_in_block: FastSet<Reg> = old_block.insts().iter().flat_map(Inst::defs).collect();
     for &r in spills {
         if !defined_in_block.contains(&r) {
             new_block.push(InstKind::Store {
@@ -144,22 +145,35 @@ fn assign_slots(
     next_slot: &mut i64,
 ) -> HashMap<Reg, i64> {
     let insts = func.block(block_id).insts();
-    // Memory lifetime of each spilled value in instruction positions.
+    // Memory lifetime of each spilled value in instruction positions: its
+    // first definition and last use, from one pass over the block.
     // Live-in values (no def in this block) are stored at block *entry*,
     // before position 0 — their lifetime starts at -1, not 0, so they can
     // never share a slot with a value whose reload happens at or after
     // entry (two live-in spills would otherwise clobber each other).
+    let mut seen: FastMap<Reg, (Option<i64>, Option<i64>)> =
+        spills.iter().map(|&r| (r, (None, None))).collect();
+    let mut regs: Vec<Reg> = Vec::new();
+    for (p, inst) in (0i64..).zip(insts) {
+        inst.defs_into(&mut regs);
+        for r in regs.drain(..) {
+            if let Some((def, _)) = seen.get_mut(&r) {
+                def.get_or_insert(p);
+            }
+        }
+        inst.uses_into(&mut regs);
+        for r in regs.drain(..) {
+            if let Some((_, last_use)) = seen.get_mut(&r) {
+                *last_use = Some(p);
+            }
+        }
+    }
     let mut ranges: Vec<(Reg, i64, i64)> = spills
         .iter()
         .map(|&r| {
-            let def = insts
-                .iter()
-                .position(|i| i.defs().contains(&r))
-                .map_or(-1, |p| p as i64);
-            let last_use = insts
-                .iter()
-                .rposition(|i| i.uses().contains(&r))
-                .map_or(insts.len() as i64, |p| p as i64);
+            let (def, last_use) = seen.get(&r).copied().unwrap_or_default();
+            let def = def.unwrap_or(-1);
+            let last_use = last_use.unwrap_or(insts.len() as i64);
             (r, def, last_use.max(def))
         })
         .collect();
@@ -197,8 +211,174 @@ fn assign_slots(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::combined::{combined_color_in, CombinedWorkspace, PinterConfig};
+    use crate::pig::Pig;
+    use crate::problem::BlockAllocProblem;
     use parsched_ir::interp::{Interpreter, Memory};
-    use parsched_ir::parse_function;
+    use parsched_ir::liveness::Liveness;
+    use parsched_ir::{parse_function, ParseError};
+    use parsched_machine::{presets, MachineDesc};
+    use parsched_sched::DepGraph;
+    use parsched_telemetry::NullTelemetry;
+
+    /// A xorshift64 generator: enough randomness for test inputs.
+    struct Rng(u64);
+
+    impl Rng {
+        fn new(seed: u64) -> Rng {
+            Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
+        }
+
+        /// A value in `0..n` (`n > 0`).
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// A one-block function over parameters `s0`–`s2` with `len` loads,
+    /// stores, integer and float operations, each reading values from the last
+    /// `window` definitions, and a `ret` of the last one.
+    fn random_block(rng: &mut Rng, len: usize, window: usize) -> Result<Function, ParseError> {
+        let mut text = String::from("func @seeded(s0, s1, s2) {\nentry:\n");
+        let mut next = 3;
+        for _ in 0..len {
+            let operand = |rng: &mut Rng| next - 1 - rng.below(next.min(window));
+            let (a, b) = (operand(rng), operand(rng));
+            let line = match rng.below(6) {
+                0 => format!("s{next} = load [s{a} + {}]", 8 * rng.below(3)),
+                1 => format!("store s{a}, [s{b} + 8]"),
+                2 | 3 => format!("s{next} = fadd s{a}, s{b}"),
+                _ => format!("s{next} = add s{a}, s{b}"),
+            };
+            if !line.starts_with("store") {
+                next += 1;
+            }
+            text.push_str(&format!("    {line}\n"));
+        }
+        text.push_str(&format!("    ret s{}\n}}\n", next - 1));
+        parse_function(&text)
+    }
+
+    /// The combined allocator's spill loop on `func`'s one block with `k`
+    /// registers, for at most `rounds` rounds: each round builds the problem
+    /// and PIG, colors it, hands the function and the registers the coloring
+    /// spilled to `visit`, and rewrites the block with those spills.
+    fn spill_rounds(
+        func: &Function,
+        machine: &MachineDesc,
+        k: u32,
+        rounds: usize,
+        mut visit: impl FnMut(&Function, &[Reg]),
+    ) -> Result<usize, crate::ProblemError> {
+        let mut current = func.clone();
+        let mut next_slot = 0;
+        for round in 0..rounds {
+            let liveness = Liveness::compute(&current, &[]);
+            let problem = BlockAllocProblem::build(&current, BlockId(0), &liveness)?;
+            let deps = DepGraph::build(current.block(BlockId(0)), &NullTelemetry);
+            let pig = Pig::build(&problem, &deps, machine, &NullTelemetry);
+            let costs: Vec<f64> = (0..problem.len()).map(|n| problem.spill_cost(n)).collect();
+            let heights = deps.heights(machine).unwrap_or_default();
+            let priority: Vec<u32> = (0..problem.len())
+                .map(|n| problem.def_site(n).map_or(0, |i| heights[i]))
+                .collect();
+            let out = combined_color_in(
+                &mut CombinedWorkspace::default(),
+                &pig,
+                k,
+                &costs,
+                &priority,
+                &PinterConfig::default(),
+                &NullTelemetry,
+            );
+            let spills: Vec<Reg> = out.spilled.iter().map(|&n| problem.nodes()[n]).collect();
+            visit(&current, &spills);
+            if spills.is_empty() {
+                return Ok(round + 1);
+            }
+            let block = BlockId(0);
+            current = insert_spill_code(&current, block, &spills, &mut next_slot, &NullTelemetry).0;
+        }
+        Ok(rounds)
+    }
+
+    /// [`assign_slots`] as it was: each spilled value's lifetime from its
+    /// own two scans of the block.
+    fn reference_slots(
+        func: &Function,
+        block_id: BlockId,
+        spills: &[Reg],
+        next_slot: &mut i64,
+    ) -> HashMap<Reg, i64> {
+        let insts = func.block(block_id).insts();
+        let mut ranges: Vec<(Reg, i64, i64)> = spills
+            .iter()
+            .map(|&r| {
+                let def = insts
+                    .iter()
+                    .position(|i| i.defs().contains(&r))
+                    .map_or(-1, |p| p as i64);
+                let last_use = insts
+                    .iter()
+                    .rposition(|i| i.uses().contains(&r))
+                    .map_or(insts.len() as i64, |p| p as i64);
+                (r, def, last_use.max(def))
+            })
+            .collect();
+        ranges.sort_by_key(|&(r, start, _)| (start, r));
+        let mut slot_of: HashMap<Reg, i64> = HashMap::new();
+        let mut slot_free_at: Vec<(i64, i64)> = Vec::new();
+        for (r, start, end) in ranges {
+            let reusable = slot_free_at
+                .iter_mut()
+                .filter(|(_, busy_until)| *busy_until <= start)
+                .min_by_key(|(slot, _)| *slot);
+            match reusable {
+                Some(entry) => {
+                    entry.1 = end;
+                    slot_of.insert(r, entry.0);
+                }
+                None => {
+                    slot_free_at.push((*next_slot, end));
+                    slot_of.insert(r, *next_slot);
+                    *next_slot += 1;
+                }
+            }
+        }
+        slot_of
+    }
+
+    #[test]
+    fn slots_match_the_per_value_scan_over_seeded_spill_loops() -> Result<(), ParseError> {
+        let mut rng = Rng::new(29);
+        let mut compared = 0;
+        for case in 0..40 {
+            let func = random_block(&mut rng, 8 + case % 40, 2 + case % 12)?;
+            for k in [2, 3, 5] {
+                let machine = presets::paper_machine(k);
+                let rounds = spill_rounds(&func, &machine, k, 6, |current, spills| {
+                    // The coloring's victims, and the same plus every
+                    // parameter, which is stored at entry.
+                    let mut with_params = spills.to_vec();
+                    with_params.extend(current.params().iter().filter(|r| !spills.contains(r)));
+                    for set in [spills, &with_params[..]] {
+                        let (mut got_next, mut want_next) = (7, 7);
+                        let got = assign_slots(current, BlockId(0), set, &mut got_next);
+                        let want = reference_slots(current, BlockId(0), set, &mut want_next);
+                        assert_eq!(got, want, "case {case}, k = {k}, spills {set:?}");
+                        assert_eq!(got_next, want_next, "case {case}, k = {k}");
+                    }
+                    compared += 1;
+                });
+                assert!(rounds.is_ok(), "case {case}: {rounds:?}");
+            }
+        }
+        assert!(compared > 200, "only {compared} rounds compared");
+        Ok(())
+    }
 
     #[test]
     fn spilled_def_and_uses_rewritten() {

@@ -27,23 +27,6 @@ pub enum DepKind {
     Control,
 }
 
-impl DepKind {
-    /// Whether this dependence can be a *false* dependence that actually
-    /// restricts the scheduler.
-    ///
-    /// Register **output** dependences qualify: two definitions sharing a
-    /// register can never issue in the same cycle. Register **anti**
-    /// dependences do not: under the paper's footnote semantics (a live
-    /// interval excludes its last use, reads precede writes within a
-    /// cycle) a reader and the subsequent redefinition may share a cycle —
-    /// this is exactly why the paper's Theorem 1 proof only has to argue
-    /// about output dependences and dismisses anti dependences. Our
-    /// scheduler gives anti edges zero latency, matching that semantics.
-    pub fn is_register_false_candidate(self) -> bool {
-        matches!(self, DepKind::Output)
-    }
-}
-
 /// One dependence edge between body instructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DepEdge {
@@ -101,10 +84,17 @@ pub fn op_class(inst: &Inst) -> OpClass {
 /// # Ok::<(), parsched_ir::ParseError>(())
 /// ```
 ///
-/// Built from program order: for every later instruction that conflicts
-/// with an earlier one, a directed edge runs earlier → later. When several
-/// kinds relate the same pair the strongest is kept, in the order
-/// flow > output > anti (memory kinds likewise).
+/// Built from program order, every edge running earlier → later. Register
+/// dependences are *killing*: a use depends on its register's last
+/// definition (flow), and a definition on the register's last definition
+/// (output) and on its uses since then (anti). The paper's wording orders
+/// a definition after *every* earlier definition and use of its register;
+/// each of those extra edges is implied by a kept path of at least its
+/// latency, so heights, the transitive closure and list schedules are the
+/// literal graph's, and `Et`/`Ef` with them. Memory operations and calls
+/// are ordered pairwise by [`MemAddr::may_alias`]. When several kinds
+/// relate the same pair the strongest is kept, in the order flow > output
+/// > anti (memory kinds likewise).
 #[derive(Debug, Clone)]
 pub struct DepGraph {
     graph: DiGraph,
@@ -124,10 +114,10 @@ impl DepGraph {
     /// [`parsched_telemetry::NullTelemetry`] when observability is not
     /// needed).
     ///
-    /// Register dependences (flow/anti/output) are found per the paper's
-    /// definitions; memory dependences use [`parsched_ir::MemAddr::may_alias`]
-    /// (same base + different offset proves independence); `call`s are
-    /// barriers against all memory operations and each other.
+    /// Register dependences (flow/anti/output) are killing, as described
+    /// on [`DepGraph`]; memory dependences use [`MemAddr::may_alias`] (same
+    /// base + different offset proves independence); `call`s are barriers
+    /// against all memory operations and each other.
     pub fn build(block: &Block, telemetry: &dyn parsched_telemetry::Telemetry) -> DepGraph {
         match Self::build_until(block, telemetry, None) {
             Some(deps) => deps,
@@ -207,17 +197,22 @@ impl DepGraph {
             }
         }
 
-        // Anti and output dependences follow the paper's literal
-        // any-later-redefinition wording; they are conservative but only
-        // add ordering already implied transitively. Their candidates come
-        // from each register's earlier definitions and uses, kept as
-        // linked lists through one occurrence arena; only memory
-        // operations and calls are compared pairwise. Each row inserts its
-        // new edges by ascending source, each once with its strongest kind.
-        let (mut def_head, mut use_head) = (last_def, vec![NONE; ids.len()]);
-        def_head.fill(NONE);
-        // (instruction, previous occurrence of the register)
-        let mut occ: Vec<(usize, usize)> = Vec::with_capacity(defs_arena.len() + uses_arena.len());
+        // Anti and output dependences are killing too: a definition of `r`
+        // depends on `r`'s last definition (output) and on the uses of `r`
+        // since then (anti), each use list cleared at the definition. The
+        // paper's wording also orders it after every older definition and
+        // use; each such edge is implied by a kept path of at least its
+        // latency (output 1 ≤ 1 + 1 through the intervening definition,
+        // anti 0 ≤ 0 + 1), so heights, the closure, release times and every
+        // list schedule are those of the literal graph. That argument needs
+        // every class latency to be ≥ 1, which `MachineBuilder::route` and
+        // the spec parser enforce. Memory operations and calls are compared
+        // pairwise. Each row inserts its new edges by ascending source, each
+        // once with its strongest kind.
+        let mut use_head = vec![NONE; ids.len()];
+        last_def.fill(NONE);
+        // (instruction, previous use of the register since its last def)
+        let mut occ: Vec<(usize, usize)> = Vec::with_capacity(uses_arena.len());
         let mut mem: Vec<usize> = Vec::new();
         let mut row: Vec<(usize, DepKind)> = Vec::new();
         for j in 0..n {
@@ -226,13 +221,23 @@ impl DepGraph {
                 return None;
             }
             row.clear();
+            // A use by `i` of one of several results of `j` is an output
+            // dependence when `i` also defines another of them.
+            let multi = defs(j).len() > 1;
             for &d in defs(j) {
-                for (head, kind) in [(def_head[d], DepKind::Output), (use_head[d], DepKind::Anti)] {
-                    let mut k = head;
-                    while k != NONE {
-                        row.push((occ[k].0, kind));
-                        k = occ[k].1;
-                    }
+                if last_def[d] != NONE {
+                    row.push((last_def[d], DepKind::Output));
+                }
+                let mut k = use_head[d];
+                while k != NONE {
+                    let i = occ[k].0;
+                    let kind = if multi && defs(i).iter().any(|r| defs(j).contains(r)) {
+                        DepKind::Output
+                    } else {
+                        DepKind::Anti
+                    };
+                    row.push((i, kind));
+                    k = occ[k].1;
                 }
             }
             if touches_memory(&body[j]) {
@@ -250,38 +255,71 @@ impl DepGraph {
                     log.push((i, kind));
                 }
             }
-            for (heads, occurring) in [(&mut use_head, uses(j)), (&mut def_head, defs(j))] {
-                for &r in occurring {
-                    let head = heads[r];
-                    if head == NONE || occ[head].0 != j {
-                        heads[r] = occ.len();
-                        occ.push((j, head));
-                    }
+            for &r in uses(j) {
+                let head = use_head[r];
+                if head == NONE || occ[head].0 != j {
+                    use_head[r] = occ.len();
+                    occ.push((j, head));
                 }
+            }
+            for &d in defs(j) {
+                last_def[d] = j;
+                use_head[d] = NONE;
             }
         }
 
+        Some(Self::assemble(graph, &log, body))
+    }
+
+    /// The graph of `block`'s body with exactly `edges`, in the given
+    /// order within each source (the first of duplicate pairs wins) — for
+    /// checking [`DepGraph::build`] against a reference construction
+    /// through the schedulers and analyses that read a `DepGraph`.
+    ///
+    /// `None` if an edge does not point forward (`from < to`, as in every
+    /// built graph) or an endpoint is not a body position: a backward edge
+    /// could close a cycle, which no analysis of a `DepGraph` expects.
+    pub fn from_edges(block: &Block, edges: impl IntoIterator<Item = DepEdge>) -> Option<DepGraph> {
+        let body = block.body();
+        let mut graph = DiGraph::new(body.len());
+        let mut log = Vec::new();
+        for e in edges {
+            if e.from >= e.to || e.to >= body.len() {
+                return None;
+            }
+            if graph.add_edge(e.from, e.to) {
+                log.push((e.from, e.kind));
+            }
+        }
+        Some(Self::assemble(graph, &log, body))
+    }
+
+    /// Lays out `log`, the `(from, kind)` of every edge of `graph` in
+    /// insertion order (each node's successor order), as per-node kind
+    /// rows aligned with `graph.succs`.
+    fn assemble(graph: DiGraph, log: &[(usize, DepKind)], body: &[Inst]) -> DepGraph {
         // Counting sort of the log by source: `kind_start[u]` first serves
         // as `u`'s write cursor (ending at the next row's start), then is
         // shifted back into place.
+        let n = body.len();
         let mut kind_start = vec![0; n + 1];
         for u in 0..n {
             kind_start[u + 1] = kind_start[u] + graph.out_degree(u);
         }
         let mut succ_kinds = vec![DepKind::Flow; log.len()];
-        for &(u, kind) in &log {
+        for &(u, kind) in log {
             succ_kinds[kind_start[u]] = kind;
             kind_start[u] += 1;
         }
         kind_start.rotate_right(1);
         kind_start[0] = 0;
 
-        Some(DepGraph {
+        DepGraph {
             graph,
             kind_start,
             succ_kinds,
             classes: body.iter().map(op_class).collect(),
-        })
+        }
     }
 
     /// Number of body instructions.
@@ -433,7 +471,9 @@ mod tests {
         assert_eq!(g.kind(0, 4), Some(DepKind::Flow));
         assert_eq!(g.kind(2, 4), Some(DepKind::Flow));
         // No anti/output with symbolic single-def registers.
-        assert!(g.edges().all(|e| !e.kind.is_register_false_candidate()));
+        assert!(g
+            .edges()
+            .all(|e| !matches!(e.kind, DepKind::Anti | DepKind::Output)));
     }
 
     #[test]
@@ -459,6 +499,22 @@ mod tests {
         assert_eq!(g.kind(1, 3), Some(DepKind::Output));
         // r1: defined at 0, redefined at 4, used at 3 → anti 3→4.
         assert_eq!(g.kind(3, 4), Some(DepKind::Anti));
+    }
+
+    #[test]
+    fn from_edges_takes_only_forward_edges() {
+        let b = block_of("func @f(s0) {\nentry:\n s1 = add s0, s0\n s2 = add s1, s1\n s3 = add s2, s2\n ret s3\n}\n");
+        let edge = |from, to| DepEdge {
+            from,
+            to,
+            kind: DepKind::Flow,
+        };
+        let g = DepGraph::from_edges(&b, [edge(0, 1), edge(1, 2)]);
+        assert_eq!(g.map(|g| g.kind(0, 1)), Some(Some(DepKind::Flow)));
+        // A backward edge would close the cycle 0 → 1 → 0.
+        assert!(DepGraph::from_edges(&b, [edge(0, 1), edge(1, 0)]).is_none());
+        assert!(DepGraph::from_edges(&b, [edge(1, 1)]).is_none());
+        assert!(DepGraph::from_edges(&b, [edge(0, 3)]).is_none());
     }
 
     #[test]

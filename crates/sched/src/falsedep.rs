@@ -19,9 +19,9 @@
 //! and [`et_graph`] keeps the paper's literal construction as the
 //! reference.
 
-use crate::deps::{mem_dep, touches_memory, DepEdge, DepGraph};
+use crate::deps::{mem_dep, touches_memory, DepEdge, DepGraph, DepKind};
 use parsched_graph::{BitSet, ClosureMode, FastMap, Reachability, UnGraph, DEADLINE_STRIDE};
-use parsched_ir::{Block, MemAddr, Reg, RegRole};
+use parsched_ir::{Block, Inst, MemAddr, Reg, RegRole};
 use parsched_machine::{MachineDesc, OpClass};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -151,7 +151,7 @@ pub fn for_each_ef_pair(
 /// Builds the false-dependence graph `Ef` over every position of `deps`
 /// with [`for_each_ef_pair`]. Its edges are exactly the instruction pairs
 /// that can issue in the same cycle given the symbolic code and the
-/// machine — the complement of [`et_graph`], with the same neighbor order.
+/// machine — the complement of [`et_graph`].
 ///
 /// # Examples
 ///
@@ -205,20 +205,73 @@ pub fn false_dependence_graph(
     ef
 }
 
-/// Returns the register output-dependence edges of `alloc_deps` (the
-/// dependence graph of the *allocated* block) that are **false**: their
-/// endpoints could have issued together according to `ef` (built from the
-/// symbolic block via [`false_dependence_graph`]). Anti dependences are
-/// excluded by the paper's footnote semantics — a last use and the reuse
-/// of its register may share a cycle, so they cost no parallelism.
+/// Returns the register output dependences of `alloc` (the *allocated*
+/// block) that are **false**: their endpoints could have issued together
+/// according to `ef` (built from the symbolic block via
+/// [`false_dependence_graph`]). Every pair of definitions of a shared
+/// register is tested, by ascending `(from, to)`: the paper's literal
+/// output dependences, which the killing [`DepGraph`] keeps only between
+/// consecutive definitions. Anti dependences are excluded by the paper's
+/// footnote semantics — a last use and the reuse of its register may share
+/// a cycle, so they cost no parallelism.
 ///
 /// Both blocks must have identical instruction order (allocation renames
 /// registers in place), so body indices correspond.
-pub fn introduced_false_deps(ef: &UnGraph, alloc_deps: &DepGraph) -> Vec<DepEdge> {
-    alloc_deps
-        .edges()
-        .filter(|e| e.kind.is_register_false_candidate() && ef.has_edge(e.from, e.to))
-        .collect()
+pub fn introduced_false_deps(ef: &UnGraph, alloc: &Block) -> Vec<DepEdge> {
+    let mut out = Vec::new();
+    for_each_redefinition(alloc.body(), |from, to| {
+        if ef.has_edge(from, to) {
+            out.push(DepEdge {
+                from,
+                to,
+                kind: DepKind::Output,
+            });
+        }
+    });
+    out.sort_unstable_by_key(|e| (e.from, e.to));
+    out
+}
+
+/// Calls `f(i, j)` once for every pair `i < j` of `body` positions that
+/// define a common register, by ascending `j` and then `i`: the candidate
+/// false dependences. The pairs come off per-register definition lists,
+/// not off a [`DepGraph`], whose killing output edges join only
+/// consecutive definitions; a false pair `(a, c)` can hide behind `a → b →
+/// c` when `(a, b)` conflicts on a unit.
+fn for_each_redefinition(body: &[Inst], mut f: impl FnMut(usize, usize)) {
+    let mut ids: FastMap<Reg, usize> = FastMap::default();
+    let mut defs_of: Vec<Vec<usize>> = Vec::new();
+    let (mut regs, mut own, mut row) = (Vec::new(), Vec::new(), Vec::new());
+    for (j, inst) in body.iter().enumerate() {
+        inst.defs_into(&mut regs);
+        own.clear();
+        for r in regs.drain(..) {
+            let next = ids.len();
+            let id = *ids.entry(r).or_insert(next);
+            if id == defs_of.len() {
+                defs_of.push(Vec::new());
+            }
+            own.push(id);
+        }
+        row.clear();
+        for &id in &own {
+            row.extend_from_slice(&defs_of[id]);
+        }
+        // A multi-result instruction may share several registers with one
+        // earlier definition.
+        if own.len() > 1 {
+            row.sort_unstable();
+            row.dedup();
+        }
+        for &i in &row {
+            f(i, j);
+        }
+        for &id in &own {
+            if defs_of[id].last() != Some(&j) {
+                defs_of[id].push(j);
+            }
+        }
+    }
 }
 
 /// Renames the registers of `block` *apart*: every definition gets a fresh
@@ -257,8 +310,8 @@ pub fn rename_apart(block: &Block) -> Block {
 }
 
 /// Counts the false dependences of `block` intrinsically: the block is
-/// renamed apart to recover its symbolic form, `Ef` is built from that
-/// form, and the block's own register output dependences are tested
+/// renamed apart to recover its symbolic form, whose closure is built from
+/// scratch, and every pair of definitions of a shared register is tested
 /// against it. Zero for any code produced by PIG coloring with enough
 /// registers (Theorem 1).
 ///
@@ -267,11 +320,13 @@ pub fn rename_apart(block: &Block) -> Block {
 /// phase overshoots by at most one stride of work rather than the whole
 /// analysis.
 ///
-/// Unlike [`et_graph`], this never materializes `Et`/`Ef`: each candidate
-/// dependence edge is tested directly against the reachability relation
-/// and the machine's pairwise constraints (`{u,v} ∈ Ef ⇔ u ≁ v in the
-/// closure and `u`,`v` have no issue conflict`), turning the former two
-/// O(n²) graph builds into O(deps) point queries.
+/// This never materializes `Et`/`Ef`: each pair of definitions of a
+/// shared register, found by comparing every pair `i < j` of instructions'
+/// definitions, is tested directly against the reachability relation and
+/// the machine's pairwise constraints (`{u,v} ∈ Ef ⇔ u ≁ v in the closure
+/// and `u`,`v` have no issue conflict`). The reference for
+/// [`count_false_deps_in`], sharing neither its pair enumeration nor its
+/// reachability.
 pub fn count_false_deps_until(
     block: &Block,
     machine: &MachineDesc,
@@ -285,38 +340,39 @@ pub fn count_false_deps_until(
     }
     let sym_deps = DepGraph::build_until(&renamed, &quiet, deadline)?;
     let reach = Reachability::build(sym_deps.graph(), ClosureMode::Auto, deadline)?;
-    let own_deps = DepGraph::build_until(block, &quiet, deadline)?;
+    let defs: Vec<Vec<Reg>> = block.body().iter().map(Inst::defs).collect();
     let mut count = 0;
-    for (i, e) in own_deps.edges().enumerate() {
-        if i % DEADLINE_STRIDE == DEADLINE_STRIDE - 1 && tripped(deadline) {
+    for v in 0..defs.len() {
+        if tripped(deadline) {
             return None;
         }
-        let (u, v) = (e.from, e.to);
-        if e.kind.is_register_false_candidate()
-            && u != v
-            && !reach.reaches(u, v)
-            && !reach.reaches(v, u)
-            && !machine.pairwise_conflict(sym_deps.class(u), sym_deps.class(v))
-        {
-            count += 1;
+        for u in 0..v {
+            if defs[u].iter().any(|r| defs[v].contains(r))
+                && !reach.reaches(u, v)
+                && !reach.reaches(v, u)
+                && !machine.pairwise_conflict(sym_deps.class(u), sym_deps.class(v))
+            {
+                count += 1;
+            }
         }
     }
     Some(count)
 }
 
 /// Counts the false dependences of `block` from `own`, the block's own
-/// dependence graph (the one its final list schedule uses), without
-/// renaming the block or building a second graph. Equal to
-/// [`count_false_deps_until`], the independent reference.
+/// dependence graph (the one its final list schedule uses, read here for
+/// op classes), without renaming the block or building a second graph.
+/// Equal to [`count_false_deps_until`], the independent reference.
 ///
-/// The renamed-apart form is value-numbered in place: a use reads the
-/// most recent definition of its register, so its flow edges are `own`'s,
-/// and memory and call edges are recomputed with each base register
-/// standing for the value it holds. They cannot be read off `own`: there
-/// a reused physical base hides memory edges the renamed block has. Every
-/// edge points forward, so one forward pass builds each instruction's
-/// ancestor set, and an output edge `u → v` of `own` is false iff `u` is
-/// not an ancestor of `v` and the machine could issue the two together.
+/// The candidates are the pairs of definitions of a shared register that
+/// the machine could issue together. The renamed-apart form is
+/// value-numbered in place: a use reads the most recent definition of its
+/// register, and memory and call edges are recomputed with each base
+/// register standing for the value it holds. They cannot be read off
+/// `own`: there a reused physical base hides memory edges the renamed
+/// block has. Every edge points forward, so one forward pass builds each
+/// instruction's ancestor set, and a candidate `u < v` is false iff `u` is
+/// not an ancestor of `v`.
 ///
 /// Polls `deadline` once per instruction and returns `None` once it
 /// passes (or if it already has on entry).
@@ -330,15 +386,17 @@ pub fn count_false_deps_in(
     if tripped() {
         return None;
     }
-    let candidate = |e: &DepEdge| {
-        e.kind.is_register_false_candidate()
-            && !machine.pairwise_conflict(own.class(e.from), own.class(e.to))
-    };
-    if !own.edges().any(|e| candidate(&e)) {
+    let body = block.body();
+    let mut candidates = Vec::new();
+    for_each_redefinition(body, |u, v| {
+        if !machine.pairwise_conflict(own.class(u), own.class(v)) {
+            candidates.push((u, v));
+        }
+    });
+    if candidates.is_empty() {
         return Some(0);
     }
 
-    let body = block.body();
     let (n, words) = (body.len(), body.len().div_ceil(64));
     // Row `v` holds the renamed-apart ancestors of `v`.
     let mut ancestors = vec![0u64; n * words];
@@ -389,11 +447,7 @@ pub fn count_false_deps_in(
         }
     }
     let reaches = |u: usize, v: usize| ancestors[v * words + u / 64] >> (u % 64) & 1 == 1;
-    Some(
-        own.edges()
-            .filter(|e| candidate(e) && !reaches(e.from, e.to))
-            .count(),
-    )
+    Some(candidates.iter().filter(|&&(u, v)| !reaches(u, v)).count())
 }
 
 #[cfg(test)]
@@ -484,8 +538,7 @@ mod tests {
     fn paper_allocation_introduces_false_dep() {
         let sym_deps = DepGraph::build(&example1_sym(), &Q);
         let ef = false_dependence_graph(&sym_deps, &machine(), &Q);
-        let alloc_deps = DepGraph::build(&example1_bad_alloc(), &Q);
-        let false_deps = introduced_false_deps(&ef, &alloc_deps);
+        let false_deps = introduced_false_deps(&ef, &example1_bad_alloc());
         // The paper: reuse of r2 forbids parallel execution of the second
         // and fourth instructions (indices 1 and 3).
         assert!(
@@ -515,8 +568,7 @@ mod tests {
         );
         let sym_deps = DepGraph::build(&example1_sym(), &Q);
         let ef = false_dependence_graph(&sym_deps, &machine(), &Q);
-        let alloc_deps = DepGraph::build(&alloc, &Q);
-        let false_deps = introduced_false_deps(&ef, &alloc_deps);
+        let false_deps = introduced_false_deps(&ef, &alloc);
         assert!(
             false_deps.is_empty(),
             "paper's 3-register allocation is false-dependence-free, got {false_deps:?}"

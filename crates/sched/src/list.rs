@@ -15,7 +15,9 @@ pub enum SchedPriority {
     /// Original program order — the "no scheduler" control.
     SourceOrder,
     /// Most immediate successors first (fan-out greedy), a common
-    /// alternative from the microcode-compaction literature.
+    /// alternative from the microcode-compaction literature. Counts the
+    /// edges [`DepGraph::build`] keeps, whose register dependences are
+    /// killing; on symbolic code those are all of them.
     FanOut,
 }
 

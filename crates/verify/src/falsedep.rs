@@ -18,8 +18,8 @@
 //! Only output dependences are flagged: the cost model (paper footnote 2)
 //! prices register anti dependences at zero — the register file reads
 //! before it writes within a cycle — so a combined allocation may
-//! legitimately leave them behind, and the pipeline's own
-//! `is_register_false_candidate` draws the same line. The deviation from a
+//! legitimately leave them behind, and the pipeline's own false-dependence
+//! count draws the same line. The deviation from a
 //! literal "no anti/output" reading is documented in docs/VERIFICATION.md.
 //!
 //! The caller gates this check to combined-strategy results that ran at

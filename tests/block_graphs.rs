@@ -1,26 +1,33 @@
 //! Each block's graphs against their reference definitions, on seeded
 //! blocks:
 //!
-//! * [`DepGraph::build`] against the all-pairs scan it replaced (kept
-//!   below as the reference): same successor and predecessor order, same
-//!   kind on every edge;
+//! * [`DepGraph::build`], whose register dependences are killing, against
+//!   the all-pairs scan of the paper's literal wording (kept below as the
+//!   reference): every kept edge is a reference edge of the same kind,
+//!   every dropped one is implied by a kept path of at least its latency,
+//!   and heights, refined EP numbers, closure rows, list schedules and the
+//!   false-dependence count are the reference graph's — on symbolic
+//!   blocks, on every block each strategy emits, on random physical
+//!   blocks and on every round of seeded spill loops;
 //! * [`count_false_deps_in`], which reuses the block's own graph, against
-//!   [`count_false_deps_until`], which renames the block apart and builds
-//!   both graphs from scratch;
+//!   [`count_false_deps_until`], which renames the block apart, builds
+//!   its closure from scratch and compares every two instructions'
+//!   definitions, and both against the count over the reference graph's
+//!   output edges;
 //! * [`BlockAllocProblem`]'s interference graph against one built from
-//!   [`Liveness::per_inst_live_out`]: same neighbor order, every spill
-//!   round.
+//!   [`Liveness::per_inst_live_out`], every spill round.
 
 use parsched::exact::ExactConfig;
-use parsched::graph::{DiGraph, UnGraph};
+use parsched::graph::{BitSet, ClosureMode, DiGraph, Reachability, UnGraph};
 use parsched::ir::liveness::Liveness;
 use parsched::ir::{parse_function, Block, BlockId, Function, Inst, InstKind, Reg};
 use parsched::machine::{presets, MachineDesc};
 use parsched::regalloc::combined::{combined_color_in, CombinedWorkspace};
 use parsched::regalloc::spill::insert_spill_code;
 use parsched::regalloc::{BlockAllocProblem, Pig, PinterConfig};
+use parsched::sched::ep::refined_ep_numbers;
 use parsched::sched::falsedep::{count_false_deps_in, count_false_deps_until, rename_apart};
-use parsched::sched::{DepGraph, DepKind};
+use parsched::sched::{list_schedule, DepEdge, DepGraph, DepKind, SchedPriority};
 use parsched::telemetry::NullTelemetry;
 use parsched::{Pipeline, Strategy};
 use parsched_workload::{
@@ -29,10 +36,10 @@ use parsched_workload::{
 use std::collections::{BTreeSet, HashMap};
 use std::sync::OnceLock;
 
-/// The all-pairs construction `DepGraph::build` used before it read
-/// anti/output candidates off per-register lists: every pair `i < j` is
-/// tested for every kind, and the strongest kind wins. Flow edges go in
-/// first, then the pair scan row by row.
+/// The paper's literal dependence graph, built all-pairs: every pair
+/// `i < j` is tested for every kind, a definition depending on *every*
+/// earlier definition and use of its register, and the strongest kind
+/// wins. Flow edges go in first, then the pair scan row by row.
 fn reference_deps(block: &Block) -> (DiGraph, HashMap<(usize, usize), DepKind>) {
     let body = block.body();
     let n = body.len();
@@ -109,40 +116,140 @@ fn reference_deps(block: &Block) -> (DiGraph, HashMap<(usize, usize), DepKind>) 
     (graph, kinds)
 }
 
-fn assert_deps_match_reference(block: &Block, context: &str) {
-    let deps = DepGraph::build(block, &NullTelemetry);
+/// The reference graph as a [`DepGraph`], so the schedulers and analyses
+/// can read it, with its kinds by edge.
+fn literal_graph(block: &Block) -> (DepGraph, HashMap<(usize, usize), DepKind>) {
     let (graph, kinds) = reference_deps(block);
-    assert_eq!(deps.len(), graph.node_count(), "{context}");
-    for u in 0..deps.len() {
-        assert_eq!(
-            deps.graph().succs(u),
-            graph.succs(u),
-            "succs({u}), {context}"
-        );
-        assert_eq!(
-            deps.graph().preds(u),
-            graph.preds(u),
-            "preds({u}), {context}"
-        );
-        let expected: Vec<DepKind> = graph.succs(u).iter().map(|&v| kinds[&(u, v)]).collect();
-        assert_eq!(deps.succ_kinds(u), expected, "kinds out of {u}, {context}");
+    let edges = graph.edges().map(|(from, to)| DepEdge {
+        from,
+        to,
+        kind: kinds[&(from, to)],
+    });
+    let graph = DepGraph::from_edges(block, edges).expect("reference edges point forward");
+    (graph, kinds)
+}
+
+/// Per node `u`: the nodes a path from `u` reaches, and those a path with
+/// positive latency reaches. Register anti is the only zero-latency kind
+/// (every class latency is at least 1), so a path has positive latency
+/// iff it has an edge of another kind.
+fn path_sets(deps: &DepGraph) -> (Vec<BitSet>, Vec<BitSet>) {
+    let n = deps.len();
+    let mut any = vec![BitSet::new(n); n];
+    let mut positive = vec![BitSet::new(n); n];
+    for u in (0..n).rev() {
+        let succs = deps.graph().succs(u).iter().zip(deps.succ_kinds(u));
+        for (&v, &kind) in succs {
+            let (below_any, below_positive) = (any[v].clone(), positive[v].clone());
+            any[u].insert(v);
+            any[u].union_with(&below_any);
+            if kind == DepKind::Anti {
+                positive[u].union_with(&below_positive);
+            } else {
+                positive[u].insert(v);
+                positive[u].union_with(&below_any);
+            }
+        }
     }
-    for ((u, v), kind) in &kinds {
-        assert_eq!(deps.kind(*u, *v), Some(*kind), "kind({u}, {v}), {context}");
+    (any, positive)
+}
+
+fn closure_rows(deps: &DepGraph) -> Vec<Vec<usize>> {
+    let reach =
+        Reachability::build(deps.graph(), ClosureMode::Auto, None).expect("no deadline set");
+    (0..deps.len())
+        .map(|u| reach.row_iter(u).collect())
+        .collect()
+}
+
+/// Checks `DepGraph::build` on `block` against the literal reference: a
+/// subgraph with the reference's kinds, every dropped edge implied by a
+/// kept path of at least its latency, and the same heights, refined EP
+/// numbers, closure rows, list schedules and false-dependence counts on
+/// each of `machines`.
+fn assert_deps_match_reference(block: &Block, machines: &[MachineDesc], context: &str) {
+    let deps = DepGraph::build(block, &NullTelemetry);
+    let (literal, kinds) = literal_graph(block);
+    assert_eq!(deps.len(), literal.len(), "{context}");
+    for e in deps.edges() {
+        assert_eq!(
+            kinds.get(&(e.from, e.to)),
+            Some(&e.kind),
+            "kept edge {} -> {}, {context}",
+            e.from,
+            e.to
+        );
     }
-    let edges: Vec<(usize, usize, DepKind)> =
-        deps.edges().map(|e| (e.from, e.to, e.kind)).collect();
-    let expected: Vec<(usize, usize, DepKind)> =
-        graph.edges().map(|(u, v)| (u, v, kinds[&(u, v)])).collect();
-    assert_eq!(edges, expected, "edge order, {context}");
+    let (any, positive) = path_sets(&deps);
+    for (&(u, v), &kind) in &kinds {
+        if deps.kind(u, v).is_some() {
+            continue;
+        }
+        let implied = match kind {
+            DepKind::Anti => any[u].contains(v),
+            DepKind::Output => positive[u].contains(v),
+            other => panic!("dropped a {other:?} edge {u} -> {v}, {context}"),
+        };
+        assert!(
+            implied,
+            "dropped {kind:?} edge {u} -> {v} has no kept path, {context}"
+        );
+    }
+    assert_eq!(
+        closure_rows(&deps),
+        closure_rows(&literal),
+        "closure, {context}"
+    );
+    for m in machines {
+        let ctx = format!("{context} on {}", m.name());
+        assert_eq!(deps.heights(m), literal.heights(m), "heights, {ctx}");
+        assert_eq!(
+            refined_ep_numbers(&deps, m),
+            refined_ep_numbers(&literal, m),
+            "refined EP numbers, {ctx}"
+        );
+        let schedule =
+            |d: &DepGraph| list_schedule(block, d, m, SchedPriority::CriticalPath, &NullTelemetry);
+        assert_eq!(schedule(&deps), schedule(&literal), "list schedule, {ctx}");
+        assert_eq!(
+            count_false_deps_in(block, &deps, m, None),
+            count_false_deps_in(block, &literal, m, None),
+            "false-dependence count, {ctx}"
+        );
+    }
+}
+
+/// The false-dependence count as the reference graph's edges define it:
+/// its output edges whose endpoints the renamed-apart closure leaves
+/// unordered and the machine could issue together.
+fn literal_edge_count(block: &Block, machine: &MachineDesc) -> usize {
+    let (_, kinds) = reference_deps(block);
+    let renamed = DepGraph::build(&rename_apart(block), &NullTelemetry);
+    let reach =
+        Reachability::build(renamed.graph(), ClosureMode::Auto, None).expect("no deadline set");
+    kinds
+        .iter()
+        .filter(|&(&(u, v), &kind)| {
+            kind == DepKind::Output
+                && !reach.reaches(u, v)
+                && !reach.reaches(v, u)
+                && !machine.pairwise_conflict(renamed.class(u), renamed.class(v))
+        })
+        .count()
 }
 
 fn assert_count_matches_reference(block: &Block, machine: &MachineDesc, context: &str) {
     let own = DepGraph::build(block, &NullTelemetry);
+    let reference = count_false_deps_until(block, machine, None);
     assert_eq!(
         count_false_deps_in(block, &own, machine, None),
-        count_false_deps_until(block, machine, None),
+        reference,
         "{context}"
+    );
+    assert_eq!(
+        reference,
+        Some(literal_edge_count(block, machine)),
+        "literal edges, {context}"
     );
 }
 
@@ -286,25 +393,40 @@ fn compile_corpora() -> Vec<(String, Block, MachineDesc)> {
     out
 }
 
+/// Machines with different latencies and unit conflicts, for the graphs'
+/// timing-derived results.
+fn timing_machines() -> Vec<MachineDesc> {
+    vec![
+        presets::paper_machine(6),
+        presets::rs6000(8),
+        presets::wide(4, 8),
+    ]
+}
+
 #[test]
 fn dep_graph_matches_all_pairs_reference() {
     let mut blocks = 0;
+    let machines = timing_machines();
     for func in symbolic_corpus() {
         for block in func.blocks() {
-            assert_deps_match_reference(block, &format!("symbolic @{}", func.name()));
+            let context = format!("symbolic @{}", func.name());
+            assert_deps_match_reference(block, &machines, &context);
             blocks += 1;
         }
     }
-    for (context, block, _) in compiled_blocks() {
-        assert_deps_match_reference(block, context);
-        assert_deps_match_reference(&rename_apart(block), &format!("renamed {context}"));
+    for (context, block, machine) in compiled_blocks() {
+        let own = [machine.clone(), presets::rs6000(8)];
+        assert_deps_match_reference(block, &own, context);
+        let renamed = format!("renamed {context}");
+        assert_deps_match_reference(&rename_apart(block), &own, &renamed);
         blocks += 2;
     }
     let mut rng = SplitMix64::seed_from_u64(7);
     for case in 0..300 {
         let regs = 3 + case % 30;
         let func = random_physical_block(&mut rng, regs, 1 + case % 48);
-        assert_deps_match_reference(&func.blocks()[0], &format!("physical case {case}"));
+        let context = format!("physical case {case}");
+        assert_deps_match_reference(&func.blocks()[0], &machines, &context);
         blocks += 1;
     }
     assert!(blocks > 1000, "only {blocks} blocks compared");
@@ -404,8 +526,8 @@ fn reference_interference(func: &Function, problem: &BlockAllocProblem) -> UnGra
     g
 }
 
-/// Runs the combined spill loop on `func`, checking the interference graph
-/// (neighbor order included) and `nodes_defined_at` every round.
+/// Runs the combined spill loop on `func`, checking the interference graph,
+/// `nodes_defined_at` and the dependence graph every round.
 fn check_interference_rounds(func: &Function, machine: &MachineDesc, context: &str) -> usize {
     let block_id = BlockId(0);
     let mut current = func.clone();
@@ -419,8 +541,8 @@ fn check_interference_rounds(func: &Function, machine: &MachineDesc, context: &s
         let got = problem.interference();
         for v in 0..problem.len() {
             assert_eq!(
-                got.neighbors(v),
-                expected.neighbors(v),
+                got.neighbors(v).collect::<Vec<_>>(),
+                expected.neighbors(v).collect::<Vec<_>>(),
                 "neighbors({v}), {context}, round {round}"
             );
         }
@@ -432,7 +554,10 @@ fn check_interference_rounds(func: &Function, machine: &MachineDesc, context: &s
             assert_eq!(got, scan, "{context}, round {round}");
         }
 
-        let deps = DepGraph::build(current.block(block_id), &NullTelemetry);
+        let block = current.block(block_id);
+        let ctx = format!("{context}, round {round}");
+        assert_deps_match_reference(block, std::slice::from_ref(machine), &ctx);
+        let deps = DepGraph::build(block, &NullTelemetry);
         let pig = Pig::build(&problem, &deps, machine, &NullTelemetry);
         let costs: Vec<f64> = (0..problem.len()).map(|n| problem.spill_cost(n)).collect();
         let heights = deps.heights(machine).expect("block bodies are acyclic");

@@ -128,8 +128,7 @@ fn example1c_false_dependence() {
     let m = paper::machine(8);
     let ef = false_dependence_graph(&d, &m, &NullTelemetry);
     let bad = paper::example1_paper_alloc();
-    let bad_deps = DepGraph::build(bad.block(BlockId(0)), &NullTelemetry);
-    let fds = introduced_false_deps(&ef, &bad_deps);
+    let fds = introduced_false_deps(&ef, bad.block(BlockId(0)));
     assert_eq!(fds.len(), 1);
     assert_eq!((fds[0].from, fds[0].to), (1, 3));
     assert_eq!(

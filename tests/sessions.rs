@@ -60,7 +60,7 @@ fn literal_pig(problem: &BlockAllocProblem, deps: &DepGraph, machine: &MachineDe
                 .for_each(|v| _ = false_edges.add_edge(u, v));
         }
     }
-    Pig::from_parts(problem.interference().clone(), false_edges)
+    Pig::from_parts(problem.interference(), &false_edges)
 }
 
 /// Mirrors the allocator's Pinter spill loop on one function, asserting
